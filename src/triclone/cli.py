@@ -20,6 +20,8 @@ from .iteration import IterationTrace, iterate
 from .linalg import fidelity_pure
 
 DEFAULT_POINTS = 201
+# Upper bound on sweep --points, so a typo cannot allocate without limit.
+MAX_POINTS = 100_000
 DEFAULT_STEPS = 6
 DEFAULT_ALPHA = math.pi / 4.0
 DEFAULT_SEED = 12345
@@ -49,8 +51,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in ("sweep", "iterate", "verify"):
             raise ValueError(f"unknown command {self.command!r}")
-        if self.points < 2:
-            raise ValueError(f"points must be at least 2, got {self.points}")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ValueError(
+                f"points must be between 2 and {MAX_POINTS}, got {self.points}"
+            )
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
 
@@ -181,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="CSV of measures and fidelities over a cos(alpha) grid"
     )
     p_sweep.add_argument(
-        "--points", type=int, default=DEFAULT_POINTS, help="grid size (default 201)"
+        "--points",
+        type=int,
+        default=DEFAULT_POINTS,
+        help=f"grid size (default 201, at most {MAX_POINTS})",
     )
     p_sweep.add_argument(
         "--output", default=None, help="CSV path (default: stdout)"

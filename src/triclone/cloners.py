@@ -7,6 +7,13 @@ Both are represented as isometries from the input space into
 original x copy x machine, which is exactly the sector the defining
 transformations specify; no unitary completion is invented.
 
+Each channel is compiled once, at first use, from its isometry into a
+64 x 64 Liouville superoperator acting on row-major vec(rho); a channel
+call is then one matrix-vector product and never forms the 512 x 512
+joint state.  Compilation checks that the originals-side and copies-side
+maps coincide, that the map preserves trace and that its Choi matrix is
+positive, and keeps the residuals.
+
 Wiring order for the local scheme: the nine output subsystems are kept in
 the order (orig1, copy1, mach1, orig2, copy2, mach2, orig3, copy3, mach3)
 and the reductions keep subsystem index sets {0,3,6} (originals) and
@@ -24,9 +31,11 @@ import numpy as np
 
 from .entanglement import input_state, measures
 from .linalg import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    TRACE_ATOL,
     DensityMatrix,
     kron_all,
-    partial_trace_matrix,
 )
 
 ISOMETRY_ATOL = 1e-12
@@ -63,21 +72,77 @@ class CloningIsometry:
 class CloneOutput:
     """Reduced states of the originals and the copies after cloning.
 
-    Symmetric cloners produce identical output sides; construction checks
-    that and the ``copies`` side is the canonical return value.
+    Symmetric cloners produce identical output sides: the two maps are
+    checked equal when the channel is compiled, so both fields hold the
+    same validated state.  ``joint_dim`` is the dimension of original x
+    copy x machine that the isometry maps into.
     """
 
     originals: DensityMatrix
     copies: DensityMatrix
     joint_dim: int
 
-    def __post_init__(self) -> None:
-        gap = float(np.max(np.abs(self.originals.matrix - self.copies.matrix)))
-        if gap > OUTPUT_SYMMETRY_ATOL:
-            raise ValueError(
-                f"original and copy outputs differ by {gap:.3e}; "
-                "the cloner output should be symmetric"
-            )
+
+@dataclass(frozen=True)
+class CompiledChannel:
+    """A cloning channel as a 64 x 64 superoperator, with build-time residuals.
+
+    ``superoperator[c * 8 + d, i * 8 + j]`` is the (c, d) entry of the
+    output for the input matrix unit |i><j|, so the output is
+    ``(superoperator @ rho.reshape(64)).reshape(8, 8)``.
+    """
+
+    superoperator: np.ndarray
+    joint_dim: int
+    symmetry_gap: float
+    trace_residual: float
+    choi_hermitian_residual: float
+    choi_min_eigenvalue: float
+
+
+def compile_channel(tensor: np.ndarray) -> CompiledChannel:
+    """Superoperator of an isometry tensor indexed [orig, copy, machine, in].
+
+    The copies-side map traces out the originals and the machine, the
+    originals-side map the copies and the machine.  Raises RuntimeError if
+    the two maps differ, if the map does not preserve trace, or if its Choi
+    matrix is not Hermitian positive semidefinite.
+    """
+    v = np.asarray(tensor, dtype=complex)
+    n_orig, n_copy, n_mach, n_in = v.shape
+    copies = np.einsum("ocmi,odmj->cdij", v, v.conj())
+    originals = np.einsum("acmi,bcmj->abij", v, v.conj())
+    gap = float(np.max(np.abs(originals - copies)))
+    if gap > OUTPUT_SYMMETRY_ATOL:
+        raise RuntimeError(
+            f"original and copy maps differ by {gap:.3e}; "
+            "the cloner output should be symmetric"
+        )
+    trace_map = np.einsum("ccij->ij", copies)
+    trace_residual = float(np.max(np.abs(trace_map - np.eye(n_in))))
+    if trace_residual > TRACE_ATOL:
+        raise RuntimeError(
+            f"map does not preserve trace (residual {trace_residual:.3e})"
+        )
+    choi = copies.transpose(0, 2, 1, 3).reshape(n_copy * n_in, n_copy * n_in)
+    herm = float(np.max(np.abs(choi - choi.conj().T)))
+    if herm > HERMITIAN_ATOL:
+        raise RuntimeError(f"Choi matrix is not Hermitian (residual {herm:.3e})")
+    smallest = float(np.linalg.eigvalsh(choi)[0])
+    if smallest < EIGENVALUE_FLOOR:
+        raise RuntimeError(
+            f"Choi matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+        )
+    superoperator = np.ascontiguousarray(copies.reshape(n_copy * n_copy, n_in * n_in))
+    superoperator.setflags(write=False)
+    return CompiledChannel(
+        superoperator=superoperator,
+        joint_dim=n_orig * n_copy * n_mach,
+        symmetry_gap=gap,
+        trace_residual=trace_residual,
+        choi_hermitian_residual=herm,
+        choi_min_eigenvalue=smallest,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -128,52 +193,50 @@ def local_isometry() -> CloningIsometry:
 
 
 @lru_cache(maxsize=1)
-def _local_register_isometry() -> np.ndarray:
-    """8 -> 512 map applying the qubit cloner to each register qubit."""
+def local_channel() -> CompiledChannel:
+    """The local scheme compiled from the 8 -> 512 register isometry.
+
+    The register isometry applies the qubit cloner to each qubit.  Its
+    nine output qubits are permuted from (orig1, copy1, mach1, ..., mach3)
+    into (orig1, orig2, orig3, copy1, ..., mach3) so that the tensor reads
+    [orig, copy, machine, in] with eight-dimensional sides.
+    """
     v = local_isometry().matrix
-    total = kron_all([v, v, v])
-    total.setflags(write=False)
-    return total
+    register = kron_all([v, v, v]).reshape((2,) * 9 + (8,))
+    tensor = register.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8, 9).reshape(8, 8, 8, 8)
+    return compile_channel(tensor)
 
 
-def _require_register(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2, 2):
-        raise ValueError(f"expected a three-qubit density matrix, got dims {rho.dims}")
+@lru_cache(maxsize=1)
+def nonlocal_channel() -> CompiledChannel:
+    """The non-local scheme compiled from the eight-dimensional cloner."""
+    return compile_channel(nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8))
+
+
+def _apply(channel: CompiledChannel, rho_in: DensityMatrix) -> CloneOutput:
+    if rho_in.dims != (2, 2, 2):
+        raise ValueError(
+            f"expected a three-qubit density matrix, got dims {rho_in.dims}"
+        )
+    out = DensityMatrix(
+        (2, 2, 2), (channel.superoperator @ rho_in.matrix.reshape(64)).reshape(8, 8)
+    )
+    return CloneOutput(originals=out, copies=out, joint_dim=channel.joint_dim)
 
 
 def apply_local_cloning(rho_in: DensityMatrix) -> CloneOutput:
     """Clone each qubit of the register with its own distant cloner.
 
     The joint output lives on nine qubits (three original/copy/machine
-    triples); the three machine qubits and the complementary output side
-    are traced out of each reduction.
+    triples); the compiled map traces out the three machine qubits and
+    the complementary output side.
     """
-    _require_register(rho_in)
-    v = _local_register_isometry()
-    joint = v @ rho_in.matrix @ v.conj().T
-    dims = (2,) * 9
-    originals = partial_trace_matrix(joint, dims, (0, 3, 6))
-    copies = partial_trace_matrix(joint, dims, (1, 4, 7))
-    return CloneOutput(
-        originals=DensityMatrix((2, 2, 2), originals),
-        copies=DensityMatrix((2, 2, 2), copies),
-        joint_dim=joint.shape[0],
-    )
+    return _apply(local_channel(), rho_in)
 
 
 def apply_nonlocal_cloning(rho_in: DensityMatrix) -> CloneOutput:
     """Clone the register as a single eight-dimensional system."""
-    _require_register(rho_in)
-    v = nonlocal_isometry(8).matrix
-    joint = v @ rho_in.matrix @ v.conj().T
-    dims = (8, 8, 8)
-    originals = partial_trace_matrix(joint, dims, (0,))
-    copies = partial_trace_matrix(joint, dims, (1,))
-    return CloneOutput(
-        originals=DensityMatrix((2, 2, 2), originals),
-        copies=DensityMatrix((2, 2, 2), copies),
-        joint_dim=joint.shape[0],
-    )
+    return _apply(nonlocal_channel(), rho_in)
 
 
 def closed_form_local_output(alpha: float) -> DensityMatrix:

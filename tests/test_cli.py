@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from triclone import cli
 from triclone.cli import (
+    MAX_POINTS,
     RunConfig,
     SWEEP_COLUMNS,
     compute_sweep_rows,
@@ -103,6 +105,21 @@ class TestSweep:
     def test_bad_points_is_usage_error(self, capsys):
         assert main(["sweep", "--points", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_points_above_cap_is_rejected_before_computing(self, monkeypatch, capsys):
+        requested = []
+
+        def record(points):
+            requested.append(points)
+            return []
+
+        monkeypatch.setattr(cli, "compute_sweep_rows", record)
+        assert main(["sweep", "--points", "1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_POINTS) in err
+        assert requested == []
+        assert main(["sweep", "--points", str(MAX_POINTS)]) == 0
+        assert requested == [MAX_POINTS]
 
 
 class TestIterate:

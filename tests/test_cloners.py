@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triclone.cloners import (
+    OUTPUT_SYMMETRY_ATOL,
     apply_local_cloning,
     apply_nonlocal_cloning,
     closed_form_local_measures,
@@ -12,15 +13,22 @@ from triclone.cloners import (
     closed_form_nonlocal_output,
     fidelity_local,
     fidelity_nonlocal,
+    compile_channel,
     find_e2_crossings,
+    local_channel,
     local_isometry,
+    nonlocal_channel,
     nonlocal_isometry,
 )
 from triclone.entanglement import input_state, measures
 from triclone.linalg import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    TRACE_ATOL,
     DensityMatrix,
     eig_hermitian,
     fidelity_pure,
+    kron_all,
     partial_trace_matrix,
 )
 from triclone.verification import random_density_matrix
@@ -35,6 +43,61 @@ CROSSING_HI = math.sqrt((1.0 + 3.0 / math.sqrt(14.0)) / 2.0)
 
 def _rho(alpha):
     return input_state(alpha).density_matrix()
+
+
+def _random_rank(rng, rank):
+    """Random three-qubit density matrix of the given rank."""
+    g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    m = g @ g.conj().T
+    return DensityMatrix((2, 2, 2), m / np.trace(m).real)
+
+
+def _test_states(rng):
+    """Pure, rank-2 and full-rank random states, two-corner states and I/8."""
+    states = [_random_rank(rng, rank) for rank in (1, 1, 1, 2, 2, 2, 8, 8, 8)]
+    states += [_rho(alpha) for alpha in (0.0, 0.3, math.pi / 4)]
+    states.append(DensityMatrix((2, 2, 2), np.eye(8) / 8))
+    return states
+
+
+# The 512-dimensional path: V rho V+ on original x copy x machine, then
+# a partial trace per output side.  Reference only; the channels use the
+# compiled superoperators.
+REFERENCE_PATHS = {
+    "local": (
+        apply_local_cloning,
+        lambda: kron_all([local_isometry().matrix] * 3),
+        (2,) * 9,
+        (0, 3, 6),
+        (1, 4, 7),
+    ),
+    "nonlocal": (
+        apply_nonlocal_cloning,
+        lambda: nonlocal_isometry(8).matrix,
+        (8, 8, 8),
+        (0,),
+        (1,),
+    ),
+}
+
+
+def _reference_outputs(v, dims, keep_originals, keep_copies, rho):
+    joint = v @ rho.matrix @ v.conj().T
+    return (
+        partial_trace_matrix(joint, dims, keep_originals),
+        partial_trace_matrix(joint, dims, keep_copies),
+    )
+
+
+def _depolarize_each_qubit(matrix, shrink):
+    """Apply rho -> shrink*rho + (1 - shrink)*Tr_q(rho) (x) I/2 to each qubit q."""
+    t = matrix.reshape((2,) * 6)
+    for q in range(3):
+        reduced = np.trace(t, axis1=q, axis2=q + 3)
+        refilled = np.multiply.outer(reduced, np.eye(2) / 2)
+        refilled = np.moveaxis(refilled, (4, 5), (q, q + 3))
+        t = shrink * t + (1.0 - shrink) * refilled
+    return t.reshape(8, 8)
 
 
 class TestLocalIsometry:
@@ -180,6 +243,59 @@ class TestChannelProperties:
                 out = channel(rho)
                 gap = np.max(np.abs(out.originals.matrix - out.copies.matrix))
                 assert gap <= 1e-12
+
+
+class TestCompiledChannels:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PATHS))
+    def test_matches_the_joint_state_path(self, name, rng):
+        channel, isometry, dims, keep_orig, keep_copy = REFERENCE_PATHS[name]
+        v = isometry()
+        for rho in _test_states(rng):
+            out = channel(rho)
+            originals, copies = _reference_outputs(v, dims, keep_orig, keep_copy, rho)
+            assert np.max(np.abs(out.originals.matrix - originals)) <= 1e-14
+            assert np.max(np.abs(out.copies.matrix - copies)) <= 1e-14
+
+    def test_nonlocal_output_is_the_werner_shrink(self, rng):
+        # Werner's optimal 1 -> 2 cloner of an 8-dimensional system shrinks
+        # toward I/8 by (d + 2) / (2(d + 1)) = 5/9.
+        for rho in _test_states(rng):
+            expected = (5.0 / 9.0) * rho.matrix + (4.0 / 9.0) * np.eye(8) / 8.0
+            out = apply_nonlocal_cloning(rho).copies.matrix
+            assert np.max(np.abs(out - expected)) <= 1e-12
+
+    def test_local_output_is_a_per_qubit_buzek_hillery_shrink(self, rng):
+        # The Buzek-Hillery qubit cloner shrinks each qubit's Bloch vector
+        # by 2/3; three independent cloners act as a product of such maps.
+        for rho in _test_states(rng):
+            expected = _depolarize_each_qubit(rho.matrix, 2.0 / 3.0)
+            out = apply_local_cloning(rho).copies.matrix
+            assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("build", [local_channel, nonlocal_channel])
+    def test_build_time_residuals_are_kept(self, build):
+        compiled = build()
+        assert compiled.superoperator.shape == (64, 64)
+        assert not compiled.superoperator.flags.writeable
+        assert compiled.joint_dim == 512
+        assert compiled.symmetry_gap <= OUTPUT_SYMMETRY_ATOL
+        assert compiled.trace_residual <= TRACE_ATOL
+        assert compiled.choi_hermitian_residual <= HERMITIAN_ATOL
+        assert compiled.choi_min_eigenvalue >= EIGENVALUE_FLOOR
+
+    def test_rejects_asymmetric_isometry(self):
+        # |i> -> |i>|0>|0>: an isometry whose originals keep the input while
+        # the copies are always |0>.
+        tensor = np.zeros((8, 8, 8, 8))
+        for i in range(8):
+            tensor[i, 0, 0, i] = 1.0
+        with pytest.raises(RuntimeError, match="differ"):
+            compile_channel(tensor)
+
+    def test_rejects_non_trace_preserving_tensor(self):
+        tensor = 1.1 * nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8)
+        with pytest.raises(RuntimeError, match="trace"):
+            compile_channel(tensor)
 
 
 class TestClosedFormOutputs:
