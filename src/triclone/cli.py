@@ -1,6 +1,7 @@
 """Command-line front end: parameter sweeps, iteration traces, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 success, 1 verification failure or a failed internal check
+(printed as ``error: internal check failed: ...``), 2 usage or I/O error.
 CSV output is UTF-8 with \\n line endings and shortest round-trip decimal
 numbers, so identical invocations are byte-identical.
 """
@@ -14,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import apply_local_cloning, apply_nonlocal_cloning
-from .entanglement import input_state, measures
+from .cloners import evaluate
 from .iteration import IterationTrace, iterate
-from .linalg import fidelity_pure
 
 DEFAULT_POINTS = 201
 # Upper bound on sweep --points, so a typo cannot allocate without limit.
 MAX_POINTS = 100_000
+# Sweep points per evaluate() call: bounds the stacked 8 x 8 outputs held
+# at once, so memory does not grow with --points.
+SWEEP_BLOCK = 128
 DEFAULT_STEPS = 6
 DEFAULT_ALPHA = math.pi / 4.0
 DEFAULT_SEED = 12345
@@ -59,56 +61,37 @@ class RunConfig:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
 
 
-@dataclass
-class SweepRow:
-    cos_alpha: float
-    e3_input: float
-    e3_local: float
-    e3_nonlocal: float
-    e2_input: float
-    e2_local: float
-    e2_nonlocal: float
-    f_local: float
-    f_nonlocal: float
-
-
 def _fmt(value: float) -> str:
     # repr of a Python float is the shortest decimal that round-trips.
     return repr(float(value))
 
 
-def compute_sweep_rows(points: int) -> list[SweepRow]:
-    """One row per cos(alpha) grid point, everything via the simulated channels."""
-    rows = []
-    for x in np.linspace(0.0, 1.0, points):
-        alpha = math.acos(float(x))
-        psi = input_state(alpha)
-        rho_in = psi.density_matrix()
-        local = apply_local_cloning(rho_in).copies
-        nonlocal_ = apply_nonlocal_cloning(rho_in).copies
-        rep_in = measures(rho_in)
-        rep_l = measures(local)
-        rep_n = measures(nonlocal_)
-        rows.append(
-            SweepRow(
-                cos_alpha=float(x),
-                e3_input=rep_in.e3,
-                e3_local=rep_l.e3,
-                e3_nonlocal=rep_n.e3,
-                e2_input=rep_in.e2[(1, 2)],
-                e2_local=rep_l.e2[(1, 2)],
-                e2_nonlocal=rep_n.e2[(1, 2)],
-                f_local=fidelity_pure(psi, local),
-                f_nonlocal=fidelity_pure(psi, nonlocal_),
+def sweep_table(points: int) -> np.ndarray:
+    """(points, 9) array in ``SWEEP_COLUMNS`` order over a cos(alpha) grid."""
+    xs = np.linspace(0.0, 1.0, points)
+    table = np.empty((points, len(SWEEP_COLUMNS)))
+    for start in range(0, points, SWEEP_BLOCK):
+        x = xs[start : start + SWEEP_BLOCK]
+        grid = evaluate([math.acos(float(v)) for v in x])
+        table[start : start + len(x)] = np.column_stack(
+            (
+                x,
+                grid.e3_in,
+                grid.e3_local,
+                grid.e3_nonlocal,
+                grid.e2_in[:, 0],
+                grid.e2_local[:, 0],
+                grid.e2_nonlocal[:, 0],
+                grid.f_local,
+                grid.f_nonlocal,
             )
         )
-    return rows
+    return table
 
 
-def format_sweep_csv(rows: list[SweepRow]) -> str:
+def format_sweep_csv(table: np.ndarray) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in SWEEP_COLUMNS))
+    lines.extend(",".join(map(_fmt, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -144,8 +127,8 @@ def _write_or_print(text: str, path: str | None) -> int:
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    rows = compute_sweep_rows(cfg.points)
-    return _write_or_print(format_sweep_csv(rows), cfg.output_path)
+    table = sweep_table(cfg.points)
+    return _write_or_print(format_sweep_csv(table), cfg.output_path)
 
 
 def run_iterate(cfg: RunConfig) -> int:
@@ -241,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

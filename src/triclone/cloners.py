@@ -29,12 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entanglement import input_state, measures
+from .entanglement import input_state, measure_stack
 from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
     DensityMatrix,
+    check_density_matrices,
+    fidelities,
     kron_all,
 )
 
@@ -98,6 +100,23 @@ class CompiledChannel:
     trace_residual: float
     choi_hermitian_residual: float
     choi_min_eigenvalue: float
+
+    def map(self, rhos: np.ndarray) -> np.ndarray:
+        """Unvalidated outputs for a stack of input matrices (..., 8, 8)."""
+        # matmul against (..., 64, 1) columns rounds each member the same way
+        # whatever the stack size, so a stack of one equals a stack of many bit
+        # for bit; vecs @ S.T does not.
+        vecs = rhos.reshape(rhos.shape[:-2] + (64, 1))
+        return np.matmul(self.superoperator, vecs).reshape(rhos.shape)
+
+    def apply(self, rho_in: DensityMatrix) -> CloneOutput:
+        """The validated output of one three-qubit state."""
+        if rho_in.dims != (2, 2, 2):
+            raise ValueError(
+                f"expected a three-qubit density matrix, got dims {rho_in.dims}"
+            )
+        out = DensityMatrix((2, 2, 2), self.map(rho_in.matrix[None])[0])
+        return CloneOutput(originals=out, copies=out, joint_dim=self.joint_dim)
 
 
 def compile_channel(tensor: np.ndarray) -> CompiledChannel:
@@ -213,17 +232,6 @@ def nonlocal_channel() -> CompiledChannel:
     return compile_channel(nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8))
 
 
-def _apply(channel: CompiledChannel, rho_in: DensityMatrix) -> CloneOutput:
-    if rho_in.dims != (2, 2, 2):
-        raise ValueError(
-            f"expected a three-qubit density matrix, got dims {rho_in.dims}"
-        )
-    out = DensityMatrix(
-        (2, 2, 2), (channel.superoperator @ rho_in.matrix.reshape(64)).reshape(8, 8)
-    )
-    return CloneOutput(originals=out, copies=out, joint_dim=channel.joint_dim)
-
-
 def apply_local_cloning(rho_in: DensityMatrix) -> CloneOutput:
     """Clone each qubit of the register with its own distant cloner.
 
@@ -231,12 +239,12 @@ def apply_local_cloning(rho_in: DensityMatrix) -> CloneOutput:
     triples); the compiled map traces out the three machine qubits and
     the complementary output side.
     """
-    return _apply(local_channel(), rho_in)
+    return local_channel().apply(rho_in)
 
 
 def apply_nonlocal_cloning(rho_in: DensityMatrix) -> CloneOutput:
     """Clone the register as a single eight-dimensional system."""
-    return _apply(nonlocal_channel(), rho_in)
+    return nonlocal_channel().apply(rho_in)
 
 
 def closed_form_local_output(alpha: float) -> DensityMatrix:
@@ -298,12 +306,58 @@ def fidelity_nonlocal() -> float:
     return 11.0 / 18.0
 
 
-def _e2_gap(x: float) -> float:
-    alpha = math.acos(x)
-    rho_in = input_state(alpha).density_matrix()
-    e2_in = measures(rho_in).e2[(1, 2)]
-    e2_out = measures(apply_nonlocal_cloning(rho_in).copies).e2[(1, 2)]
-    return e2_out - e2_in
+@dataclass
+class GridData:
+    """Channel outputs, measures and fidelities over a grid of alphas.
+
+    E2 arrays are (n, 3) with pairs in the order (1,2), (2,3), (1,3); the
+    outputs are the copies-side states, (n, 8, 8).
+    """
+
+    alphas: np.ndarray
+    local_out: np.ndarray
+    nonlocal_out: np.ndarray
+    e3_in: np.ndarray
+    e2_in: np.ndarray
+    e3_local: np.ndarray
+    e2_local: np.ndarray
+    e3_nonlocal: np.ndarray
+    e2_nonlocal: np.ndarray
+    f_local: np.ndarray
+    f_nonlocal: np.ndarray
+
+
+def evaluate(alphas) -> GridData:
+    """Both channels, the measures and the fidelities at each input angle.
+
+    One batched pass over the two-corner inputs at ``alphas``; every input,
+    output and measure is validated as in the single-state API and equals
+    it bit for bit.
+    """
+    alphas = np.array(alphas, dtype=float).reshape(-1)
+    psis = np.array([input_state(a).amplitudes for a in alphas]).reshape(-1, 8)
+    rho_in = psis[:, :, None] * psis[:, None, :].conj()
+    check_density_matrices(rho_in)
+    local_out = local_channel().map(rho_in)
+    check_density_matrices(local_out)
+    nonlocal_out = nonlocal_channel().map(rho_in)
+    check_density_matrices(nonlocal_out)
+    e3_in, e2_in, *_ = measure_stack(rho_in)
+    e3_local, e2_local, *_ = measure_stack(local_out)
+    e3_nonlocal, e2_nonlocal, *_ = measure_stack(nonlocal_out)
+    return GridData(
+        alphas=alphas,
+        local_out=local_out,
+        nonlocal_out=nonlocal_out,
+        e3_in=e3_in,
+        e2_in=e2_in,
+        e3_local=e3_local,
+        e2_local=e2_local,
+        e3_nonlocal=e3_nonlocal,
+        e2_nonlocal=e2_nonlocal,
+        f_local=fidelities(psis, local_out),
+        f_nonlocal=fidelities(psis, nonlocal_out),
+    )
 
 
 def find_e2_crossings() -> tuple[float, float]:
@@ -313,10 +367,15 @@ def find_e2_crossings() -> tuple[float, float]:
     returned ascending.  The non-local channel amplifies pairwise
     entanglement outside the returned window and degrades it inside.
     """
+
+    def gaps(*cos_alphas):
+        grid = evaluate([math.acos(x) for x in cos_alphas])
+        return grid.e2_nonlocal[:, 0] - grid.e2_in[:, 0]
+
     half = math.sqrt(0.5)
     roots = []
     for lo, hi in ((0.0, half), (half, 1.0)):
-        f_lo, f_hi = _e2_gap(lo), _e2_gap(hi)
+        f_lo, f_hi = gaps(lo, hi)
         if f_lo == 0.0:
             roots.append(lo)
             continue
@@ -327,7 +386,7 @@ def find_e2_crossings() -> tuple[float, float]:
             )
         while hi - lo > CROSSING_BRACKET:
             mid = 0.5 * (lo + hi)
-            if (_e2_gap(mid) > 0.0) == (f_lo > 0.0):
+            if (gaps(mid)[0] > 0.0) == (f_lo > 0.0):
                 lo = mid
             else:
                 hi = mid

@@ -72,12 +72,37 @@ def _build_triple() -> np.ndarray:
 _SINGLE_OPS = {m: _build_single(m - 1) for m in QUBITS}
 _PAIR_OPS = {(m, n): _build_pair(m - 1, n - 1) for m, n in PAIRS}
 _TRIPLE_OPS = _build_triple()
+# All 63 operators in one stack, so measure_stack takes every expectation in
+# one einsum: 9 single (by qubit), 27 pair (in PAIRS order), 27 triple.
+_ALL_OPS = np.concatenate(
+    [_SINGLE_OPS[m] for m in QUBITS]
+    + [_PAIR_OPS[p].reshape(9, 8, 8) for p in PAIRS]
+    + [_TRIPLE_OPS.reshape(27, 8, 8)]
+)
 
 
-def _expectations(rho_matrix: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def _expectations(rhos: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Tr(rho O) for a stack of matrices (..., 8, 8) and operators (*shape, 8, 8)."""
     flat = ops.reshape(-1, 8, 8)
-    values = np.einsum("pq,kqp->k", rho_matrix, flat)
-    return values.real.reshape(ops.shape[:-2])
+    values = np.einsum("...pq,kqp->...k", rhos, flat)
+    return values.real.reshape(rhos.shape[:-2] + ops.shape[:-2])
+
+
+def _check_norms(lams: np.ndarray) -> None:
+    """Norm check of coherence vectors (..., 3)."""
+    norm = float(np.sqrt((lams * lams).sum(axis=-1)).max())
+    if norm > COMPONENT_CEILING:
+        raise ValueError(f"coherence vector norm {norm} exceeds 1")
+
+
+def _check_measures(e3, e2: dict) -> None:
+    """Range check of E3 and of each pair's E2, as floats or arrays."""
+    values = np.array([e3, *e2.values()])
+    ok = (0.0 <= values) & (values <= MEASURE_CEILING)
+    if not ok.all():
+        first = tuple(np.argwhere(~ok)[0])
+        name = ("E3", *(f"E2{p}" for p in e2))[first[0]]
+        raise ValueError(f"{name} value {values[first]} outside [0, 1]")
 
 
 def _require_three_qubits(rho: DensityMatrix) -> None:
@@ -96,9 +121,7 @@ class CoherenceVector:
         if self.qubit not in QUBITS:
             raise ValueError(f"qubit index must be in {QUBITS}, got {self.qubit}")
         self.lam = np.asarray(self.lam, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(self.lam))
-        if norm > COMPONENT_CEILING:
-            raise ValueError(f"coherence vector norm {norm} exceeds 1")
+        _check_norms(self.lam)
 
 
 @dataclass
@@ -149,11 +172,7 @@ class EntanglementReport:
     lambdas: tuple[CoherenceVector, CoherenceVector, CoherenceVector]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.e3 <= MEASURE_CEILING:
-            raise ValueError(f"E3 value {self.e3} outside [0, 1]")
-        for pair, value in self.e2.items():
-            if not 0.0 <= value <= MEASURE_CEILING:
-                raise ValueError(f"E2{pair} value {value} outside [0, 1]")
+        _check_measures(self.e3, self.e2)
 
 
 def coherence_vector(rho: DensityMatrix, m: int) -> CoherenceVector:
@@ -178,22 +197,35 @@ def correlation3(rho: DensityMatrix) -> TripleCorrelation:
     return TripleCorrelation(_expectations(rho.matrix, _TRIPLE_OPS))
 
 
-def _analyze(rho: DensityMatrix):
-    lams = {m: _expectations(rho.matrix, _SINGLE_OPS[m]) for m in QUBITS}
+def measure_stack(rhos: np.ndarray):
+    """E3 (...,) and E2 (..., 3) of a stack of three-qubit matrices (..., 8, 8).
+
+    E2 columns follow ``PAIRS``.  Applies the range checks of
+    ``CoherenceVector`` and ``EntanglementReport`` to every member and also
+    returns the coherence vectors, M2 and M3 tensors they were built from.
+    """
+    values = _expectations(rhos, _ALL_OPS)
+    shape = values.shape[:-1]
+    lam = values[..., :9].reshape(shape + (3, 3))
+    k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
+    k3 = values[..., 36:].reshape(shape + (3, 3, 3))
+    _check_norms(lam)
+    lams = {m: lam[..., m - 1, :] for m in QUBITS}
     m2 = {
-        (m, n): _expectations(rho.matrix, _PAIR_OPS[(m, n)])
-        - np.outer(lams[m], lams[n])
-        for m, n in PAIRS
+        (m, n): k2[..., i, :, :] - lams[m][..., :, None] * lams[n][..., None, :]
+        for i, (m, n) in enumerate(PAIRS)
     }
-    k3 = _expectations(rho.matrix, _TRIPLE_OPS)
     m3 = (
         k3
-        - np.einsum("i,jk->ijk", lams[1], m2[(2, 3)])
-        - np.einsum("j,ik->ijk", lams[2], m2[(1, 3)])
-        - np.einsum("k,ij->ijk", lams[3], m2[(1, 2)])
-        - np.einsum("i,j,k->ijk", lams[1], lams[2], lams[3])
+        - np.einsum("...i,...jk->...ijk", lams[1], m2[(2, 3)])
+        - np.einsum("...j,...ik->...ijk", lams[2], m2[(1, 3)])
+        - np.einsum("...k,...ij->...ijk", lams[3], m2[(1, 2)])
+        - np.einsum("...i,...j,...k->...ijk", lams[1], lams[2], lams[3])
     )
-    return lams, m2, m3
+    e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
+    e2 = {p: (t * t).sum(axis=(-2, -1)) / 3.0 for p, t in m2.items()}
+    _check_measures(e3, e2)
+    return e3, np.stack([e2[p] for p in PAIRS], -1), lams, m2, m3
 
 
 def entanglement_tensors(rho: DensityMatrix) -> EntanglementTensors:
@@ -203,9 +235,7 @@ def entanglement_tensors(rho: DensityMatrix) -> EntanglementTensors:
     tensor removes the three coherence-weighted pairwise terms and the
     rank-one coherence product from K_ijk.
     """
-    _require_three_qubits(rho)
-    _, m2, m3 = _analyze(rho)
-    return EntanglementTensors(m2=m2, m3=m3)
+    return measures(rho).tensors
 
 
 def measures(rho: DensityMatrix) -> EntanglementReport:
@@ -216,12 +246,14 @@ def measures(rho: DensityMatrix) -> EntanglementReport:
     tensor.
     """
     _require_three_qubits(rho)
-    lams, m2, m3 = _analyze(rho)
-    e3 = 0.25 * float(np.sum(m3 * m3))
-    e2 = {pair: float(np.sum(t * t)) / 3.0 for pair, t in m2.items()}
-    lambdas = tuple(CoherenceVector(m, lams[m]) for m in QUBITS)
+    e3, e2, lams, m2, m3 = measure_stack(rho.matrix[None])
     return EntanglementReport(
-        e3=e3, e2=e2, tensors=EntanglementTensors(m2=m2, m3=m3), lambdas=lambdas
+        e3=float(e3[0]),
+        e2={pair: float(e2[0, i]) for i, pair in enumerate(PAIRS)},
+        tensors=EntanglementTensors(
+            m2={pair: t[0] for pair, t in m2.items()}, m3=m3[0]
+        ),
+        lambdas=tuple(CoherenceVector(m, lams[m][0]) for m in QUBITS),
     )
 
 

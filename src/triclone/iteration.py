@@ -1,24 +1,24 @@
 """Repeated cloning via spectral decomposition of the previous output.
 
 A mixed output cannot be fed to the cloner directly; it is diagonalized
-and each eigenvector is cloned separately, then the results are remixed
-with the eigenvalue weights.  Channel linearity makes this identical to
-applying the channel to the mixed state, which is enforced as a hard
-cross-check on every call (it also proves the result does not depend on
-the basis chosen inside degenerate eigenspaces).
+and each eigenvector is cloned separately (all of them in one batched
+channel call), then the results are remixed with the eigenvalue weights.
+Channel linearity makes this identical to applying the channel to the
+mixed state, which is enforced as a hard cross-check on every call (it
+also proves the result does not depend on the basis chosen inside
+degenerate eigenspaces).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .cloners import CloneOutput, apply_local_cloning, apply_nonlocal_cloning
+from .cloners import CompiledChannel, local_channel, nonlocal_channel
 from .entanglement import input_state, measures
-from .linalg import DensityMatrix, eig_hermitian
+from .linalg import DensityMatrix, check_density_matrices, eig_hermitian
 
 EIGENVALUE_CUTOFF = 1e-12
 ROUTE_AGREEMENT_ATOL = 1e-12
@@ -45,16 +45,19 @@ class IterationTrace:
     steps: list[IterationStep]
 
 
-def _clone_mixed(
-    rho: DensityMatrix, channel: Callable[[DensityMatrix], CloneOutput]
-) -> DensityMatrix:
+def _clone_mixed(rho: DensityMatrix, channel: CompiledChannel) -> DensityMatrix:
     weights, vectors = eig_hermitian(rho.matrix)
+    kept = weights > EIGENVALUE_CUTOFF
+    columns = vectors[:, kept].T
+    projectors = columns[:, :, None] * columns[:, None, :].conj()
+    check_density_matrices(projectors)
+    outputs = channel.map(projectors)
+    check_density_matrices(outputs)
     mixed = np.zeros_like(rho.matrix)
-    for weight, vector in zip(weights, vectors.T):
-        if weight > EIGENVALUE_CUTOFF:
-            projector = DensityMatrix(rho.dims, np.outer(vector, vector.conj()))
-            mixed = mixed + weight * channel(projector).copies.matrix
-    direct = channel(rho).copies.matrix
+    # Sequential remix: a tensordot over the weights sums in another order.
+    for weight, output in zip(weights[kept], outputs):
+        mixed = mixed + weight * output
+    direct = channel.apply(rho).copies.matrix
     residual = float(np.max(np.abs(mixed - direct)))
     if residual > ROUTE_AGREEMENT_ATOL:
         raise RuntimeError(
@@ -71,7 +74,7 @@ def clone_mixed_nonlocal(rho: DensityMatrix) -> DensityMatrix:
     immaterial because the result is checked against the direct channel
     application to 1e-12.
     """
-    return _clone_mixed(rho, apply_nonlocal_cloning)
+    return _clone_mixed(rho, nonlocal_channel())
 
 
 def iterate(alpha: float, n_steps: int, channel: str = "nonlocal") -> IterationTrace:
@@ -86,9 +89,9 @@ def iterate(alpha: float, n_steps: int, channel: str = "nonlocal") -> IterationT
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     if channel == "nonlocal":
-        apply_channel = apply_nonlocal_cloning
+        compiled = nonlocal_channel()
     elif channel == "local":
-        apply_channel = apply_local_cloning
+        compiled = local_channel()
     else:
         raise ValueError(f"channel must be 'nonlocal' or 'local', got {channel!r}")
     alpha = float(alpha)
@@ -98,7 +101,7 @@ def iterate(alpha: float, n_steps: int, channel: str = "nonlocal") -> IterationT
     rho = input_state(alpha).density_matrix()
     steps = [_record(0, rho)]
     for k in range(1, n_steps + 1):
-        rho = _clone_mixed(rho, apply_channel)
+        rho = _clone_mixed(rho, compiled)
         steps.append(_record(k, rho))
     return IterationTrace(alpha=alpha, steps=steps)
 

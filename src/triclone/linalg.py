@@ -71,6 +71,29 @@ class PureState:
         )
 
 
+def check_density_matrices(matrices: np.ndarray) -> None:
+    """Validate a stack of square matrices (..., d, d) as density matrices.
+
+    Each member must be finite, Hermitian within ``HERMITIAN_ATOL``, of unit
+    trace within ``TRACE_ATOL`` and have no eigenvalue below
+    ``EIGENVALUE_FLOOR``; otherwise ValueError names the worst residual.
+    """
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix entries must be finite")
+    herm = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max()
+    if herm > HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+    tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_ATOL:
+        raise ValueError(f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}")
+    smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
+    if smallest < EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+        )
+
+
 @dataclass
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator."""
@@ -86,19 +109,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match dims {self.dims}"
             )
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("matrix entries must be finite")
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if herm > HERMITIAN_ATOL:
-            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
-        smallest = float(np.linalg.eigvalsh(self.matrix)[0])
-        if smallest < EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
-            )
+        check_density_matrices(self.matrix[None])
 
     @property
     def dim(self) -> int:
@@ -173,13 +184,17 @@ def fidelity_pure(psi: PureState, rho: DensityMatrix) -> float:
         raise ValueError(
             f"dimension mismatch: state dim {psi.dim}, matrix dim {rho.dim}"
         )
-    v = psi.amplitudes
-    value = complex(v.conj() @ (rho.matrix @ v))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"overlap has non-real value {value}")
-    out = value.real
-    if -1e-12 <= out < 0.0:
-        return 0.0
-    if 1.0 < out <= 1.0 + 1e-12:
-        return 1.0
+    return float(fidelities(psi.amplitudes[None], rho.matrix[None])[0])
+
+
+def fidelities(psis: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """``fidelity_pure`` over stacks of amplitudes (n, d) and matrices (n, d, d)."""
+    # Two einsums, not one: the three-operand form sums in another order.
+    values = np.einsum("ni,ni->n", psis.conj(), np.einsum("nij,nj->ni", rhos, psis))
+    bad = np.abs(values.imag) > 1e-12
+    if np.any(bad):
+        raise ValueError(f"overlap has non-real value {complex(values[bad][0])}")
+    out = values.real
+    out[(-1e-12 <= out) & (out < 0.0)] = 0.0
+    out[(1.0 < out) & (out <= 1.0 + 1e-12)] = 1.0
     return out

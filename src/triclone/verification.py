@@ -15,25 +15,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import (
+    GridData,
     apply_local_cloning,
     apply_nonlocal_cloning,
     closed_form_local_measures,
     closed_form_local_output,
     closed_form_nonlocal_measures,
     closed_form_nonlocal_output,
+    evaluate,
     fidelity_local,
     fidelity_nonlocal,
     find_e2_crossings,
+    local_channel,
+    nonlocal_channel,
 )
 from .entanglement import (
-    PAIRS,
     closed_form_input_measures,
     correlation3,
     input_state,
+    measure_stack,
     measures,
 )
 from .iteration import clone_mixed_nonlocal, iterate
-from .linalg import DensityMatrix, eig_hermitian, fidelity_pure, kron_all
+from .linalg import DensityMatrix, check_density_matrices, eig_hermitian, kron_all
 
 DEFAULT_SEED = 12345
 GRID_POINTS = 201
@@ -59,64 +63,9 @@ class CheckResult:
     detail: str
 
 
-@dataclass
-class GridData:
-    """Channel outputs and measures over a uniform alpha grid on [0, pi/2]."""
-
-    alphas: np.ndarray
-    psi: np.ndarray  # (n, 8)
-    rho_in: np.ndarray  # (n, 8, 8)
-    local_out: np.ndarray  # (n, 8, 8), copies side
-    nonlocal_out: np.ndarray  # (n, 8, 8), copies side
-    e3_in: np.ndarray
-    e2_in: np.ndarray  # (n, 3), pair order (1,2), (2,3), (1,3)
-    e3_local: np.ndarray
-    e2_local: np.ndarray
-    e3_nonlocal: np.ndarray
-    e2_nonlocal: np.ndarray
-    f_local: np.ndarray
-    f_nonlocal: np.ndarray
-
-
 def compute_grid(points: int = GRID_POINTS) -> GridData:
-    alphas = np.linspace(0.0, math.pi / 2.0, points)
-    n = len(alphas)
-    data = GridData(
-        alphas=alphas,
-        psi=np.zeros((n, 8), dtype=complex),
-        rho_in=np.zeros((n, 8, 8), dtype=complex),
-        local_out=np.zeros((n, 8, 8), dtype=complex),
-        nonlocal_out=np.zeros((n, 8, 8), dtype=complex),
-        e3_in=np.zeros(n),
-        e2_in=np.zeros((n, 3)),
-        e3_local=np.zeros(n),
-        e2_local=np.zeros((n, 3)),
-        e3_nonlocal=np.zeros(n),
-        e2_nonlocal=np.zeros((n, 3)),
-        f_local=np.zeros(n),
-        f_nonlocal=np.zeros(n),
-    )
-    for i, alpha in enumerate(alphas):
-        psi = input_state(alpha)
-        rho = psi.density_matrix()
-        local = apply_local_cloning(rho).copies
-        nonlocal_ = apply_nonlocal_cloning(rho).copies
-        rep_in = measures(rho)
-        rep_l = measures(local)
-        rep_n = measures(nonlocal_)
-        data.psi[i] = psi.amplitudes
-        data.rho_in[i] = rho.matrix
-        data.local_out[i] = local.matrix
-        data.nonlocal_out[i] = nonlocal_.matrix
-        data.e3_in[i] = rep_in.e3
-        data.e2_in[i] = [rep_in.e2[p] for p in PAIRS]
-        data.e3_local[i] = rep_l.e3
-        data.e2_local[i] = [rep_l.e2[p] for p in PAIRS]
-        data.e3_nonlocal[i] = rep_n.e3
-        data.e2_nonlocal[i] = [rep_n.e2[p] for p in PAIRS]
-        data.f_local[i] = fidelity_pure(psi, local)
-        data.f_nonlocal[i] = fidelity_pure(psi, nonlocal_)
-    return data
+    """Channel outputs and measures over a uniform alpha grid on [0, pi/2]."""
+    return evaluate(np.linspace(0.0, math.pi / 2.0, points))
 
 
 def _grid(grid: GridData | None) -> GridData:
@@ -145,10 +94,8 @@ def check_input_closed_forms(grid: GridData | None = None) -> CheckResult:
 def check_local_oracle(grid: GridData | None = None) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
     grid = _grid(grid)
-    err = 0.0
-    for i, alpha in enumerate(grid.alphas):
-        ref = closed_form_local_output(alpha).matrix
-        err = max(err, float(np.max(np.abs(grid.local_out[i] - ref))))
+    refs = np.array([closed_form_local_output(a).matrix for a in grid.alphas])
+    err = float(np.max(np.abs(grid.local_out - refs)))
     rep = measures(
         apply_local_cloning(input_state(math.pi / 4.0).density_matrix()).copies
     )
@@ -168,10 +115,8 @@ def check_local_oracle(grid: GridData | None = None) -> CheckResult:
 def check_nonlocal_oracle(grid: GridData | None = None) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
     grid = _grid(grid)
-    err = 0.0
-    for i, alpha in enumerate(grid.alphas):
-        ref = closed_form_nonlocal_output(alpha).matrix
-        err = max(err, float(np.max(np.abs(grid.nonlocal_out[i] - ref))))
+    refs = np.array([closed_form_nonlocal_output(a).matrix for a in grid.alphas])
+    err = float(np.max(np.abs(grid.nonlocal_out - refs)))
     out = apply_nonlocal_cloning(input_state(math.pi / 4.0).density_matrix()).copies
     rep = measures(out)
     m_err = max(
@@ -233,13 +178,10 @@ def check_amplification_window() -> CheckResult:
     err_hi = abs(hi - WINDOW_HI)
     # Sign pattern around the measured roots: amplified outside, degraded
     # inside the window.
-    from .cloners import _e2_gap
-
-    signs_ok = (
-        _e2_gap(max(lo - 0.02, 1e-3)) > 0.0
-        and _e2_gap(0.5 * (lo + hi)) < 0.0
-        and _e2_gap(min(hi + 0.02, 1.0 - 1e-3)) > 0.0
-    )
+    probes = (max(lo - 0.02, 1e-3), 0.5 * (lo + hi), min(hi + 0.02, 1.0 - 1e-3))
+    grid = evaluate([math.acos(x) for x in probes])
+    gap = grid.e2_nonlocal[:, 0] - grid.e2_in[:, 0]
+    signs_ok = bool(gap[0] > 0.0 and gap[1] < 0.0 and gap[2] > 0.0)
     passed = err_lo <= WINDOW_ATOL and err_hi <= WINDOW_ATOL and signs_ok
     return CheckResult(
         "e2-amplification-window",
@@ -306,31 +248,23 @@ def check_channel_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     """Both channels are trace-preserving, Hermitian, PSD and linear."""
     rng = np.random.default_rng(seed)
     states = [random_density_matrix(rng) for _ in range(100)]
-    outputs = {"local": [], "nonlocal": []}
-    trace_err = herm_err = eig_floor = 0.0
-    for rho in states:
-        for label, channel in (
-            ("local", apply_local_cloning),
-            ("nonlocal", apply_nonlocal_cloning),
-        ):
-            out = channel(rho).copies.matrix
-            outputs[label].append(out)
-            trace_err = max(trace_err, abs(np.trace(out).real - 1.0))
-            herm_err = max(herm_err, float(np.max(np.abs(out - out.conj().T))))
-            eig_floor = min(eig_floor, float(np.linalg.eigvalsh(out)[0]))
-    lin_err = 0.0
-    for i in range(0, 100, 2):
-        p = float(rng.uniform(0.1, 0.9))
-        mix = DensityMatrix(
-            (2, 2, 2), p * states[i].matrix + (1 - p) * states[i + 1].matrix
-        )
-        for label, channel in (
-            ("local", apply_local_cloning),
-            ("nonlocal", apply_nonlocal_cloning),
-        ):
-            combined = p * outputs[label][i] + (1 - p) * outputs[label][i + 1]
-            direct = channel(mix).copies.matrix
-            lin_err = max(lin_err, float(np.max(np.abs(direct - combined))))
+    stack = np.array([rho.matrix for rho in states])
+    p = np.array([rng.uniform(0.1, 0.9) for _ in range(50)])[:, None, None]
+    mixes = p * stack[0::2] + (1 - p) * stack[1::2]
+    check_density_matrices(mixes)
+    trace_err = herm_err = eig_floor = lin_err = 0.0
+    for channel in (local_channel(), nonlocal_channel()):
+        out = channel.map(stack)
+        direct = channel.map(mixes)
+        check_density_matrices(out)
+        check_density_matrices(direct)
+        trace = np.trace(out, axis1=1, axis2=2).real
+        trace_err = max(trace_err, float(np.max(np.abs(trace - 1.0))))
+        herm = np.max(np.abs(out - out.conj().swapaxes(1, 2)))
+        herm_err = max(herm_err, float(herm))
+        eig_floor = min(eig_floor, float(np.min(np.linalg.eigvalsh(out)[:, 0])))
+        combined = p * out[0::2] + (1 - p) * out[1::2]
+        lin_err = max(lin_err, float(np.max(np.abs(direct - combined))))
     route_err = 0.0
     for rho in states:
         mixed_route = clone_mixed_nonlocal(rho).matrix
@@ -360,28 +294,26 @@ def check_measure_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         input_state(math.pi / 8.0).density_matrix(),
         random_density_matrix(rng),
     ]
-    invariance_err = 0.0
+    rotations = []
     for trial in range(50):
-        rho = base_states[trial % len(base_states)]
+        rho = base_states[trial % len(base_states)].matrix
         u = kron_all([random_unitary(rng) for _ in range(3)])
-        rotated = DensityMatrix((2, 2, 2), u @ rho.matrix @ u.conj().T)
-        before = measures(rho)
-        after = measures(rotated)
-        invariance_err = max(invariance_err, abs(before.e3 - after.e3))
-        for pair in PAIRS:
-            invariance_err = max(
-                invariance_err, abs(before.e2[pair] - after.e2[pair])
-            )
-    product_err = 0.0
-    for _ in range(25):
-        rep = measures(random_product_state(rng))
-        product_err = max(product_err, rep.e3, max(rep.e2.values()))
-    top = 0.0
-    bottom = 0.0
-    for _ in range(200):
-        rep = measures(random_density_matrix(rng))
-        top = max(top, rep.e3, max(rep.e2.values()))
-        bottom = min(bottom, rep.e3, min(rep.e2.values()))
+        rotations.append((rho, u @ rho @ u.conj().T))
+    rotated = np.array(rotations)
+    check_density_matrices(rotated[:, 1])
+    e3, e2, *_ = measure_stack(rotated)
+    invariance_err = float(
+        max(np.max(np.abs(e3[:, 0] - e3[:, 1])), np.max(np.abs(e2[:, 0] - e2[:, 1])))
+    )
+    e3, e2, *_ = measure_stack(
+        np.array([random_product_state(rng).matrix for _ in range(25)])
+    )
+    product_err = float(max(0.0, np.max(e3), np.max(e2)))
+    e3, e2, *_ = measure_stack(
+        np.array([random_density_matrix(rng).matrix for _ in range(200)])
+    )
+    top = float(max(0.0, np.max(e3), np.max(e2)))
+    bottom = float(min(0.0, np.min(e3), np.min(e2)))
     passed = (
         invariance_err <= 1e-10
         and product_err <= 1e-12

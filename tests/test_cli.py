@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from triclone import cli
@@ -7,14 +9,21 @@ from triclone.cli import (
     MAX_POINTS,
     RunConfig,
     SWEEP_COLUMNS,
-    compute_sweep_rows,
     format_iteration_csv,
     format_sweep_csv,
     main,
+    sweep_table,
 )
-from triclone.cloners import apply_local_cloning
-from triclone.entanglement import input_state, measures
+from triclone.cloners import apply_local_cloning, apply_nonlocal_cloning, evaluate
+from triclone.entanglement import PAIRS, input_state, measures
 from triclone.linalg import fidelity_pure
+
+# SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
+SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
+
+# Corners, the balanced state, cos(alpha) = 0.5, and generic angles whose
+# outputs have dense spectra.
+ALPHAS = (0.0, 0.3, math.acos(0.5), math.pi / 4, 0.7, 1.2, math.pi / 2)
 
 
 def _parse_csv(text):
@@ -76,21 +85,40 @@ class TestSweep:
         column = [r[SWEEP_COLUMNS.index("f_nonlocal")] for r in rows]
         assert max(abs(v - 11.0 / 18.0) for v in column) <= 1e-12
 
+    def test_default_sweep_digest(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_201_SHA256
+
     def test_values_round_trip_exactly(self):
-        rows = compute_sweep_rows(3)
-        header, parsed = _parse_csv(format_sweep_csv(rows))
-        mid = parsed[1]
-        assert mid[0] == rows[1].cos_alpha
-        assert mid[1] == rows[1].e3_input
-        assert mid[8] == rows[1].f_nonlocal
+        table = sweep_table(5)
+        header, parsed = _parse_csv(format_sweep_csv(table))
+        assert tuple(header) == SWEEP_COLUMNS
+        assert parsed == table.tolist()
+        grid = evaluate([math.acos(x) for x in np.linspace(0.0, 1.0, 5)])
+        assert [r[1] for r in parsed] == grid.e3_in.tolist()
+        assert [r[5] for r in parsed] == grid.e2_local[:, 0].tolist()
+        assert [r[8] for r in parsed] == grid.f_nonlocal.tolist()
 
     def test_row_values_come_from_the_simulated_channel(self):
-        row = compute_sweep_rows(3)[1]  # cos(alpha) = 0.5
-        alpha = math.acos(0.5)
-        psi = input_state(alpha)
-        local = apply_local_cloning(psi.density_matrix()).copies
-        assert row.e3_local == measures(local).e3
-        assert row.f_local == fidelity_pure(psi, local)
+        grid = evaluate(ALPHAS)
+        for i, alpha in enumerate(ALPHAS):
+            psi = input_state(alpha)
+            rho = psi.density_matrix()
+            local = apply_local_cloning(rho).copies
+            nonlocal_ = apply_nonlocal_cloning(rho).copies
+            assert np.array_equal(grid.local_out[i], local.matrix)
+            assert np.array_equal(grid.nonlocal_out[i], nonlocal_.matrix)
+            for e3, e2, state in (
+                (grid.e3_in, grid.e2_in, rho),
+                (grid.e3_local, grid.e2_local, local),
+                (grid.e3_nonlocal, grid.e2_nonlocal, nonlocal_),
+            ):
+                report = measures(state)
+                assert e3[i] == report.e3
+                assert e2[i].tolist() == [report.e2[p] for p in PAIRS]
+            assert grid.f_local[i] == fidelity_pure(psi, local)
+            assert grid.f_nonlocal[i] == fidelity_pure(psi, nonlocal_)
 
     def test_stdout_mode(self, capsys):
         assert main(["sweep", "--points", "3"]) == 0
@@ -111,9 +139,9 @@ class TestSweep:
 
         def record(points):
             requested.append(points)
-            return []
+            return np.empty((0, len(SWEEP_COLUMNS)))
 
-        monkeypatch.setattr(cli, "compute_sweep_rows", record)
+        monkeypatch.setattr(cli, "sweep_table", record)
         assert main(["sweep", "--points", "1000000000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(MAX_POINTS) in err
@@ -149,6 +177,13 @@ class TestIterate:
         assert main(["iterate", "--alpha", "0.3", "--steps", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].split() == ["step", "0", "1", "2"]
+
+    def test_failed_internal_check_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr("triclone.iteration.ROUTE_AGREEMENT_ATOL", -1.0)
+        assert main(["iterate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed:")
+        assert "spectral-mixture route" in err
 
     def test_too_many_steps_is_usage_error(self, capsys):
         assert main(["iterate", "--steps", "13"]) == 2

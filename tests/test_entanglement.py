@@ -5,13 +5,18 @@ import pytest
 
 from triclone.cloners import apply_local_cloning, apply_nonlocal_cloning
 from triclone.entanglement import (
+    COMPONENT_CEILING,
+    MEASURE_CEILING,
     PAIRS,
+    CoherenceVector,
+    EntanglementReport,
     closed_form_input_measures,
     coherence_vector,
     correlation2,
     correlation3,
     entanglement_tensors,
     input_state,
+    measure_stack,
     measures,
     pauli_operator,
 )
@@ -282,3 +287,41 @@ class TestMeasures:
             report = measures(random_product_state(rng))
             assert report.e3 <= 1e-12
             assert max(report.e2.values()) <= 1e-12
+
+
+class TestMeasureStack:
+    def test_rows_equal_single_state_measures(self, rng):
+        states = [random_density_matrix(rng) for _ in range(6)] + [_rho(0.7)]
+        e3, e2, *_ = measure_stack(np.stack([rho.matrix for rho in states]))
+        for i, rho in enumerate(states):
+            report = measures(rho)
+            assert e3[i] == report.e3
+            assert e2[i].tolist() == [report.e2[p] for p in PAIRS]
+
+    @pytest.mark.parametrize("size", [0.5, 2.0])
+    def test_e3_ceiling_matches_the_report(self, size):
+        # Scaling the balanced projector by c gives E3 = c^2 and zero
+        # coherence vectors, so only the E3 range check can fire.
+        c = math.sqrt(1.0 + size * (MEASURE_CEILING - 1.0))
+        stack = np.stack([_rho(0.3).matrix, c * _rho(math.pi / 4).matrix])
+        if size < 1.0:
+            e3, *_ = measure_stack(stack)
+            EntanglementReport(e3=float(e3[1]), e2={}, tensors=None, lambdas=())
+            return
+        with pytest.raises(ValueError, match="E3 value"):
+            measure_stack(stack)
+        with pytest.raises(ValueError, match="E3 value"):
+            EntanglementReport(e3=c * c, e2={}, tensors=None, lambdas=())
+
+    @pytest.mark.parametrize("size", [0.5, 2.0])
+    def test_coherence_ceiling_matches_the_vector(self, size):
+        c = 1.0 + size * (COMPONENT_CEILING - 1.0)
+        stack = np.stack([_rho(0.3).matrix, c * _rho(0.0).matrix])
+        if size < 1.0:
+            measure_stack(stack)
+            CoherenceVector(1, [0.0, 0.0, -c])
+            return
+        with pytest.raises(ValueError, match="coherence vector norm"):
+            measure_stack(stack)
+        with pytest.raises(ValueError, match="coherence vector norm"):
+            CoherenceVector(1, [0.0, 0.0, -c])

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from triclone.linalg import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_ATOL,
+    TRACE_ATOL,
     DensityMatrix,
     PureState,
+    check_density_matrices,
     eig_hermitian,
     fidelity_pure,
     kron,
@@ -89,6 +93,46 @@ class TestDensityMatrix:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             DensityMatrix((2, 2), np.eye(2) / 2)
+
+
+def _skew(m, size):
+    m[0, 1] += size * HERMITIAN_ATOL
+
+
+def _shift_trace(m, size):
+    m[0, 0] += size * TRACE_ATOL
+
+
+def _negative_eigenvalue(m, size):
+    m[:] = np.diag([1.0 - size * EIGENVALUE_FLOOR, size * EIGENVALUE_FLOOR] + [0.0] * 6)
+
+
+class TestCheckDensityMatrices:
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (_skew, "Hermitian"),
+            (_shift_trace, "trace"),
+            (_negative_eigenvalue, "semidefinite"),
+        ],
+    )
+    def test_one_bad_member_is_rejected_at_the_single_state_tolerance(
+        self, rng, perturb, message
+    ):
+        stack = np.stack(
+            [_random_density(rng, (2, 2, 2)).matrix for _ in range(4)]
+        )
+        check_density_matrices(stack)
+        inside = stack.copy()
+        perturb(inside[2], 0.5)
+        check_density_matrices(inside)
+        DensityMatrix((2, 2, 2), inside[2])
+        outside = stack.copy()
+        perturb(outside[2], 2.0)
+        with pytest.raises(ValueError, match=message):
+            check_density_matrices(outside)
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix((2, 2, 2), outside[2])
 
 
 class TestPartialTrace:
