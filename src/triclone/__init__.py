@@ -7,16 +7,9 @@ whole register, including repeated cloning of the mixed outputs.
 """
 
 from .cloners import (
-    CloneOutput,
     CloningIsometry,
     apply_local_cloning,
     apply_nonlocal_cloning,
-    closed_form_local_measures,
-    closed_form_local_output,
-    closed_form_nonlocal_measures,
-    closed_form_nonlocal_output,
-    fidelity_local,
-    fidelity_nonlocal,
     find_e2_crossings,
     local_isometry,
     nonlocal_isometry,
@@ -27,7 +20,6 @@ from .entanglement import (
     EntanglementTensors,
     PairCorrelation,
     TripleCorrelation,
-    closed_form_input_measures,
     coherence_vector,
     correlation2,
     correlation3,
@@ -47,15 +39,12 @@ from .linalg import (
     PureState,
     eig_hermitian,
     fidelity_pure,
-    kron,
-    partial_trace,
     partial_trace_matrix,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CloneOutput",
     "CloningIsometry",
     "CoherenceVector",
     "DensityMatrix",
@@ -69,27 +58,18 @@ __all__ = [
     "apply_local_cloning",
     "apply_nonlocal_cloning",
     "clone_mixed_nonlocal",
-    "closed_form_input_measures",
-    "closed_form_local_measures",
-    "closed_form_local_output",
-    "closed_form_nonlocal_measures",
-    "closed_form_nonlocal_output",
     "coherence_vector",
     "correlation2",
     "correlation3",
     "eig_hermitian",
     "entanglement_tensors",
-    "fidelity_local",
-    "fidelity_nonlocal",
     "fidelity_pure",
     "find_e2_crossings",
     "input_state",
     "iterate",
-    "kron",
     "local_isometry",
     "measures",
     "nonlocal_isometry",
-    "partial_trace",
     "partial_trace_matrix",
     "pauli_operator",
 ]

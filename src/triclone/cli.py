@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,26 +38,6 @@ SWEEP_COLUMNS = (
     "f_local",
     "f_nonlocal",
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    points: int = DEFAULT_POINTS
-    steps: int = DEFAULT_STEPS
-    alpha: float = DEFAULT_ALPHA
-    output_path: str | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
-        if self.command not in ("sweep", "iterate", "verify"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if not 2 <= self.points <= MAX_POINTS:
-            raise ValueError(
-                f"points must be between 2 and {MAX_POINTS}, got {self.points}"
-            )
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
 
 
 def _fmt(value: float) -> str:
@@ -126,23 +105,25 @@ def _write_or_print(text: str, path: str | None) -> int:
     return 0
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    table = sweep_table(cfg.points)
-    return _write_or_print(format_sweep_csv(table), cfg.output_path)
+def run_sweep(points: int, output_path: str | None) -> int:
+    if not 2 <= points <= MAX_POINTS:
+        raise ValueError(f"points must be between 2 and {MAX_POINTS}, got {points}")
+    table = sweep_table(points)
+    return _write_or_print(format_sweep_csv(table), output_path)
 
 
-def run_iterate(cfg: RunConfig) -> int:
-    trace = iterate(cfg.alpha, cfg.steps)
+def run_iterate(alpha: float, steps: int, output_path: str | None) -> int:
+    trace = iterate(alpha, steps)
     sys.stdout.write(format_iteration_table(trace))
-    if cfg.output_path is not None:
-        return _write_or_print(format_iteration_csv(trace), cfg.output_path)
+    if output_path is not None:
+        return _write_or_print(format_iteration_csv(trace), output_path)
     return 0
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(seed: int) -> int:
     from .verification import informational_notes, run_all
 
-    results = run_all(seed=cfg.seed)
+    results = run_all(seed=seed)
     total = len(results)
     for i, result in enumerate(results, start=1):
         status = "PASS" if result.passed else "FAIL"
@@ -207,20 +188,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         if ns.command == "sweep":
-            cfg = RunConfig(
-                command="sweep", points=ns.points, output_path=ns.output
-            )
-            return run_sweep(cfg)
+            return run_sweep(ns.points, ns.output)
         if ns.command == "iterate":
-            cfg = RunConfig(
-                command="iterate",
-                alpha=ns.alpha,
-                steps=ns.steps,
-                output_path=ns.output,
-            )
-            return run_iterate(cfg)
-        cfg = RunConfig(command="verify", seed=ns.seed)
-        return run_verify(cfg)
+            return run_iterate(ns.alpha, ns.steps, ns.output)
+        return run_verify(ns.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

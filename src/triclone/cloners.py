@@ -12,13 +12,12 @@ Each channel is compiled once, at first use, from its isometry into a
 call is then one matrix-vector product and never forms the 512 x 512
 joint state.  Compilation checks that the originals-side and copies-side
 maps coincide, that the map preserves trace and that its Choi matrix is
-positive, and keeps the residuals.
+positive, and keeps the residuals.  Because the two sides are proven
+equal there, ``apply_*`` return one validated state: the reduced state
+of the copies, which is also that of the originals.
 
-Wiring order for the local scheme: the nine output subsystems are kept in
-the order (orig1, copy1, mach1, orig2, copy2, mach2, orig3, copy3, mach3)
-and the reductions keep subsystem index sets {0,3,6} (originals) and
-{1,4,7} (copies).  Any consistent order works; this one is fixed for
-reproducibility.
+``evaluate`` runs both channels, the measures and the fidelities over a
+stack of two-corner inputs at once; ``find_e2_crossings`` bisects on it.
 """
 
 from __future__ import annotations
@@ -70,21 +69,6 @@ class CloningIsometry:
         self.matrix.setflags(write=False)
 
 
-@dataclass
-class CloneOutput:
-    """Reduced states of the originals and the copies after cloning.
-
-    Symmetric cloners produce identical output sides: the two maps are
-    checked equal when the channel is compiled, so both fields hold the
-    same validated state.  ``joint_dim`` is the dimension of original x
-    copy x machine that the isometry maps into.
-    """
-
-    originals: DensityMatrix
-    copies: DensityMatrix
-    joint_dim: int
-
-
 @dataclass(frozen=True)
 class CompiledChannel:
     """A cloning channel as a 64 x 64 superoperator, with build-time residuals.
@@ -95,7 +79,6 @@ class CompiledChannel:
     """
 
     superoperator: np.ndarray
-    joint_dim: int
     symmetry_gap: float
     trace_residual: float
     choi_hermitian_residual: float
@@ -109,14 +92,13 @@ class CompiledChannel:
         vecs = rhos.reshape(rhos.shape[:-2] + (64, 1))
         return np.matmul(self.superoperator, vecs).reshape(rhos.shape)
 
-    def apply(self, rho_in: DensityMatrix) -> CloneOutput:
+    def apply(self, rho_in: DensityMatrix) -> DensityMatrix:
         """The validated output of one three-qubit state."""
         if rho_in.dims != (2, 2, 2):
             raise ValueError(
                 f"expected a three-qubit density matrix, got dims {rho_in.dims}"
             )
-        out = DensityMatrix((2, 2, 2), self.map(rho_in.matrix[None])[0])
-        return CloneOutput(originals=out, copies=out, joint_dim=self.joint_dim)
+        return DensityMatrix((2, 2, 2), self.map(rho_in.matrix[None])[0])
 
 
 def compile_channel(tensor: np.ndarray) -> CompiledChannel:
@@ -128,7 +110,7 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
     matrix is not Hermitian positive semidefinite.
     """
     v = np.asarray(tensor, dtype=complex)
-    n_orig, n_copy, n_mach, n_in = v.shape
+    _, n_copy, _, n_in = v.shape
     copies = np.einsum("ocmi,odmj->cdij", v, v.conj())
     originals = np.einsum("acmi,bcmj->abij", v, v.conj())
     gap = float(np.max(np.abs(originals - copies)))
@@ -156,7 +138,6 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
     superoperator.setflags(write=False)
     return CompiledChannel(
         superoperator=superoperator,
-        joint_dim=n_orig * n_copy * n_mach,
         symmetry_gap=gap,
         trace_residual=trace_residual,
         choi_hermitian_residual=herm,
@@ -232,7 +213,7 @@ def nonlocal_channel() -> CompiledChannel:
     return compile_channel(nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8))
 
 
-def apply_local_cloning(rho_in: DensityMatrix) -> CloneOutput:
+def apply_local_cloning(rho_in: DensityMatrix) -> DensityMatrix:
     """Clone each qubit of the register with its own distant cloner.
 
     The joint output lives on nine qubits (three original/copy/machine
@@ -242,68 +223,9 @@ def apply_local_cloning(rho_in: DensityMatrix) -> CloneOutput:
     return local_channel().apply(rho_in)
 
 
-def apply_nonlocal_cloning(rho_in: DensityMatrix) -> CloneOutput:
+def apply_nonlocal_cloning(rho_in: DensityMatrix) -> DensityMatrix:
     """Clone the register as a single eight-dimensional system."""
     return nonlocal_channel().apply(rho_in)
-
-
-def closed_form_local_output(alpha: float) -> DensityMatrix:
-    """Analytic local-cloning output for the two-corner input family.
-
-    Oracle only: the channel itself never consults this.  Diagonal
-    coefficients sum to 216/216 for every alpha.
-    """
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    rho = np.zeros((8, 8), dtype=complex)
-    rho[0b000, 0b000] = (1.0 + 124.0 * ca * ca) / 216.0
-    rho[0b111, 0b111] = (1.0 + 124.0 * sa * sa) / 216.0
-    rho[0b000, 0b111] = rho[0b111, 0b000] = 8.0 * sa * ca / 27.0
-    for k in (0b110, 0b011, 0b101):
-        rho[k, k] = (5.0 + 20.0 * sa * sa) / 216.0
-    for k in (0b100, 0b010, 0b001):
-        rho[k, k] = (5.0 + 20.0 * ca * ca) / 216.0
-    return DensityMatrix((2, 2, 2), rho)
-
-
-def closed_form_nonlocal_output(alpha: float) -> DensityMatrix:
-    """Analytic non-local-cloning output for the two-corner input family."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    rho = np.zeros((8, 8), dtype=complex)
-    rho[0b000, 0b000] = (1.0 + 10.0 * ca * ca) / 18.0
-    rho[0b111, 0b111] = (1.0 + 10.0 * sa * sa) / 18.0
-    rho[0b000, 0b111] = rho[0b111, 0b000] = 5.0 * sa * ca / 9.0
-    for k in (0b110, 0b011, 0b101, 0b100, 0b010, 0b001):
-        rho[k, k] = 1.0 / 18.0
-    return DensityMatrix((2, 2, 2), rho)
-
-
-def closed_form_local_measures(alpha: float) -> tuple[float, float]:
-    """Analytic (E3, E2) of the local-cloning output, oracle only."""
-    s2 = math.sin(2.0 * alpha) ** 2
-    c2 = math.cos(2.0 * alpha) ** 2
-    e3 = (64.0 / 729.0) * s2 * (1.0 + s2 * c2)
-    e2 = (16.0 / 243.0) * s2 * s2
-    return e3, e2
-
-
-def closed_form_nonlocal_measures(alpha: float) -> tuple[float, float]:
-    """Analytic (E3, E2) of the non-local-cloning output, oracle only."""
-    s2 = math.sin(2.0 * alpha) ** 2
-    c2 = math.cos(2.0 * alpha) ** 2
-    e3 = (25.0 / 81.0) * s2 + (25.0 / 729.0) * (1.0 - (25.0 / 27.0) * c2) ** 2 * c2
-    e2 = (25.0 / 243.0) * (1.0 - (5.0 / 9.0) * c2) ** 2
-    return e3, e2
-
-
-def fidelity_local(alpha: float) -> float:
-    """Analytic overlap of the local-cloning output with its input state."""
-    sc = math.sin(alpha) * math.cos(alpha)
-    return 125.0 / 216.0 - (15.0 / 27.0) * sc * sc
-
-
-def fidelity_nonlocal() -> float:
-    """Overlap of the non-local output with its input; input-independent."""
-    return 11.0 / 18.0
 
 
 @dataclass
@@ -364,31 +286,31 @@ def find_e2_crossings() -> tuple[float, float]:
     """Roots of E2_nonlocal(alpha) = E2_input(alpha) in cos(alpha) on (0, 1).
 
     Bisection on the simulated curves, each root bracketed to 1e-6,
-    returned ascending.  The non-local channel amplifies pairwise
+    returned ascending.  Both brackets are halved together, one
+    ``evaluate`` call per step, and each stops once it is no wider than
+    ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
     entanglement outside the returned window and degrades it inside.
     """
 
-    def gaps(*cos_alphas):
+    def gaps(cos_alphas):
         grid = evaluate([math.acos(x) for x in cos_alphas])
         return grid.e2_nonlocal[:, 0] - grid.e2_in[:, 0]
 
     half = math.sqrt(0.5)
-    roots = []
-    for lo, hi in ((0.0, half), (half, 1.0)):
-        f_lo, f_hi = gaps(lo, hi)
+    f_ends = gaps([0.0, half, 1.0])
+    brackets = []  # [lo, hi, whether the gap is positive at lo]
+    for lo, hi, f_lo, f_hi in ((0.0, half, *f_ends[:2]), (half, 1.0, *f_ends[1:])):
         if f_lo == 0.0:
-            roots.append(lo)
-            continue
-        if f_lo * f_hi > 0.0:
+            hi = lo
+        elif f_lo * f_hi > 0.0:
             raise RuntimeError(
                 f"E2 crossing not bracketed on ({lo}, {hi}): "
                 f"gap endpoints {f_lo:.3e}, {f_hi:.3e}"
             )
-        while hi - lo > CROSSING_BRACKET:
-            mid = 0.5 * (lo + hi)
-            if (gaps(mid)[0] > 0.0) == (f_lo > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return roots[0], roots[1]
+        brackets.append([lo, hi, f_lo > 0.0])
+    while active := [b for b in brackets if b[1] - b[0] > CROSSING_BRACKET]:
+        mids = [0.5 * (lo + hi) for lo, hi, _ in active]
+        for bracket, mid, f_mid in zip(active, mids, gaps(mids)):
+            bracket[0 if (f_mid > 0.0) == bracket[2] else 1] = mid
+    (lo1, hi1, _), (lo2, hi2, _) = brackets
+    return 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)

@@ -1,8 +1,9 @@
 """Coherence vectors, correlation tensors, and the E3/E2 measures.
 
 All quantities are computed numerically from the density matrix via trace
-expectations; the closed forms at the bottom are oracles for the
-two-corner input family only.
+expectations of one stack of 63 three-qubit operators: 9 single-qubit, 27
+pair and 27 triple products.  The closed forms they are checked against
+live in ``triclone.reference``.
 """
 
 from __future__ import annotations
@@ -42,50 +43,23 @@ def _embed(ops: dict[int, np.ndarray]) -> np.ndarray:
     return kron_all(ops.get(q, _I2) for q in range(3))
 
 
-def _build_single(q: int) -> np.ndarray:
-    return np.stack([_embed({q: s}) for s in _SIGMAS])
-
-
-def _build_pair(q1: int, q2: int) -> np.ndarray:
-    return np.stack(
-        [
-            np.stack([_embed({q1: a, q2: b}) for b in _SIGMAS])
-            for a in _SIGMAS
-        ]
-    )
-
-
-def _build_triple() -> np.ndarray:
-    return np.stack(
-        [
-            np.stack(
-                [
-                    np.stack([_embed({0: a, 1: b, 2: c}) for c in _SIGMAS])
-                    for b in _SIGMAS
-                ]
-            )
-            for a in _SIGMAS
-        ]
-    )
-
-
-_SINGLE_OPS = {m: _build_single(m - 1) for m in QUBITS}
-_PAIR_OPS = {(m, n): _build_pair(m - 1, n - 1) for m, n in PAIRS}
-_TRIPLE_OPS = _build_triple()
-# All 63 operators in one stack, so measure_stack takes every expectation in
-# one einsum: 9 single (by qubit), 27 pair (in PAIRS order), 27 triple.
-_ALL_OPS = np.concatenate(
-    [_SINGLE_OPS[m] for m in QUBITS]
-    + [_PAIR_OPS[p].reshape(9, 8, 8) for p in PAIRS]
-    + [_TRIPLE_OPS.reshape(27, 8, 8)]
+# All 63 operators in one stack, so every expectation is one einsum: 9
+# single (by qubit), 27 pair (in PAIRS order), 27 triple.
+_ALL_OPS = np.stack(
+    [_embed({m - 1: a}) for m in QUBITS for a in _SIGMAS]
+    + [
+        _embed({m - 1: a, n - 1: b})
+        for m, n in PAIRS
+        for a in _SIGMAS
+        for b in _SIGMAS
+    ]
+    + [_embed({0: a, 1: b, 2: c}) for a in _SIGMAS for b in _SIGMAS for c in _SIGMAS]
 )
 
 
-def _expectations(rhos: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Tr(rho O) for a stack of matrices (..., 8, 8) and operators (*shape, 8, 8)."""
-    flat = ops.reshape(-1, 8, 8)
-    values = np.einsum("...pq,kqp->...k", rhos, flat)
-    return values.real.reshape(rhos.shape[:-2] + ops.shape[:-2])
+def _expectations(rhos: np.ndarray) -> np.ndarray:
+    """Tr(rho O) of matrices (..., 8, 8) for every operator O in ``_ALL_OPS``."""
+    return np.einsum("...pq,kqp->...k", rhos, _ALL_OPS).real
 
 
 def _check_norms(lams: np.ndarray) -> None:
@@ -180,7 +154,7 @@ def coherence_vector(rho: DensityMatrix, m: int) -> CoherenceVector:
     _require_three_qubits(rho)
     if m not in QUBITS:
         raise ValueError(f"qubit index must be in {QUBITS}, got {m}")
-    return CoherenceVector(m, _expectations(rho.matrix, _SINGLE_OPS[m]))
+    return CoherenceVector(m, _expectations(rho.matrix)[3 * m - 3 : 3 * m])
 
 
 def correlation2(rho: DensityMatrix, m: int, n: int) -> PairCorrelation:
@@ -188,13 +162,14 @@ def correlation2(rho: DensityMatrix, m: int, n: int) -> PairCorrelation:
     _require_three_qubits(rho)
     if (m, n) not in PAIRS:
         raise ValueError(f"pair must be one of {PAIRS}, got ({m}, {n})")
-    return PairCorrelation((m, n), _expectations(rho.matrix, _PAIR_OPS[(m, n)]))
+    start = 9 + 9 * PAIRS.index((m, n))
+    return PairCorrelation((m, n), _expectations(rho.matrix)[start : start + 9])
 
 
 def correlation3(rho: DensityMatrix) -> TripleCorrelation:
     """Joint expectation tensor over all three qubits."""
     _require_three_qubits(rho)
-    return TripleCorrelation(_expectations(rho.matrix, _TRIPLE_OPS))
+    return TripleCorrelation(_expectations(rho.matrix)[36:])
 
 
 def measure_stack(rhos: np.ndarray):
@@ -204,7 +179,7 @@ def measure_stack(rhos: np.ndarray):
     ``CoherenceVector`` and ``EntanglementReport`` to every member and also
     returns the coherence vectors, M2 and M3 tensors they were built from.
     """
-    values = _expectations(rhos, _ALL_OPS)
+    values = _expectations(rhos)
     shape = values.shape[:-1]
     lam = values[..., :9].reshape(shape + (3, 3))
     k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
@@ -266,16 +241,3 @@ def input_state(alpha: float) -> PureState:
     amplitudes[0] = math.cos(alpha)
     amplitudes[7] = math.sin(alpha)
     return PureState((2, 2, 2), amplitudes)
-
-
-def closed_form_input_measures(alpha: float) -> tuple[float, float]:
-    """Analytic (E3, E2) of the two-corner input state.
-
-    Must agree with ``measures(input_state(alpha).density_matrix())`` to
-    1e-12; the trace pipeline stays the source of truth.
-    """
-    s2 = math.sin(2.0 * alpha) ** 2
-    c2 = math.cos(2.0 * alpha) ** 2
-    e3 = s2 * (1.0 + s2 * c2)
-    e2 = s2 * s2 / 3.0
-    return e3, e2

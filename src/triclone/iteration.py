@@ -1,4 +1,4 @@
-"""Repeated cloning via spectral decomposition of the previous output.
+"""Repeated non-local cloning via spectral decomposition of the previous output.
 
 A mixed output cannot be fed to the cloner directly; it is diagonalized
 and each eigenvector is cloned separately (all of them in one batched
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import CompiledChannel, local_channel, nonlocal_channel
+from .cloners import nonlocal_channel
 from .entanglement import input_state, measures
 from .linalg import DensityMatrix, check_density_matrices, eig_hermitian
 
@@ -45,7 +45,14 @@ class IterationTrace:
     steps: list[IterationStep]
 
 
-def _clone_mixed(rho: DensityMatrix, channel: CompiledChannel) -> DensityMatrix:
+def clone_mixed_nonlocal(rho: DensityMatrix) -> DensityMatrix:
+    """Non-local cloning of a mixed state through its eigenvectors.
+
+    Eigenvectors with weight below 1e-12 are skipped; the cutoff is
+    immaterial because the result is checked against the direct channel
+    application to 1e-12.
+    """
+    channel = nonlocal_channel()
     weights, vectors = eig_hermitian(rho.matrix)
     kept = weights > EIGENVALUE_CUTOFF
     columns = vectors[:, kept].T
@@ -57,7 +64,7 @@ def _clone_mixed(rho: DensityMatrix, channel: CompiledChannel) -> DensityMatrix:
     # Sequential remix: a tensordot over the weights sums in another order.
     for weight, output in zip(weights[kept], outputs):
         mixed = mixed + weight * output
-    direct = channel.apply(rho).copies.matrix
+    direct = channel.apply(rho).matrix
     residual = float(np.max(np.abs(mixed - direct)))
     if residual > ROUTE_AGREEMENT_ATOL:
         raise RuntimeError(
@@ -67,33 +74,16 @@ def _clone_mixed(rho: DensityMatrix, channel: CompiledChannel) -> DensityMatrix:
     return DensityMatrix(rho.dims, mixed)
 
 
-def clone_mixed_nonlocal(rho: DensityMatrix) -> DensityMatrix:
-    """Non-local cloning of a mixed state through its eigenvectors.
-
-    Eigenvectors with weight below 1e-12 are skipped; the cutoff is
-    immaterial because the result is checked against the direct channel
-    application to 1e-12.
-    """
-    return _clone_mixed(rho, nonlocal_channel())
-
-
-def iterate(alpha: float, n_steps: int, channel: str = "nonlocal") -> IterationTrace:
-    """Trace of measures over ``n_steps`` repeated cloning steps.
+def iterate(alpha: float, n_steps: int) -> IterationTrace:
+    """Trace of measures over ``n_steps`` repeated non-local cloning steps.
 
     Step 0 is the pure two-corner input at ``alpha``; each later step
-    clones the previous output through the spectral route.  The local
-    channel is available as an extra mode but only the non-local mode is
-    validated against reference decay values.
+    clones the previous output through the spectral route.  ``n_steps``
+    runs from 1 to ``MAX_STEPS``.
     """
     n_steps = int(n_steps)
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
-    if channel == "nonlocal":
-        compiled = nonlocal_channel()
-    elif channel == "local":
-        compiled = local_channel()
-    else:
-        raise ValueError(f"channel must be 'nonlocal' or 'local', got {channel!r}")
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -101,7 +91,7 @@ def iterate(alpha: float, n_steps: int, channel: str = "nonlocal") -> IterationT
     rho = input_state(alpha).density_matrix()
     steps = [_record(0, rho)]
     for k in range(1, n_steps + 1):
-        rho = _clone_mixed(rho, compiled)
+        rho = clone_mixed_nonlocal(rho)
         steps.append(_record(k, rho))
     return IterationTrace(alpha=alpha, steps=steps)
 

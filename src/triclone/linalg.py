@@ -23,13 +23,8 @@ NORM_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of several factors."""
+    """Left-to-right Kronecker product, the first factor most significant."""
     factors = list(factors)
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
@@ -148,13 +143,6 @@ def partial_trace_matrix(
         del remaining[i]
     d = int(np.prod(remaining))
     return work.reshape(d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept subsystems (0-based indices)."""
-    keep_sorted = sorted({int(k) for k in keep})
-    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep_sorted)
-    return DensityMatrix(tuple(rho.dims[i] for i in keep_sorted), reduced)
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

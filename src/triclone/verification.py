@@ -18,26 +18,23 @@ from .cloners import (
     GridData,
     apply_local_cloning,
     apply_nonlocal_cloning,
-    closed_form_local_measures,
-    closed_form_local_output,
-    closed_form_nonlocal_measures,
-    closed_form_nonlocal_output,
     evaluate,
-    fidelity_local,
-    fidelity_nonlocal,
     find_e2_crossings,
     local_channel,
     nonlocal_channel,
 )
-from .entanglement import (
-    closed_form_input_measures,
-    correlation3,
-    input_state,
-    measure_stack,
-    measures,
-)
+from .entanglement import correlation3, input_state, measure_stack, measures
 from .iteration import clone_mixed_nonlocal, iterate
 from .linalg import DensityMatrix, check_density_matrices, eig_hermitian, kron_all
+from .reference import (
+    closed_form_input_measures,
+    closed_form_local_measures,
+    closed_form_local_output,
+    closed_form_nonlocal_measures,
+    closed_form_nonlocal_output,
+    fidelity_local,
+    fidelity_nonlocal,
+)
 
 DEFAULT_SEED = 12345
 GRID_POINTS = 201
@@ -63,18 +60,13 @@ class CheckResult:
     detail: str
 
 
-def compute_grid(points: int = GRID_POINTS) -> GridData:
+def compute_grid() -> GridData:
     """Channel outputs and measures over a uniform alpha grid on [0, pi/2]."""
-    return evaluate(np.linspace(0.0, math.pi / 2.0, points))
+    return evaluate(np.linspace(0.0, math.pi / 2.0, GRID_POINTS))
 
 
-def _grid(grid: GridData | None) -> GridData:
-    return grid if grid is not None else compute_grid()
-
-
-def check_input_closed_forms(grid: GridData | None = None) -> CheckResult:
+def check_input_closed_forms(grid: GridData) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
-    grid = _grid(grid)
     cf = np.array([closed_form_input_measures(a) for a in grid.alphas])
     err3 = float(np.max(np.abs(grid.e3_in - cf[:, 0])))
     err2 = float(np.max(np.abs(grid.e2_in - cf[:, 1:2])))
@@ -91,14 +83,11 @@ def check_input_closed_forms(grid: GridData | None = None) -> CheckResult:
     )
 
 
-def check_local_oracle(grid: GridData | None = None) -> CheckResult:
+def check_local_oracle(grid: GridData) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
-    grid = _grid(grid)
     refs = np.array([closed_form_local_output(a).matrix for a in grid.alphas])
     err = float(np.max(np.abs(grid.local_out - refs)))
-    rep = measures(
-        apply_local_cloning(input_state(math.pi / 4.0).density_matrix()).copies
-    )
+    rep = measures(apply_local_cloning(input_state(math.pi / 4.0).density_matrix()))
     m_err = max(
         abs(rep.e3 - 64.0 / 729.0),
         max(abs(v - 16.0 / 243.0) for v in rep.e2.values()),
@@ -112,12 +101,11 @@ def check_local_oracle(grid: GridData | None = None) -> CheckResult:
     )
 
 
-def check_nonlocal_oracle(grid: GridData | None = None) -> CheckResult:
+def check_nonlocal_oracle(grid: GridData) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
-    grid = _grid(grid)
     refs = np.array([closed_form_nonlocal_output(a).matrix for a in grid.alphas])
     err = float(np.max(np.abs(grid.nonlocal_out - refs)))
-    out = apply_nonlocal_cloning(input_state(math.pi / 4.0).density_matrix()).copies
+    out = apply_nonlocal_cloning(input_state(math.pi / 4.0).density_matrix())
     rep = measures(out)
     m_err = max(
         abs(rep.e3 - 25.0 / 81.0),
@@ -134,9 +122,8 @@ def check_nonlocal_oracle(grid: GridData | None = None) -> CheckResult:
     )
 
 
-def check_measure_curves(grid: GridData | None = None) -> CheckResult:
+def check_measure_curves(grid: GridData) -> CheckResult:
     """Simulated output measures match the analytic curves for both cloners."""
-    grid = _grid(grid)
     cf_l = np.array([closed_form_local_measures(a) for a in grid.alphas])
     cf_n = np.array([closed_form_nonlocal_measures(a) for a in grid.alphas])
     err_l = max(
@@ -155,9 +142,8 @@ def check_measure_curves(grid: GridData | None = None) -> CheckResult:
     )
 
 
-def check_fidelities(grid: GridData | None = None) -> CheckResult:
+def check_fidelities(grid: GridData) -> CheckResult:
     """Simulated fidelities match the analytic values; non-local wins everywhere."""
-    grid = _grid(grid)
     f1 = np.array([fidelity_local(a) for a in grid.alphas])
     err1 = float(np.max(np.abs(grid.f_local - f1)))
     err2 = float(np.max(np.abs(grid.f_nonlocal - fidelity_nonlocal())))
@@ -213,22 +199,19 @@ def check_iteration_decay() -> CheckResult:
     )
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 8) -> DensityMatrix:
-    """Full-rank random density matrix from a complex Gaussian square."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+    """Full-rank random three-qubit density matrix from a complex Gaussian square."""
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     m = g @ g.conj().T
     m = m / np.trace(m).real
     m = 0.5 * (m + m.conj().T)
-    dims = (2, 2, 2) if dim == 8 else (dim,)
-    return DensityMatrix(dims, m)
+    return DensityMatrix((2, 2, 2), m)
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fixing."""
-    z = (
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    ) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed single-qubit unitary via QR with phase fixing."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
 
@@ -268,7 +251,7 @@ def check_channel_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     route_err = 0.0
     for rho in states:
         mixed_route = clone_mixed_nonlocal(rho).matrix
-        direct = apply_nonlocal_cloning(rho).copies.matrix
+        direct = apply_nonlocal_cloning(rho).matrix
         route_err = max(route_err, float(np.max(np.abs(mixed_route - direct))))
     passed = (
         trace_err <= 1e-12
@@ -330,13 +313,13 @@ def check_measure_properties(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_sweep_determinism() -> CheckResult:
     """Two sweep runs with identical flags emit byte-identical CSV."""
-    from .cli import RunConfig, run_sweep
+    from .cli import DEFAULT_POINTS, run_sweep
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"sweep{i}.csv") for i in (1, 2)]
         payloads = []
         for path in paths:
-            code = run_sweep(RunConfig(command="sweep", output_path=path))
+            code = run_sweep(DEFAULT_POINTS, path)
             if code != 0:
                 return CheckResult(
                     "sweep-determinism", False, f"sweep exited with code {code}"
@@ -355,7 +338,7 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    out = apply_local_cloning(input_state(alpha).density_matrix()).copies
+    out = apply_local_cloning(input_state(alpha).density_matrix())
     k333 = correlation3(out).k[2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (

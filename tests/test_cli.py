@@ -7,7 +7,6 @@ import pytest
 from triclone import cli
 from triclone.cli import (
     MAX_POINTS,
-    RunConfig,
     SWEEP_COLUMNS,
     format_iteration_csv,
     format_sweep_csv,
@@ -31,20 +30,6 @@ def _parse_csv(text):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, rows
-
-
-class TestRunConfig:
-    def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="sweep", points=1)
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="iterate", steps=0)
-
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="dance")
 
 
 class TestSweep:
@@ -105,8 +90,8 @@ class TestSweep:
         for i, alpha in enumerate(ALPHAS):
             psi = input_state(alpha)
             rho = psi.density_matrix()
-            local = apply_local_cloning(rho).copies
-            nonlocal_ = apply_nonlocal_cloning(rho).copies
+            local = apply_local_cloning(rho)
+            nonlocal_ = apply_nonlocal_cloning(rho)
             assert np.array_equal(grid.local_out[i], local.matrix)
             assert np.array_equal(grid.nonlocal_out[i], nonlocal_.matrix)
             for e3, e2, state in (
@@ -186,8 +171,9 @@ class TestIterate:
         assert "spectral-mixture route" in err
 
     def test_too_many_steps_is_usage_error(self, capsys):
-        assert main(["iterate", "--steps", "13"]) == 2
-        assert "error" in capsys.readouterr().err
+        for steps in ("13", "0"):
+            assert main(["iterate", "--steps", steps]) == 2
+            assert "error" in capsys.readouterr().err
 
     def test_format_iteration_csv_round_trip(self):
         from triclone.iteration import iterate

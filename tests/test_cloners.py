@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from triclone import cloners
 from triclone.cloners import (
+    CROSSING_BRACKET,
     OUTPUT_SYMMETRY_ATOL,
     apply_local_cloning,
     apply_nonlocal_cloning,
-    closed_form_local_measures,
-    closed_form_local_output,
-    closed_form_nonlocal_measures,
-    closed_form_nonlocal_output,
-    fidelity_local,
-    fidelity_nonlocal,
     compile_channel,
+    evaluate,
     find_e2_crossings,
     local_channel,
     local_isometry,
@@ -30,6 +27,14 @@ from triclone.linalg import (
     fidelity_pure,
     kron_all,
     partial_trace_matrix,
+)
+from triclone.reference import (
+    closed_form_local_measures,
+    closed_form_local_output,
+    closed_form_nonlocal_measures,
+    closed_form_nonlocal_output,
+    fidelity_local,
+    fidelity_nonlocal,
 )
 from triclone.verification import random_density_matrix
 
@@ -164,7 +169,7 @@ class TestLocalChannel:
     def test_corner_entries(self):
         for alpha in (0.3, math.pi / 4, 1.2):
             sa, ca = math.sin(alpha), math.cos(alpha)
-            out = apply_local_cloning(_rho(alpha)).copies.matrix
+            out = apply_local_cloning(_rho(alpha)).matrix
             assert out[0, 0].real == pytest.approx(
                 (1 + 124 * ca * ca) / 216, abs=1e-12
             )
@@ -178,13 +183,10 @@ class TestLocalChannel:
     def test_matches_closed_form_on_grid(self):
         worst = 0.0
         for alpha in GRID:
-            sim = apply_local_cloning(_rho(alpha)).copies.matrix
+            sim = apply_local_cloning(_rho(alpha)).matrix
             ref = closed_form_local_output(alpha).matrix
             worst = max(worst, float(np.max(np.abs(sim - ref))))
         assert worst <= 1e-12
-
-    def test_joint_dimension(self):
-        assert apply_local_cloning(_rho(0.5)).joint_dim == 512
 
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
@@ -195,7 +197,7 @@ class TestNonlocalChannel:
     def test_corner_and_single_entries(self):
         for alpha in (0.25, math.pi / 4, 1.3):
             sa, ca = math.sin(alpha), math.cos(alpha)
-            out = apply_nonlocal_cloning(_rho(alpha)).copies.matrix
+            out = apply_nonlocal_cloning(_rho(alpha)).matrix
             assert out[0, 0].real == pytest.approx((1 + 10 * ca * ca) / 18, abs=1e-12)
             assert out[7, 0].real == pytest.approx(5 * sa * ca / 9, abs=1e-12)
             for k in range(1, 7):
@@ -204,7 +206,7 @@ class TestNonlocalChannel:
     def test_matches_closed_form_on_grid(self):
         worst = 0.0
         for alpha in GRID:
-            sim = apply_nonlocal_cloning(_rho(alpha)).copies.matrix
+            sim = apply_nonlocal_cloning(_rho(alpha)).matrix
             ref = closed_form_nonlocal_output(alpha).matrix
             worst = max(worst, float(np.max(np.abs(sim - ref))))
         assert worst <= 1e-12
@@ -215,7 +217,7 @@ class TestChannelProperties:
         for _ in range(10):
             rho = random_density_matrix(rng)
             for channel in (apply_local_cloning, apply_nonlocal_cloning):
-                out = channel(rho).copies.matrix
+                out = channel(rho).matrix
                 assert abs(np.trace(out).real - 1.0) <= 1e-12
                 assert np.max(np.abs(out - out.conj().T)) <= 1e-12
                 assert np.linalg.eigvalsh(out)[0] >= -1e-10
@@ -229,20 +231,12 @@ class TestChannelProperties:
                 (2, 2, 2), p * rho1.matrix + (1 - p) * rho2.matrix
             )
             for channel in (apply_local_cloning, apply_nonlocal_cloning):
-                direct = channel(mixed).copies.matrix
+                direct = channel(mixed).matrix
                 combined = (
-                    p * channel(rho1).copies.matrix
-                    + (1 - p) * channel(rho2).copies.matrix
+                    p * channel(rho1).matrix
+                    + (1 - p) * channel(rho2).matrix
                 )
                 assert np.max(np.abs(direct - combined)) <= 1e-12
-
-    def test_originals_equal_copies(self, rng):
-        for _ in range(5):
-            rho = random_density_matrix(rng)
-            for channel in (apply_local_cloning, apply_nonlocal_cloning):
-                out = channel(rho)
-                gap = np.max(np.abs(out.originals.matrix - out.copies.matrix))
-                assert gap <= 1e-12
 
 
 class TestCompiledChannels:
@@ -251,17 +245,17 @@ class TestCompiledChannels:
         channel, isometry, dims, keep_orig, keep_copy = REFERENCE_PATHS[name]
         v = isometry()
         for rho in _test_states(rng):
-            out = channel(rho)
+            out = channel(rho).matrix
             originals, copies = _reference_outputs(v, dims, keep_orig, keep_copy, rho)
-            assert np.max(np.abs(out.originals.matrix - originals)) <= 1e-14
-            assert np.max(np.abs(out.copies.matrix - copies)) <= 1e-14
+            assert np.max(np.abs(out - originals)) <= 1e-14
+            assert np.max(np.abs(out - copies)) <= 1e-14
 
     def test_nonlocal_output_is_the_werner_shrink(self, rng):
         # Werner's optimal 1 -> 2 cloner of an 8-dimensional system shrinks
         # toward I/8 by (d + 2) / (2(d + 1)) = 5/9.
         for rho in _test_states(rng):
             expected = (5.0 / 9.0) * rho.matrix + (4.0 / 9.0) * np.eye(8) / 8.0
-            out = apply_nonlocal_cloning(rho).copies.matrix
+            out = apply_nonlocal_cloning(rho).matrix
             assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_local_output_is_a_per_qubit_buzek_hillery_shrink(self, rng):
@@ -269,7 +263,7 @@ class TestCompiledChannels:
         # by 2/3; three independent cloners act as a product of such maps.
         for rho in _test_states(rng):
             expected = _depolarize_each_qubit(rho.matrix, 2.0 / 3.0)
-            out = apply_local_cloning(rho).copies.matrix
+            out = apply_local_cloning(rho).matrix
             assert np.max(np.abs(out - expected)) <= 1e-12
 
     @pytest.mark.parametrize("build", [local_channel, nonlocal_channel])
@@ -277,7 +271,6 @@ class TestCompiledChannels:
         compiled = build()
         assert compiled.superoperator.shape == (64, 64)
         assert not compiled.superoperator.flags.writeable
-        assert compiled.joint_dim == 512
         assert compiled.symmetry_gap <= OUTPUT_SYMMETRY_ATOL
         assert compiled.trace_residual <= TRACE_ATOL
         assert compiled.choi_hermitian_residual <= HERMITIAN_ATOL
@@ -329,8 +322,8 @@ class TestMeasureCurves:
     def test_simulated_measures_match_closed_forms(self):
         worst = 0.0
         for alpha in GRID:
-            rep_l = measures(apply_local_cloning(_rho(alpha)).copies)
-            rep_n = measures(apply_nonlocal_cloning(_rho(alpha)).copies)
+            rep_l = measures(apply_local_cloning(_rho(alpha)))
+            rep_n = measures(apply_nonlocal_cloning(_rho(alpha)))
             e3_l, e2_l = closed_form_local_measures(alpha)
             e3_n, e2_n = closed_form_nonlocal_measures(alpha)
             worst = max(worst, abs(rep_l.e3 - e3_l), abs(rep_l.e2[(1, 2)] - e2_l))
@@ -382,14 +375,14 @@ class TestFidelities:
     def test_local_matches_simulation(self):
         for alpha in GRID[::4]:
             psi = input_state(alpha)
-            sim = fidelity_pure(psi, apply_local_cloning(_rho(alpha)).copies)
+            sim = fidelity_pure(psi, apply_local_cloning(_rho(alpha)))
             assert sim == pytest.approx(fidelity_local(alpha), abs=1e-12)
 
     def test_nonlocal_constant(self):
         assert fidelity_nonlocal() == pytest.approx(11.0 / 18.0, abs=1e-15)
         for alpha in GRID[::4]:
             psi = input_state(alpha)
-            sim = fidelity_pure(psi, apply_nonlocal_cloning(_rho(alpha)).copies)
+            sim = fidelity_pure(psi, apply_nonlocal_cloning(_rho(alpha)))
             assert sim == pytest.approx(11.0 / 18.0, abs=1e-12)
 
     def test_nonlocal_always_wins(self, grid):
@@ -408,6 +401,35 @@ class TestE2Crossings:
         # Both curves depend only on cos(2*alpha)^2, so the two crossings
         # must satisfy lo^2 + hi^2 = 1.
         assert lo * lo + hi * hi == pytest.approx(1.0, abs=5e-6)
+
+    def test_brackets_are_bisected_together(self, monkeypatch):
+        # Reference: each bracket bisected on its own, one point per call.
+        def gap(x):
+            grid = evaluate([math.acos(x)])
+            return grid.e2_nonlocal[0, 0] - grid.e2_in[0, 0]
+
+        expected = []
+        for lo, hi in ((0.0, math.sqrt(0.5)), (math.sqrt(0.5), 1.0)):
+            positive_at_lo = gap(lo) > 0.0
+            while hi - lo > CROSSING_BRACKET:
+                mid = 0.5 * (lo + hi)
+                if (gap(mid) > 0.0) == positive_at_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            expected.append(0.5 * (lo + hi))
+
+        sizes = []
+
+        def counted(alphas):
+            sizes.append(len(alphas))
+            return evaluate(alphas)
+
+        monkeypatch.setattr(cloners, "evaluate", counted)
+        assert find_e2_crossings() == tuple(expected)
+        # The three bracket ends, then both midpoints per step until the
+        # narrower bracket stops after 19 halvings and the wider after 20.
+        assert sizes == [3] + [2] * 19 + [1]
 
     def test_sign_pattern_around_window(self):
         def gap(x):

@@ -10,7 +10,6 @@ from triclone.entanglement import (
     PAIRS,
     CoherenceVector,
     EntanglementReport,
-    closed_form_input_measures,
     coherence_vector,
     correlation2,
     correlation3,
@@ -21,6 +20,7 @@ from triclone.entanglement import (
     pauli_operator,
 )
 from triclone.linalg import DensityMatrix, kron_all
+from triclone.reference import closed_form_input_measures
 from triclone.verification import (
     random_density_matrix,
     random_product_state,
@@ -87,7 +87,7 @@ class TestCoherenceVector:
 
     def test_local_clone_output(self):
         for alpha in (0.3, 1.0):
-            out = apply_local_cloning(_rho(alpha)).copies
+            out = apply_local_cloning(_rho(alpha))
             for m in (1, 2, 3):
                 lam = coherence_vector(out, m).lam
                 assert lam[2] == pytest.approx(
@@ -120,7 +120,7 @@ class TestPairCorrelation:
                 assert np.max(np.abs(k - expected)) <= 1e-12
 
     def test_nonlocal_clone_output(self):
-        out = apply_nonlocal_cloning(_rho(0.7)).copies
+        out = apply_nonlocal_cloning(_rho(0.7))
         for m, n in PAIRS:
             assert correlation2(out, m, n).k[2, 2] == pytest.approx(
                 5.0 / 9.0, abs=1e-12
@@ -162,7 +162,7 @@ class TestTripleCorrelation:
         # component, and the channel output is the source of truth.
         for alpha in (0.3, 1.0):
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
-            out = apply_local_cloning(_rho(alpha)).copies
+            out = apply_local_cloning(_rho(alpha))
             k = correlation3(out).k
             assert k[2, 2, 2] == pytest.approx(-(8.0 / 27.0) * c, abs=1e-12)
             assert k[0, 0, 0] == pytest.approx((8.0 / 27.0) * s, abs=1e-12)
@@ -188,7 +188,7 @@ class TestEntanglementTensors:
     def test_nonlocal_clone_m333(self):
         for alpha in (0.2, 0.9):
             c = math.cos(2 * alpha)
-            out = apply_nonlocal_cloning(_rho(alpha)).copies
+            out = apply_nonlocal_cloning(_rho(alpha))
             m333 = entanglement_tensors(out).m3[2, 2, 2]
             expected = (10.0 / 27.0) * (1.0 - (25.0 / 27.0) * c * c) * c
             assert m333 == pytest.approx(expected, abs=1e-12)
@@ -234,7 +234,7 @@ class TestMeasures:
         assert max(report.e2.values()) <= 1e-12
 
     def test_local_clone_of_balanced_state(self):
-        report = measures(apply_local_cloning(_rho(math.pi / 4)).copies)
+        report = measures(apply_local_cloning(_rho(math.pi / 4)))
         assert report.e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
         for pair in PAIRS:
             assert report.e2[pair] == pytest.approx(16.0 / 243.0, abs=1e-12)
@@ -268,8 +268,8 @@ class TestMeasures:
         for alpha in (0.4, math.pi / 4):
             for rho in (
                 _rho(alpha),
-                apply_local_cloning(_rho(alpha)).copies,
-                apply_nonlocal_cloning(_rho(alpha)).copies,
+                apply_local_cloning(_rho(alpha)),
+                apply_nonlocal_cloning(_rho(alpha)),
             ):
                 e2 = measures(rho).e2
                 values = [e2[p] for p in PAIRS]
