@@ -14,55 +14,29 @@ from .cloners import (
     local_isometry,
     nonlocal_isometry,
 )
-from .entanglement import (
-    CoherenceVector,
-    EntanglementReport,
-    EntanglementTensors,
-    PairCorrelation,
-    TripleCorrelation,
-    coherence_vector,
-    correlation2,
-    correlation3,
-    entanglement_tensors,
-    input_state,
-    measures,
-    pauli_operator,
-)
+from .entanglement import EntanglementReport, correlations, input_state, measures
 from .iteration import (
     IterationStep,
     IterationTrace,
     clone_mixed_nonlocal,
     iterate,
 )
-from .linalg import (
-    DensityMatrix,
-    PureState,
-    eig_hermitian,
-    fidelity_pure,
-    partial_trace_matrix,
-)
+from .linalg import DensityMatrix, PureState, eig_hermitian, fidelity_pure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CloningIsometry",
-    "CoherenceVector",
     "DensityMatrix",
     "EntanglementReport",
-    "EntanglementTensors",
     "IterationStep",
     "IterationTrace",
-    "PairCorrelation",
     "PureState",
-    "TripleCorrelation",
     "apply_local_cloning",
     "apply_nonlocal_cloning",
     "clone_mixed_nonlocal",
-    "coherence_vector",
-    "correlation2",
-    "correlation3",
+    "correlations",
     "eig_hermitian",
-    "entanglement_tensors",
     "fidelity_pure",
     "find_e2_crossings",
     "input_state",
@@ -70,6 +44,4 @@ __all__ = [
     "local_isometry",
     "measures",
     "nonlocal_isometry",
-    "partial_trace_matrix",
-    "pauli_operator",
 ]

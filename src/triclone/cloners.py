@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entanglement import input_state, measure_stack
+from .entanglement import _require_three_qubits, input_state, measure_stack
 from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
@@ -94,10 +94,7 @@ class CompiledChannel:
 
     def apply(self, rho_in: DensityMatrix) -> DensityMatrix:
         """The validated output of one three-qubit state."""
-        if rho_in.dims != (2, 2, 2):
-            raise ValueError(
-                f"expected a three-qubit density matrix, got dims {rho_in.dims}"
-            )
+        _require_three_qubits(rho_in)
         return DensityMatrix((2, 2, 2), self.map(rho_in.matrix[None])[0])
 
 

@@ -31,13 +31,6 @@ _SIGMAS = (_SIGMA_1, _SIGMA_2, _SIGMA_3)
 _I2 = np.eye(2, dtype=complex)
 
 
-def pauli_operator(i: int) -> np.ndarray:
-    """Single-qubit operator triple, 1-based index in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"operator index must be 1, 2 or 3, got {i}")
-    return _SIGMAS[i - 1].copy()
-
-
 def _embed(ops: dict[int, np.ndarray]) -> np.ndarray:
     """Three-qubit operator with ``ops[q]`` on 0-based qubit q, identity elsewhere."""
     return kron_all(ops.get(q, _I2) for q in range(3))
@@ -57,9 +50,18 @@ _ALL_OPS = np.stack(
 )
 
 
-def _expectations(rhos: np.ndarray) -> np.ndarray:
-    """Tr(rho O) of matrices (..., 8, 8) for every operator O in ``_ALL_OPS``."""
-    return np.einsum("...pq,kqp->...k", rhos, _ALL_OPS).real
+def _correlation_stack(rhos: np.ndarray):
+    """Coherence vectors (..., 3, 3) and pair and triple tensors (..., 3, 3, 3).
+
+    One einsum gives Tr(rho O) of matrices (..., 8, 8) for every operator O
+    in ``_ALL_OPS``; the only place that knows its 9/27/27 layout.
+    """
+    values = np.einsum("...pq,kqp->...k", rhos, _ALL_OPS).real
+    shape = values.shape[:-1]
+    lam = values[..., :9].reshape(shape + (3, 3))
+    k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
+    k3 = values[..., 36:].reshape(shape + (3, 3, 3))
+    return lam, k2, k3
 
 
 def _check_norms(lams: np.ndarray) -> None:
@@ -85,105 +87,45 @@ def _require_three_qubits(rho: DensityMatrix) -> None:
 
 
 @dataclass
-class CoherenceVector:
-    """Single-qubit expectation triple for one qubit."""
-
-    qubit: int
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.qubit not in QUBITS:
-            raise ValueError(f"qubit index must be in {QUBITS}, got {self.qubit}")
-        self.lam = np.asarray(self.lam, dtype=float).reshape(3)
-        _check_norms(self.lam)
-
-
-@dataclass
-class PairCorrelation:
-    """Two-qubit joint expectation tensor K_ij(m, n)."""
-
-    pair: tuple[int, int]
-    k: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.pair = (int(self.pair[0]), int(self.pair[1]))
-        if self.pair not in PAIRS:
-            raise ValueError(f"pair must be one of {PAIRS}, got {self.pair}")
-        self.k = np.asarray(self.k, dtype=float).reshape(3, 3)
-        top = float(np.max(np.abs(self.k)))
-        if top > COMPONENT_CEILING:
-            raise ValueError(f"correlation entry {top} exceeds 1")
-
-
-@dataclass
-class TripleCorrelation:
-    """Three-qubit joint expectation tensor K_ijk."""
-
-    k: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.k = np.asarray(self.k, dtype=float).reshape(3, 3, 3)
-        top = float(np.max(np.abs(self.k)))
-        if top > COMPONENT_CEILING:
-            raise ValueError(f"correlation entry {top} exceeds 1")
-
-
-@dataclass
-class EntanglementTensors:
-    """Pairwise tensors M_ij(m, n) and the triple tensor M_ijk."""
-
-    m2: dict[tuple[int, int], np.ndarray]
-    m3: np.ndarray
-
-
-@dataclass
 class EntanglementReport:
-    """E3, pairwise E2, and the tensors they were built from."""
+    """E3, pairwise E2, and the tensors M2 (by pair) and M3 they come from."""
 
     e3: float
     e2: dict[tuple[int, int], float]
-    tensors: EntanglementTensors
-    lambdas: tuple[CoherenceVector, CoherenceVector, CoherenceVector]
+    m2: dict[tuple[int, int], np.ndarray]
+    m3: np.ndarray
 
     def __post_init__(self) -> None:
         _check_measures(self.e3, self.e2)
 
 
-def coherence_vector(rho: DensityMatrix, m: int) -> CoherenceVector:
-    """Expectation triple of qubit ``m`` (1-based)."""
+def correlations(rho: DensityMatrix):
+    """Coherence vectors and correlation tensors of a three-qubit state.
+
+    Returns ``lam`` (3, 3) with rows in ``QUBITS`` order, the pair tensors
+    K_ij(m, n) as ``k2`` (3, 3, 3) with slabs in ``PAIRS`` order, and the
+    triple tensor K_ijk as ``k3`` (3, 3, 3).  Raises ValueError if a
+    coherence vector is longer than 1 or a correlation entry exceeds 1.
+    """
     _require_three_qubits(rho)
-    if m not in QUBITS:
-        raise ValueError(f"qubit index must be in {QUBITS}, got {m}")
-    return CoherenceVector(m, _expectations(rho.matrix)[3 * m - 3 : 3 * m])
-
-
-def correlation2(rho: DensityMatrix, m: int, n: int) -> PairCorrelation:
-    """Joint expectation tensor of the ordered qubit pair (m, n)."""
-    _require_three_qubits(rho)
-    if (m, n) not in PAIRS:
-        raise ValueError(f"pair must be one of {PAIRS}, got ({m}, {n})")
-    start = 9 + 9 * PAIRS.index((m, n))
-    return PairCorrelation((m, n), _expectations(rho.matrix)[start : start + 9])
-
-
-def correlation3(rho: DensityMatrix) -> TripleCorrelation:
-    """Joint expectation tensor over all three qubits."""
-    _require_three_qubits(rho)
-    return TripleCorrelation(_expectations(rho.matrix)[36:])
+    lam, k2, k3 = _correlation_stack(rho.matrix)
+    _check_norms(lam)
+    top = float(max(np.max(np.abs(k2)), np.max(np.abs(k3))))
+    if top > COMPONENT_CEILING:
+        raise ValueError(f"correlation entry {top} exceeds 1")
+    return lam, k2, k3
 
 
 def measure_stack(rhos: np.ndarray):
     """E3 (...,) and E2 (..., 3) of a stack of three-qubit matrices (..., 8, 8).
 
-    E2 columns follow ``PAIRS``.  Applies the range checks of
-    ``CoherenceVector`` and ``EntanglementReport`` to every member and also
-    returns the coherence vectors, M2 and M3 tensors they were built from.
+    E2 columns follow ``PAIRS``.  Also returns the tensors they are built
+    from: M2 by pair, K_ij(m,n) - lambda_i(m) lambda_j(n), and M3, which
+    removes the three coherence-weighted M2 terms and the rank-one
+    coherence product from K_ijk.  Checks every coherence vector norm and
+    every E3 and E2 range.
     """
-    values = _expectations(rhos)
-    shape = values.shape[:-1]
-    lam = values[..., :9].reshape(shape + (3, 3))
-    k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
-    k3 = values[..., 36:].reshape(shape + (3, 3, 3))
+    lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
     lams = {m: lam[..., m - 1, :] for m in QUBITS}
     m2 = {
@@ -200,35 +142,23 @@ def measure_stack(rhos: np.ndarray):
     e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
     e2 = {p: (t * t).sum(axis=(-2, -1)) / 3.0 for p, t in m2.items()}
     _check_measures(e3, e2)
-    return e3, np.stack([e2[p] for p in PAIRS], -1), lams, m2, m3
-
-
-def entanglement_tensors(rho: DensityMatrix) -> EntanglementTensors:
-    """Correlation tensors with all lower-order contributions subtracted.
-
-    The pairwise tensor is K_ij(m,n) - lambda_i(m) lambda_j(n); the triple
-    tensor removes the three coherence-weighted pairwise terms and the
-    rank-one coherence product from K_ijk.
-    """
-    return measures(rho).tensors
+    return e3, np.stack([e2[p] for p in PAIRS], -1), m2, m3
 
 
 def measures(rho: DensityMatrix) -> EntanglementReport:
     """E3 and pairwise E2 of a three-qubit density matrix.
 
-    E3 is one quarter of the squared Frobenius norm of the triple tensor;
-    each E2 is one third of the squared norm of the matching pairwise
-    tensor.
+    E3 is one quarter of the squared Frobenius norm of the triple tensor
+    M3; each E2 is one third of the squared norm of the matching pairwise
+    tensor M2.
     """
     _require_three_qubits(rho)
-    e3, e2, lams, m2, m3 = measure_stack(rho.matrix[None])
+    e3, e2, m2, m3 = measure_stack(rho.matrix[None])
     return EntanglementReport(
         e3=float(e3[0]),
         e2={pair: float(e2[0, i]) for i, pair in enumerate(PAIRS)},
-        tensors=EntanglementTensors(
-            m2={pair: t[0] for pair, t in m2.items()}, m3=m3[0]
-        ),
-        lambdas=tuple(CoherenceVector(m, lams[m][0]) for m in QUBITS),
+        m2={pair: t[0] for pair, t in m2.items()},
+        m3=m3[0],
     )
 
 

@@ -11,7 +11,6 @@ degenerate eigenspaces).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +84,6 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-
     rho = input_state(alpha).density_matrix()
     steps = [_record(0, rho)]
     for k in range(1, n_steps + 1):

@@ -1,14 +1,17 @@
-"""Closed-form oracles for the two-corner family cos(alpha)|000> + sin(alpha)|111>.
+"""References the simulation is checked against.
 
-The verification suite and the tests compare the simulated channels and
-measures against these analytic values.  The implementation never
-consults them: no module that ``sweep`` or ``iterate`` loads imports this
-one.
+The closed-form oracles for the two-corner family cos(alpha)|000> +
+sin(alpha)|111>, and ``partial_trace_matrix``, the joint-state partial
+trace with which the tests reduce V rho V+ to check the compiled
+channels.  Only the verification suite and the tests use them; no module
+that ``sweep`` or ``iterate`` loads imports this one, so the
+implementation never consults them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,3 +87,37 @@ def fidelity_local(alpha: float) -> float:
 def fidelity_nonlocal() -> float:
     """Overlap of the non-local output with its input; input-independent."""
     return 11.0 / 18.0
+
+
+def partial_trace_matrix(
+    matrix: np.ndarray, dims: Sequence[int], keep: Iterable[int]
+) -> np.ndarray:
+    """Partial trace of a raw square matrix over the subsystems not in ``keep``.
+
+    Parameters
+    ----------
+    matrix : square array over the full tensor-product space
+    dims : dimension of each subsystem, most significant first
+    keep : 0-based indices of the subsystems to retain; the result keeps
+        them in their original relative order
+
+    Returns
+    -------
+    The reduced matrix on the kept subsystems.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    keep_sorted = sorted({int(k) for k in keep})
+    if not keep_sorted:
+        raise ValueError("keep must name at least one subsystem")
+    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
+        raise ValueError(f"keep indices {keep_sorted} out of range for {n} subsystems")
+    traced = [i for i in range(n) if i not in keep_sorted]
+    work = np.asarray(matrix, dtype=complex).reshape(dims + dims)
+    remaining = list(dims)
+    # Trace highest axes first so lower axis indices stay valid.
+    for i in reversed(traced):
+        work = np.trace(work, axis1=i, axis2=i + len(remaining))
+        del remaining[i]
+    d = int(np.prod(remaining))
+    return work.reshape(d, d)

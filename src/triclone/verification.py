@@ -23,7 +23,7 @@ from .cloners import (
     local_channel,
     nonlocal_channel,
 )
-from .entanglement import correlation3, input_state, measure_stack, measures
+from .entanglement import correlations, input_state, measure_stack, measures
 from .iteration import clone_mixed_nonlocal, iterate
 from .linalg import DensityMatrix, check_density_matrices, eig_hermitian, kron_all
 from .reference import (
@@ -36,7 +36,6 @@ from .reference import (
     fidelity_nonlocal,
 )
 
-DEFAULT_SEED = 12345
 GRID_POINTS = 201
 
 # Reference decay table for the balanced (GHZ) input, four printed decimals.
@@ -227,7 +226,7 @@ def random_product_state(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix((2, 2, 2), kron_all(parts))
 
 
-def check_channel_properties(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_channel_properties(seed: int) -> CheckResult:
     """Both channels are trace-preserving, Hermitian, PSD and linear."""
     rng = np.random.default_rng(seed)
     states = [random_density_matrix(rng) for _ in range(100)]
@@ -269,7 +268,7 @@ def check_channel_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_measure_properties(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
     base_states = [
@@ -339,7 +338,7 @@ def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
     out = apply_local_cloning(input_state(alpha).density_matrix())
-    k333 = correlation3(out).k[2, 2, 2]
+    k333 = correlations(out)[2][2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (
         f"info: triple correlation K333 of the local-clone output at "
@@ -371,7 +370,7 @@ CHECKS = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_all(seed: int) -> list[CheckResult]:
     """Run every verification check once, sharing one grid computation."""
     grid = compute_grid()
     return [

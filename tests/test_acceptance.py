@@ -6,6 +6,7 @@ CLI report and this module cannot disagree.
 """
 
 from triclone import verification as v
+from triclone.cli import DEFAULT_SEED
 
 
 def _report(index, result):
@@ -54,12 +55,12 @@ def test_criterion_07_iterated_cloning_decay():
 
 
 def test_criterion_08_channel_properties():
-    result = _report(8, v.check_channel_properties(v.DEFAULT_SEED))
+    result = _report(8, v.check_channel_properties(DEFAULT_SEED))
     assert result.passed, result.detail
 
 
 def test_criterion_09_measure_properties():
-    result = _report(9, v.check_measure_properties(v.DEFAULT_SEED))
+    result = _report(9, v.check_measure_properties(DEFAULT_SEED))
     assert result.passed, result.detail
 
 

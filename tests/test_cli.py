@@ -170,6 +170,11 @@ class TestIterate:
         assert err.startswith("error: internal check failed:")
         assert "spectral-mixture route" in err
 
+    def test_non_finite_alpha_is_usage_error(self, capsys):
+        for alpha in ("nan", "inf"):
+            assert main(["iterate", "--alpha", alpha]) == 2
+            assert capsys.readouterr().err == "error: alpha must be finite\n"
+
     def test_too_many_steps_is_usage_error(self, capsys):
         for steps in ("13", "0"):
             assert main(["iterate", "--steps", steps]) == 2

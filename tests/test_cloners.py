@@ -26,7 +26,6 @@ from triclone.linalg import (
     eig_hermitian,
     fidelity_pure,
     kron_all,
-    partial_trace_matrix,
 )
 from triclone.reference import (
     closed_form_local_measures,
@@ -35,6 +34,7 @@ from triclone.reference import (
     closed_form_nonlocal_output,
     fidelity_local,
     fidelity_nonlocal,
+    partial_trace_matrix,
 )
 from triclone.verification import random_density_matrix
 

@@ -8,16 +8,12 @@ from triclone.entanglement import (
     COMPONENT_CEILING,
     MEASURE_CEILING,
     PAIRS,
-    CoherenceVector,
+    _ALL_OPS,
     EntanglementReport,
-    coherence_vector,
-    correlation2,
-    correlation3,
-    entanglement_tensors,
+    correlations,
     input_state,
     measure_stack,
     measures,
-    pauli_operator,
 )
 from triclone.linalg import DensityMatrix, kron_all
 from triclone.reference import closed_form_input_measures
@@ -34,25 +30,30 @@ def _rho(alpha):
     return input_state(alpha).density_matrix()
 
 
+def _diagonal_state(weights):
+    """Diagonal three-qubit state with the given weights on basis kets."""
+    diag = np.zeros(8)
+    for ket, weight in weights.items():
+        diag[ket] = weight
+    return DensityMatrix((2, 2, 2), np.diag(diag))
+
+
 class TestPauliOperators:
     def test_trace_orthogonality(self):
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                tr = np.trace(pauli_operator(i) @ pauli_operator(j))
-                assert tr == pytest.approx(2.0 if i == j else 0.0, abs=1e-14)
+        # Tr(O_k O_l) = 8 delta_kl over all 63 operators of the stack.
+        gram = np.einsum("kpq,lqp->kl", _ALL_OPS, _ALL_OPS)
+        assert np.max(np.abs(gram - 8.0 * np.eye(63))) <= 1e-14
 
     def test_third_operator_sign(self):
-        # <0|.|0> = -1 pins the sign convention of the whole triple.
-        assert pauli_operator(3)[0, 0] == -1
+        # diag(-1, +1): |000> has lambda_3 = -1 exactly on every qubit,
+        # which pins the sign convention of the whole triple.
+        lam, _, _ = correlations(input_state(0.0).density_matrix())
+        assert (lam[:, 2] == -1).all()
 
     def test_first_operator_flips(self):
-        e0 = np.array([1.0, 0.0])
-        assert np.allclose(pauli_operator(1) @ e0, [0.0, 1.0], atol=1e-14)
-
-    def test_bad_index(self):
-        for i in (0, 4, -1):
-            with pytest.raises(ValueError):
-                pauli_operator(i)
+        # The stack starts with the flip on qubit 1, the most significant.
+        e000, e100 = np.eye(8)[0b000], np.eye(8)[0b100]
+        assert np.allclose(_ALL_OPS[0] @ e000, e100, atol=1e-14)
 
 
 class TestInputState:
@@ -79,34 +80,26 @@ class TestInputState:
 class TestCoherenceVector:
     def test_input_family(self):
         for alpha in ALPHAS:
-            rho = _rho(alpha)
-            for m in (1, 2, 3):
-                lam = coherence_vector(rho, m).lam
-                expected = [0.0, 0.0, -math.cos(2 * alpha)]
-                assert np.max(np.abs(lam - expected)) <= 1e-12
+            lam = correlations(_rho(alpha))[0]
+            expected = [0.0, 0.0, -math.cos(2 * alpha)]
+            assert np.max(np.abs(lam - expected)) <= 1e-12
 
     def test_local_clone_output(self):
         for alpha in (0.3, 1.0):
-            out = apply_local_cloning(_rho(alpha))
-            for m in (1, 2, 3):
-                lam = coherence_vector(out, m).lam
-                assert lam[2] == pytest.approx(
+            lam = correlations(apply_local_cloning(_rho(alpha)))[0]
+            for value in lam[:, 2]:
+                assert value == pytest.approx(
                     -(2.0 / 3.0) * math.cos(2 * alpha), abs=1e-12
                 )
 
     def test_maximally_mixed(self):
         rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        for m in (1, 2, 3):
-            assert np.max(np.abs(coherence_vector(rho, m).lam)) <= 1e-14
-
-    def test_bad_qubit_index(self):
-        with pytest.raises(ValueError):
-            coherence_vector(_rho(0.3), 0)
+        assert np.max(np.abs(correlations(rho)[0])) <= 1e-14
 
     def test_rejects_wrong_dims(self):
         rho = DensityMatrix((2, 2), np.eye(4) / 4)
-        with pytest.raises(ValueError):
-            coherence_vector(rho, 1)
+        with pytest.raises(ValueError, match="three-qubit"):
+            correlations(rho)
 
 
 class TestPairCorrelation:
@@ -114,38 +107,38 @@ class TestPairCorrelation:
         expected = np.zeros((3, 3))
         expected[2, 2] = 1.0
         for alpha in ALPHAS:
-            rho = _rho(alpha)
-            for m, n in PAIRS:
-                k = correlation2(rho, m, n).k
-                assert np.max(np.abs(k - expected)) <= 1e-12
+            k2 = correlations(_rho(alpha))[1]
+            assert np.max(np.abs(k2 - expected)) <= 1e-12
 
     def test_nonlocal_clone_output(self):
-        out = apply_nonlocal_cloning(_rho(0.7))
-        for m, n in PAIRS:
-            assert correlation2(out, m, n).k[2, 2] == pytest.approx(
-                5.0 / 9.0, abs=1e-12
-            )
+        k2 = correlations(apply_nonlocal_cloning(_rho(0.7)))[1]
+        for value in k2[:, 2, 2]:
+            assert value == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_product_state_factorizes(self, rng):
-        rho = random_product_state(rng)
-        for m, n in PAIRS:
-            k = correlation2(rho, m, n).k
-            lam_m = coherence_vector(rho, m).lam
-            lam_n = coherence_vector(rho, n).lam
-            assert np.max(np.abs(k - np.outer(lam_m, lam_n))) <= 1e-12
+        # Distinct coherence vectors per qubit, so this also pins the
+        # QUBITS row order and the PAIRS slab order.
+        lam, k2, _ = correlations(random_product_state(rng))
+        for i, (m, n) in enumerate(PAIRS):
+            outer = np.outer(lam[m - 1], lam[n - 1])
+            assert np.max(np.abs(k2[i] - outer)) <= 1e-12
 
-    def test_invalid_pairs_raise(self):
-        rho = _rho(0.3)
-        with pytest.raises(ValueError):
-            correlation2(rho, 2, 2)
-        with pytest.raises(ValueError):
-            correlation2(rho, 2, 1)
+    def test_entry_ceiling_on_a_valid_state(self):
+        # Negative weights within EIGENVALUE_FLOOR push K2_zz(1,2) to
+        # 1 + 8e-11 while every coherence vector stays zero.
+        w = 2e-11
+        rho = _diagonal_state(
+            {0b000: 0.5 + w, 0b111: 0.5 + w, 0b010: -w, 0b101: -w}
+        )
+        with pytest.raises(ValueError, match="correlation entry"):
+            correlations(rho)
+        measures(rho)
 
 
 class TestTripleCorrelation:
     def test_input_family_components(self):
         for alpha in ALPHAS:
-            k = correlation3(_rho(alpha)).k
+            k = correlations(_rho(alpha))[2]
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
             assert k[0, 0, 0] == pytest.approx(s, abs=1e-12)
             assert k[2, 2, 2] == pytest.approx(-c, abs=1e-12)
@@ -154,7 +147,7 @@ class TestTripleCorrelation:
 
     def test_maximally_mixed_vanishes(self):
         rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        assert np.max(np.abs(correlation3(rho).k)) <= 1e-14
+        assert np.max(np.abs(correlations(rho)[2])) <= 1e-14
 
     def test_local_clone_components(self):
         # The (3,3,3) component comes out negative: the sign is forced by
@@ -163,7 +156,7 @@ class TestTripleCorrelation:
         for alpha in (0.3, 1.0):
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
             out = apply_local_cloning(_rho(alpha))
-            k = correlation3(out).k
+            k = correlations(out)[2]
             assert k[2, 2, 2] == pytest.approx(-(8.0 / 27.0) * c, abs=1e-12)
             assert k[0, 0, 0] == pytest.approx((8.0 / 27.0) * s, abs=1e-12)
             for idx in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -174,7 +167,7 @@ class TestEntanglementTensors:
     def test_input_family_full_tensors(self):
         for alpha in ALPHAS:
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
-            tensors = entanglement_tensors(_rho(alpha))
+            tensors = measures(_rho(alpha))
             expected_m3 = np.zeros((3, 3, 3))
             expected_m3[0, 0, 0] = s
             expected_m3[0, 1, 1] = expected_m3[1, 0, 1] = expected_m3[1, 1, 0] = -s
@@ -189,13 +182,13 @@ class TestEntanglementTensors:
         for alpha in (0.2, 0.9):
             c = math.cos(2 * alpha)
             out = apply_nonlocal_cloning(_rho(alpha))
-            m333 = entanglement_tensors(out).m3[2, 2, 2]
+            m333 = measures(out).m3[2, 2, 2]
             expected = (10.0 / 27.0) * (1.0 - (25.0 / 27.0) * c * c) * c
             assert m333 == pytest.approx(expected, abs=1e-12)
 
     def test_product_states_vanish(self, rng):
         for _ in range(5):
-            tensors = entanglement_tensors(random_product_state(rng))
+            tensors = measures(random_product_state(rng))
             assert np.max(np.abs(tensors.m3)) <= 1e-12
             for pair in PAIRS:
                 assert np.max(np.abs(tensors.m2[pair])) <= 1e-12
@@ -204,9 +197,9 @@ class TestEntanglementTensors:
         # The stored tensors are exactly the correlation/coherence
         # combination, for an arbitrary mixed state.
         rho = random_density_matrix(rng)
-        lam = {m: coherence_vector(rho, m).lam for m in (1, 2, 3)}
-        k2 = {pair: correlation2(rho, *pair).k for pair in PAIRS}
-        k3 = correlation3(rho).k
+        rows, slabs, k3 = correlations(rho)
+        lam = {m: rows[m - 1] for m in (1, 2, 3)}
+        k2 = dict(zip(PAIRS, slabs))
         m2 = {pair: k2[pair] - np.outer(lam[pair[0]], lam[pair[1]]) for pair in PAIRS}
         m3 = (
             k3
@@ -215,7 +208,7 @@ class TestEntanglementTensors:
             - np.einsum("k,ij->ijk", lam[3], m2[(1, 2)])
             - np.einsum("i,j,k->ijk", lam[1], lam[2], lam[3])
         )
-        tensors = entanglement_tensors(rho)
+        tensors = measures(rho)
         assert np.max(np.abs(tensors.m3 - m3)) <= 1e-12
         for pair in PAIRS:
             assert np.max(np.abs(tensors.m2[pair] - m2[pair])) <= 1e-12
@@ -306,22 +299,26 @@ class TestMeasureStack:
         stack = np.stack([_rho(0.3).matrix, c * _rho(math.pi / 4).matrix])
         if size < 1.0:
             e3, *_ = measure_stack(stack)
-            EntanglementReport(e3=float(e3[1]), e2={}, tensors=None, lambdas=())
+            EntanglementReport(e3=float(e3[1]), e2={}, m2={}, m3=None)
             return
         with pytest.raises(ValueError, match="E3 value"):
             measure_stack(stack)
         with pytest.raises(ValueError, match="E3 value"):
-            EntanglementReport(e3=c * c, e2={}, tensors=None, lambdas=())
+            EntanglementReport(e3=c * c, e2={}, m2={}, m3=None)
 
     @pytest.mark.parametrize("size", [0.5, 2.0])
     def test_coherence_ceiling_matches_the_vector(self, size):
-        c = 1.0 + size * (COMPONENT_CEILING - 1.0)
-        stack = np.stack([_rho(0.3).matrix, c * _rho(0.0).matrix])
+        # A negative weight within EIGENVALUE_FLOOR on |100> stretches the
+        # first coherence vector to 1 + size * (COMPONENT_CEILING - 1); the
+        # stack and the coherence vectors of ``correlations`` agree.
+        eps = 0.5 * size * (COMPONENT_CEILING - 1.0)
+        rho = _diagonal_state({0b000: 1.0 + eps, 0b100: -eps})
+        stack = np.stack([_rho(0.3).matrix, rho.matrix])
         if size < 1.0:
             measure_stack(stack)
-            CoherenceVector(1, [0.0, 0.0, -c])
+            correlations(rho)
             return
         with pytest.raises(ValueError, match="coherence vector norm"):
             measure_stack(stack)
         with pytest.raises(ValueError, match="coherence vector norm"):
-            CoherenceVector(1, [0.0, 0.0, -c])
+            correlations(rho)

@@ -13,8 +13,8 @@ from triclone.linalg import (
     eig_hermitian,
     fidelity_pure,
     kron_all,
-    partial_trace_matrix,
 )
+from triclone.reference import partial_trace_matrix
 
 
 def _random_hermitian(rng, n):

@@ -9,23 +9,16 @@ import triclone
 
 PUBLIC_NAMES = (
     "CloningIsometry",
-    "CoherenceVector",
     "DensityMatrix",
     "EntanglementReport",
-    "EntanglementTensors",
     "IterationStep",
     "IterationTrace",
-    "PairCorrelation",
     "PureState",
-    "TripleCorrelation",
     "apply_local_cloning",
     "apply_nonlocal_cloning",
     "clone_mixed_nonlocal",
-    "coherence_vector",
-    "correlation2",
-    "correlation3",
+    "correlations",
     "eig_hermitian",
-    "entanglement_tensors",
     "fidelity_pure",
     "find_e2_crossings",
     "input_state",
@@ -33,8 +26,6 @@ PUBLIC_NAMES = (
     "local_isometry",
     "measures",
     "nonlocal_isometry",
-    "partial_trace_matrix",
-    "pauli_operator",
 )
 
 
