@@ -28,13 +28,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entanglement import _require_three_qubits, input_state, measure_stack
+from .entanglement import (
+    _require_three_qubits,
+    _two_corner_amplitudes,
+    measure_stack,
+)
 from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
     DensityMatrix,
     check_density_matrices,
+    check_pure_states,
     fidelities,
     kron_all,
 )
@@ -251,10 +256,13 @@ def evaluate(alphas) -> GridData:
 
     One batched pass over the two-corner inputs at ``alphas``; every input,
     output and measure is validated as in the single-state API and equals
-    it bit for bit.
+    it bit for bit.  Raises ValueError if ``alphas`` is empty.
     """
     alphas = np.array(alphas, dtype=float).reshape(-1)
-    psis = np.array([input_state(a).amplitudes for a in alphas]).reshape(-1, 8)
+    if alphas.size == 0:
+        raise ValueError("evaluate needs at least one alpha")
+    psis = _two_corner_amplitudes(alphas.tolist())
+    check_pure_states(psis)
     rho_in = psis[:, :, None] * psis[:, None, :].conj()
     check_density_matrices(rho_in)
     local_out = local_channel().map(rho_in)

@@ -2,8 +2,9 @@
 
 All quantities are computed numerically from the density matrix via trace
 expectations of one stack of 63 three-qubit operators: 9 single-qubit, 27
-pair and 27 triple products.  The closed forms they are checked against
-live in ``triclone.reference``.
+pair and 27 triple products, taken together as one matrix product of the
+flattened density matrices with the flattened operator stack.  The closed
+forms they are checked against live in ``triclone.reference``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def _embed(ops: dict[int, np.ndarray]) -> np.ndarray:
     return kron_all(ops.get(q, _I2) for q in range(3))
 
 
-# All 63 operators in one stack, so every expectation is one einsum: 9
-# single (by qubit), 27 pair (in PAIRS order), 27 triple.
+# All 63 operators in one stack: 9 single (by qubit), 27 pair (in PAIRS
+# order), 27 triple.
 _ALL_OPS = np.stack(
     [_embed({m - 1: a}) for m in QUBITS for a in _SIGMAS]
     + [
@@ -48,15 +49,22 @@ _ALL_OPS = np.stack(
     ]
     + [_embed({0: a, 1: b, 2: c}) for a in _SIGMAS for b in _SIGMAS for c in _SIGMAS]
 )
+# Tr(rho O_k) = sum_pq rho[p, q] O_k[q, p], so the expectations are
+# rho.reshape(64) @ _EXPECTATION_MATRIX.  Each operator has exactly 8
+# non-zero entries, all +-1 or +-i: every product is exact, the other 56
+# terms add exact zeros, and the sum has the bits of the reference einsum
+# "...pq,kqp->...k" (a test compares them with ==).
+_EXPECTATION_MATRIX = _ALL_OPS.transpose(2, 1, 0).reshape(64, 63)
+_EXPECTATION_MATRIX.setflags(write=False)
 
 
 def _correlation_stack(rhos: np.ndarray):
     """Coherence vectors (..., 3, 3) and pair and triple tensors (..., 3, 3, 3).
 
-    One einsum gives Tr(rho O) of matrices (..., 8, 8) for every operator O
-    in ``_ALL_OPS``; the only place that knows its 9/27/27 layout.
+    One matrix product gives Tr(rho O) of matrices (..., 8, 8) for every
+    operator O in ``_ALL_OPS``; the only place that knows its 9/27/27 layout.
     """
-    values = np.einsum("...pq,kqp->...k", rhos, _ALL_OPS).real
+    values = (rhos.reshape(rhos.shape[:-2] + (64,)) @ _EXPECTATION_MATRIX).real
     shape = values.shape[:-1]
     lam = values[..., :9].reshape(shape + (3, 3))
     k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
@@ -162,12 +170,21 @@ def measures(rho: DensityMatrix) -> EntanglementReport:
     )
 
 
+def _two_corner_amplitudes(alphas: list[float]) -> np.ndarray:
+    """(n, 8) amplitudes of cos(alpha)|000> + sin(alpha)|111>, one row per alpha.
+
+    Uses ``math.cos``/``math.sin``, not their numpy forms, which may differ
+    in the last bit.  Rejects a non-finite alpha; the norm is left to the
+    caller's ``check_pure_states``.
+    """
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError("alpha must be finite")
+    amplitudes = np.zeros((len(alphas), 8), dtype=complex)
+    amplitudes[:, 0] = [math.cos(a) for a in alphas]
+    amplitudes[:, 7] = [math.sin(a) for a in alphas]
+    return amplitudes
+
+
 def input_state(alpha: float) -> PureState:
     """Two-corner three-qubit state cos(alpha)|000> + sin(alpha)|111>."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    amplitudes = np.zeros(8, dtype=complex)
-    amplitudes[0] = math.cos(alpha)
-    amplitudes[7] = math.sin(alpha)
-    return PureState((2, 2, 2), amplitudes)
+    return PureState((2, 2, 2), _two_corner_amplitudes([float(alpha)])[0])

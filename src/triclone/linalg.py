@@ -32,6 +32,22 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
+def check_pure_states(amplitudes: np.ndarray) -> None:
+    """Validate a stack of amplitude vectors (..., d) as normalized states.
+
+    Each member must be finite and have unit norm within ``NORM_ATOL``;
+    otherwise ValueError names the norm furthest from 1.
+    """
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("amplitudes must be finite")
+    norms = np.linalg.norm(amplitudes, axis=-1).ravel()
+    off = np.abs(norms - 1.0)
+    if off.max() > NORM_ATOL:
+        raise ValueError(
+            f"state norm {norms[off.argmax()]} is not 1 within {NORM_ATOL}"
+        )
+
+
 @dataclass
 class PureState:
     """Normalized complex amplitude vector over a tensor-product space."""
@@ -49,11 +65,7 @@ class PureState:
                 f"amplitude vector of length {self.amplitudes.size} does not "
                 f"match dims {self.dims}"
             )
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm} is not 1 within {NORM_ATOL}")
+        check_pure_states(self.amplitudes[None])
 
     @property
     def dim(self) -> int:

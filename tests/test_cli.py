@@ -19,6 +19,12 @@ from triclone.linalg import fidelity_pure
 
 # SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
 SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
+# The same at 2 points and at 1000 points (seven full SWEEP_BLOCKs of 128
+# points and one partial block).
+SWEEP_SHA256 = {
+    2: "160d1cd94611f82074e048c77953d61afcd62a0da9955db74ec5f4fc3998c7f2",
+    1000: "758f5650f06d4ce784c1518ecb41c7d519cd6cebb6f2bad67645d0733d5855e7",
+}
 
 # Corners, the balanced state, cos(alpha) = 0.5, and generic angles whose
 # outputs have dense spectra.
@@ -74,6 +80,12 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_201_SHA256
+
+    @pytest.mark.parametrize("points", sorted(SWEEP_SHA256))
+    def test_sweep_digest(self, tmp_path, points):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--points", str(points), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[points]
 
     def test_values_round_trip_exactly(self):
         table = sweep_table(5)

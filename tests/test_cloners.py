@@ -389,6 +389,17 @@ class TestFidelities:
         assert np.all(grid.f_nonlocal > grid.f_local)
 
 
+class TestEvaluate:
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="at least one alpha"):
+            evaluate([])
+
+    def test_rejects_non_finite_alpha(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                evaluate([0.1, bad])
+
+
 class TestE2Crossings:
     def test_roots_match_analytic_values(self):
         lo, hi = find_e2_crossings()

@@ -9,7 +9,9 @@ from triclone.entanglement import (
     MEASURE_CEILING,
     PAIRS,
     _ALL_OPS,
+    _EXPECTATION_MATRIX,
     EntanglementReport,
+    _correlation_stack,
     correlations,
     input_state,
     measure_stack,
@@ -54,6 +56,44 @@ class TestPauliOperators:
         # The stack starts with the flip on qubit 1, the most significant.
         e000, e100 = np.eye(8)[0b000], np.eye(8)[0b100]
         assert np.allclose(_ALL_OPS[0] @ e000, e100, atol=1e-14)
+
+
+def _einsum_expectations(rhos):
+    """Reference kernel: Tr(rho O_k) for all 63 operators as one einsum."""
+    return np.einsum("...pq,kqp->...k", rhos, _ALL_OPS).real
+
+
+def _flat_correlation_stack(rhos):
+    """``_correlation_stack`` flattened back into the 9/27/27 operator order."""
+    shape = rhos.shape[:-2]
+    parts = [t.reshape(shape + (-1,)) for t in _correlation_stack(rhos)]
+    return np.concatenate(parts, axis=-1)
+
+
+class TestExpectationKernel:
+    # The kernel is a BLAS matrix product, which promises no summation
+    # order; these tests are what holds it to the einsum's bits.
+    def test_equals_the_einsum_on_random_states(self):
+        rng = np.random.default_rng(2024)
+        rhos = np.stack([random_density_matrix(rng).matrix for _ in range(500)])
+        assert (_flat_correlation_stack(rhos) == _einsum_expectations(rhos)).all()
+
+    def test_equals_the_einsum_on_both_channel_outputs(self, grid):
+        for outputs in (grid.local_out, grid.nonlocal_out):
+            assert len(outputs) == 201
+            values = _flat_correlation_stack(outputs)
+            assert (values == _einsum_expectations(outputs)).all()
+
+    def test_rows_of_a_stack_equal_a_stack_of_one(self):
+        rng = np.random.default_rng(2025)
+        rhos = np.stack([random_density_matrix(rng).matrix for _ in range(128)])
+        values = _flat_correlation_stack(rhos)
+        for i in range(len(rhos)):
+            assert (values[i] == _flat_correlation_stack(rhos[i : i + 1])[0]).all()
+
+    def test_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            _EXPECTATION_MATRIX[0, 0] = 0.0
 
 
 class TestInputState:

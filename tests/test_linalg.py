@@ -6,10 +6,12 @@ import pytest
 from triclone.linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
+    NORM_ATOL,
     TRACE_ATOL,
     DensityMatrix,
     PureState,
     check_density_matrices,
+    check_pure_states,
     eig_hermitian,
     fidelity_pure,
     kron_all,
@@ -132,6 +134,36 @@ class TestCheckDensityMatrices:
             check_density_matrices(outside)
         with pytest.raises(ValueError, match=message):
             DensityMatrix((2, 2, 2), outside[2])
+
+
+def _random_amplitudes(rng):
+    a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    return a / np.linalg.norm(a)
+
+
+class TestCheckPureStates:
+    @pytest.mark.parametrize("size", [0.5, 2.0])
+    def test_one_off_norm_member_at_the_single_state_tolerance(self, rng, size):
+        stack = np.stack([_random_amplitudes(rng) for _ in range(4)])
+        check_pure_states(stack)
+        stack[2] *= 1.0 + size * NORM_ATOL
+        if size < 1.0:
+            check_pure_states(stack)
+            PureState((2, 2, 2), stack[2])
+            return
+        with pytest.raises(ValueError, match="state norm"):
+            check_pure_states(stack)
+        with pytest.raises(ValueError, match="state norm"):
+            PureState((2, 2, 2), stack[2])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_one_non_finite_member_is_rejected(self, rng, bad):
+        stack = np.stack([_random_amplitudes(rng) for _ in range(4)])
+        stack[2, 5] = bad
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            check_pure_states(stack)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PureState((2, 2, 2), stack[2])
 
 
 class TestPartialTrace:
