@@ -9,6 +9,7 @@ density-matrix axioms it validates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,6 +22,10 @@ HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 NORM_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# Distance kept between the Cholesky shift and the eigenvalue floor; it must
+# exceed the factorization's backward error (about 1e-14 here) so that a
+# certified matrix also passes the eigenvalue test.
+PSD_CERTIFICATE_MARGIN = 1e-13
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
@@ -36,8 +41,11 @@ def check_pure_states(amplitudes: np.ndarray) -> None:
     """Validate a stack of amplitude vectors (..., d) as normalized states.
 
     Each member must be finite and have unit norm within ``NORM_ATOL``;
-    otherwise ValueError names the norm furthest from 1.
+    otherwise ValueError names the norm furthest from 1.  An empty stack
+    has no invalid member and passes.
     """
+    if math.prod(amplitudes.shape[:-1]) == 0:
+        return
     if not np.isfinite(amplitudes).all():
         raise ValueError("amplitudes must be finite")
     norms = np.linalg.norm(amplitudes, axis=-1).ravel()
@@ -83,8 +91,19 @@ def check_density_matrices(matrices: np.ndarray) -> None:
 
     Each member must be finite, Hermitian within ``HERMITIAN_ATOL``, of unit
     trace within ``TRACE_ATOL`` and have no eigenvalue below
-    ``EIGENVALUE_FLOOR``; otherwise ValueError names the worst residual.
+    ``EIGENVALUE_FLOOR``; otherwise ValueError names the worst residual.  An
+    empty stack has no invalid member and passes.
+
+    Positivity is first certified by one batched Cholesky factorization of
+    the stack shifted by ``-EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN``.
+    Success proves every eigenvalue exceeds ``EIGENVALUE_FLOOR + 9e-14``,
+    because the backward error of the factorization of a unit-trace matrix
+    with d <= 8 is at most about 1e-14, so the eigenvalue test would pass
+    too.  If any member fails to factor, the eigenvalue test runs as the
+    only judge, and its verdict and message are final.
     """
+    if math.prod(matrices.shape[:-2]) == 0:
+        return
     if not np.isfinite(matrices).all():
         raise ValueError("matrix entries must be finite")
     herm = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max()
@@ -94,11 +113,15 @@ def check_density_matrices(matrices: np.ndarray) -> None:
     off = np.abs(tr - 1.0)
     if off.max() > TRACE_ATOL:
         raise ValueError(f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}")
-    smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
-    if smallest < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
-        )
+    shift = (-EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN) * np.eye(matrices.shape[-1])
+    try:
+        np.linalg.cholesky(matrices + shift)
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
+        if smallest < EIGENVALUE_FLOOR:
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+            ) from None
 
 
 @dataclass
@@ -124,19 +147,21 @@ class DensityMatrix:
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack (..., d, d) of them.
 
-    Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns.  Rejects non-Hermitian input.
+    Returns eigenvalues in descending order along the last axis and the
+    matching orthonormal eigenvectors as columns.  A stack decomposes each
+    member exactly as a call on that member alone would; an empty stack
+    gives empty results.  Rejects input with any non-Hermitian member.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    residual = float(np.max(np.abs(h - h.conj().T)))
+    residual = float(np.max(np.abs(h - h.conj().swapaxes(-1, -2)), initial=0.0))
     if residual > HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     values, vectors = np.linalg.eigh(h)
-    return values[::-1], vectors[:, ::-1]
+    return values[..., ::-1], vectors[..., ::-1]
 
 
 def fidelity_pure(psi: PureState, rho: DensityMatrix) -> float:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_density_matrices
 
 
 def closed_form_input_measures(alpha: float) -> tuple[float, float]:
@@ -31,11 +31,7 @@ def closed_form_input_measures(alpha: float) -> tuple[float, float]:
     return e3, e2
 
 
-def closed_form_local_output(alpha: float) -> DensityMatrix:
-    """Analytic local-cloning output for the two-corner input family.
-
-    Diagonal coefficients sum to 216/216 for every alpha.
-    """
+def _local_output_matrix(alpha: float) -> np.ndarray:
     ca, sa = math.cos(alpha), math.sin(alpha)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0b000, 0b000] = (1.0 + 124.0 * ca * ca) / 216.0
@@ -45,11 +41,10 @@ def closed_form_local_output(alpha: float) -> DensityMatrix:
         rho[k, k] = (5.0 + 20.0 * sa * sa) / 216.0
     for k in (0b100, 0b010, 0b001):
         rho[k, k] = (5.0 + 20.0 * ca * ca) / 216.0
-    return DensityMatrix((2, 2, 2), rho)
+    return rho
 
 
-def closed_form_nonlocal_output(alpha: float) -> DensityMatrix:
-    """Analytic non-local-cloning output for the two-corner input family."""
+def _nonlocal_output_matrix(alpha: float) -> np.ndarray:
     ca, sa = math.cos(alpha), math.sin(alpha)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0b000, 0b000] = (1.0 + 10.0 * ca * ca) / 18.0
@@ -57,7 +52,40 @@ def closed_form_nonlocal_output(alpha: float) -> DensityMatrix:
     rho[0b000, 0b111] = rho[0b111, 0b000] = 5.0 * sa * ca / 9.0
     for k in (0b110, 0b011, 0b101, 0b100, 0b010, 0b001):
         rho[k, k] = 1.0 / 18.0
-    return DensityMatrix((2, 2, 2), rho)
+    return rho
+
+
+def _validated_stack(matrices: Iterable[np.ndarray]) -> np.ndarray:
+    stack = np.array(list(matrices))
+    check_density_matrices(stack)
+    return stack
+
+
+def closed_form_local_output(alpha: float) -> DensityMatrix:
+    """Analytic local-cloning output for the two-corner input family.
+
+    Diagonal coefficients sum to 216/216 for every alpha.
+    """
+    return DensityMatrix((2, 2, 2), _local_output_matrix(alpha))
+
+
+def closed_form_local_outputs(alphas: Iterable[float]) -> np.ndarray:
+    """``closed_form_local_output`` at each alpha as one stack (n, 8, 8).
+
+    Each member is built as the single-alpha oracle builds it; the stack
+    is validated once.
+    """
+    return _validated_stack(_local_output_matrix(a) for a in alphas)
+
+
+def closed_form_nonlocal_output(alpha: float) -> DensityMatrix:
+    """Analytic non-local-cloning output for the two-corner input family."""
+    return DensityMatrix((2, 2, 2), _nonlocal_output_matrix(alpha))
+
+
+def closed_form_nonlocal_outputs(alphas: Iterable[float]) -> np.ndarray:
+    """``closed_form_nonlocal_output`` at each alpha as one stack (n, 8, 8)."""
+    return _validated_stack(_nonlocal_output_matrix(a) for a in alphas)
 
 
 def closed_form_local_measures(alpha: float) -> tuple[float, float]:

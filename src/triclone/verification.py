@@ -24,19 +24,22 @@ from .cloners import (
     nonlocal_channel,
 )
 from .entanglement import correlations, input_state, measure_stack, measures
-from .iteration import clone_mixed_nonlocal, iterate
+from .iteration import clone_mixed_stack, iterate
 from .linalg import DensityMatrix, check_density_matrices, eig_hermitian, kron_all
 from .reference import (
     closed_form_input_measures,
     closed_form_local_measures,
-    closed_form_local_output,
+    closed_form_local_outputs,
     closed_form_nonlocal_measures,
-    closed_form_nonlocal_output,
+    closed_form_nonlocal_outputs,
     fidelity_local,
     fidelity_nonlocal,
 )
 
 GRID_POINTS = 201
+# States per spectral-route block: 16 full-rank states give 128 projectors
+# per channel map, the size of a sweep block.
+ROUTE_BLOCK = 16
 
 # Reference decay table for the balanced (GHZ) input, four printed decimals.
 TABLE_E3 = (1.0000, 0.3086, 0.0953, 0.0294, 0.0091, 0.0028)
@@ -84,7 +87,7 @@ def check_input_closed_forms(grid: GridData) -> CheckResult:
 
 def check_local_oracle(grid: GridData) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
-    refs = np.array([closed_form_local_output(a).matrix for a in grid.alphas])
+    refs = closed_form_local_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.local_out - refs)))
     rep = measures(apply_local_cloning(input_state(math.pi / 4.0).density_matrix()))
     m_err = max(
@@ -102,7 +105,7 @@ def check_local_oracle(grid: GridData) -> CheckResult:
 
 def check_nonlocal_oracle(grid: GridData) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
-    refs = np.array([closed_form_nonlocal_output(a).matrix for a in grid.alphas])
+    refs = closed_form_nonlocal_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.nonlocal_out - refs)))
     out = apply_nonlocal_cloning(input_state(math.pi / 4.0).density_matrix())
     rep = measures(out)
@@ -198,13 +201,27 @@ def check_iteration_decay() -> CheckResult:
     )
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random three-qubit density matrix from a complex Gaussian square."""
+def _random_state_matrix(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     m = g @ g.conj().T
     m = m / np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix((2, 2, 2), m)
+    return 0.5 * (m + m.conj().T)
+
+
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+    """Full-rank random three-qubit density matrix from a complex Gaussian square."""
+    return DensityMatrix((2, 2, 2), _random_state_matrix(rng))
+
+
+def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` successive ``random_density_matrix`` draws as one stack (n, 8, 8).
+
+    Each member equals the draw made alone from the same generator state;
+    the stack is validated once.
+    """
+    stack = np.array([_random_state_matrix(rng) for _ in range(n)])
+    check_density_matrices(stack)
+    return stack
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -215,22 +232,32 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_product_state(rng: np.random.Generator) -> DensityMatrix:
-    """Random product density matrix of three independent qubits."""
+def _product_state_matrix(rng: np.random.Generator) -> np.ndarray:
     parts = []
     for _ in range(3):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = g @ g.conj().T
         m = m / np.trace(m).real
         parts.append(0.5 * (m + m.conj().T))
-    return DensityMatrix((2, 2, 2), kron_all(parts))
+    return kron_all(parts)
+
+
+def random_product_state(rng: np.random.Generator) -> DensityMatrix:
+    """Random product density matrix of three independent qubits."""
+    return DensityMatrix((2, 2, 2), _product_state_matrix(rng))
+
+
+def random_product_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` successive ``random_product_state`` draws as one stack (n, 8, 8)."""
+    stack = np.array([_product_state_matrix(rng) for _ in range(n)])
+    check_density_matrices(stack)
+    return stack
 
 
 def check_channel_properties(seed: int) -> CheckResult:
     """Both channels are trace-preserving, Hermitian, PSD and linear."""
     rng = np.random.default_rng(seed)
-    states = [random_density_matrix(rng) for _ in range(100)]
-    stack = np.array([rho.matrix for rho in states])
+    stack = random_density_matrices(rng, 100)
     p = np.array([rng.uniform(0.1, 0.9) for _ in range(50)])[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
@@ -247,11 +274,13 @@ def check_channel_properties(seed: int) -> CheckResult:
         eig_floor = min(eig_floor, float(np.min(np.linalg.eigvalsh(out)[:, 0])))
         combined = p * out[0::2] + (1 - p) * out[1::2]
         lin_err = max(lin_err, float(np.max(np.abs(direct - combined))))
+    # The last pass left the validated non-local outputs in ``out``.
     route_err = 0.0
-    for rho in states:
-        mixed_route = clone_mixed_nonlocal(rho).matrix
-        direct = apply_nonlocal_cloning(rho).matrix
-        route_err = max(route_err, float(np.max(np.abs(mixed_route - direct))))
+    for start in range(0, len(stack), ROUTE_BLOCK):
+        block = slice(start, start + ROUTE_BLOCK)
+        mixed_route = clone_mixed_stack(stack[block])
+        check_density_matrices(mixed_route)
+        route_err = max(route_err, float(np.max(np.abs(mixed_route - out[block]))))
     passed = (
         trace_err <= 1e-12
         and herm_err <= 1e-12
@@ -287,13 +316,9 @@ def check_measure_properties(seed: int) -> CheckResult:
     invariance_err = float(
         max(np.max(np.abs(e3[:, 0] - e3[:, 1])), np.max(np.abs(e2[:, 0] - e2[:, 1])))
     )
-    e3, e2, *_ = measure_stack(
-        np.array([random_product_state(rng).matrix for _ in range(25)])
-    )
+    e3, e2, *_ = measure_stack(random_product_states(rng, 25))
     product_err = float(max(0.0, np.max(e3), np.max(e2)))
-    e3, e2, *_ = measure_stack(
-        np.array([random_density_matrix(rng).matrix for _ in range(200)])
-    )
+    e3, e2, *_ = measure_stack(random_density_matrices(rng, 200))
     top = float(max(0.0, np.max(e3), np.max(e2)))
     bottom = float(min(0.0, np.min(e3), np.min(e2)))
     passed = (

@@ -26,6 +26,17 @@ SWEEP_SHA256 = {
     1000: "758f5650f06d4ce784c1518ecb41c7d519cd6cebb6f2bad67645d0733d5855e7",
 }
 
+# SHA-256 of ``verify --seed <seed>`` stdout (exit code 1: criterion 06
+# fails by design) and of the ``iterate --alpha 0.7 --steps 12`` CSV, pinned
+# with numpy 2.4.6.
+VERIFY_STDOUT_SHA256 = {
+    12345: "33ab7765facc811f39cf40670ffa79591c72908a2bdb5c91cbbd6740a3afb143",
+    301: "96ab08c05f08c4f4cccc7419a16b22b3ffa35b013be365418991b06f82cc748e",
+}
+ITERATE_07_CSV_SHA256 = (
+    "86d0da2116b5d25f7f7e832e491f3b7ba7e34f9cc33da548dab00cca1a8f918a"
+)
+
 # Corners, the balanced state, cos(alpha) = 0.5, and generic angles whose
 # outputs have dense spectra.
 ALPHAS = (0.0, 0.3, math.acos(0.5), math.pi / 4, 0.7, 1.2, math.pi / 2)
@@ -192,6 +203,13 @@ class TestIterate:
             assert main(["iterate", "--steps", steps]) == 2
             assert "error" in capsys.readouterr().err
 
+    def test_csv_digest(self, tmp_path, capsys):
+        out = tmp_path / "decay.csv"
+        argv = ["iterate", "--alpha", "0.7", "--steps", "12", "--output", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_07_CSV_SHA256
+
     def test_format_iteration_csv_round_trip(self):
         from triclone.iteration import iterate
 
@@ -211,6 +229,14 @@ class TestVerify:
         assert code == (0 if not failures else 1)
         assert sum(1 for l in lines if l.startswith("info:")) == 2
         assert lines[-1].endswith("checks passed")
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, seed):
+        assert main(["verify", "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert digest == VERIFY_STDOUT_SHA256[seed]
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:

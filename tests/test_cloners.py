@@ -30,8 +30,10 @@ from triclone.linalg import (
 from triclone.reference import (
     closed_form_local_measures,
     closed_form_local_output,
+    closed_form_local_outputs,
     closed_form_nonlocal_measures,
     closed_form_nonlocal_output,
+    closed_form_nonlocal_outputs,
     fidelity_local,
     fidelity_nonlocal,
     partial_trace_matrix,
@@ -292,6 +294,16 @@ class TestCompiledChannels:
 
 
 class TestClosedFormOutputs:
+    def test_stacks_equal_per_alpha_builds(self, grid):
+        for stack_of, build in (
+            (closed_form_local_outputs, closed_form_local_output),
+            (closed_form_nonlocal_outputs, closed_form_nonlocal_output),
+        ):
+            stack = stack_of(grid.alphas)
+            assert stack.shape == (len(grid.alphas), 8, 8)
+            for alpha, member in zip(grid.alphas, stack):
+                assert np.array_equal(member, build(alpha).matrix)
+
     def test_unit_trace_for_all_alpha(self):
         for alpha in GRID:
             for build in (closed_form_local_output, closed_form_nonlocal_output):

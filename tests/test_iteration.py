@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from triclone.cloners import apply_nonlocal_cloning
+from triclone.cloners import apply_nonlocal_cloning, nonlocal_channel
 from triclone.entanglement import input_state
-from triclone.iteration import clone_mixed_nonlocal, iterate
-from triclone.linalg import eig_hermitian
+from triclone.iteration import (
+    EIGENVALUE_CUTOFF,
+    clone_mixed_nonlocal,
+    clone_mixed_stack,
+    iterate,
+)
+from triclone.linalg import DensityMatrix, eig_hermitian
 from triclone.reference import closed_form_input_measures
-from triclone.verification import random_density_matrix
+from triclone.verification import random_density_matrices, random_density_matrix
 
 GEOMETRIC_RATIO = 25.0 / 81.0
 
@@ -44,6 +49,62 @@ class TestCloneMixed:
         assert rho2[0, 7].real == pytest.approx(25.0 / 162.0, abs=1e-12)
         for k in range(1, 7):
             assert rho2[k, k].real == pytest.approx(7.0 / 81.0, abs=1e-12)
+
+
+def _per_state_route(rho):
+    """The spectral route one state at a time, as a reference for the kernel."""
+    values, vectors = np.linalg.eigh(rho)
+    weights, vectors = values[::-1], vectors[:, ::-1]
+    kept = weights > EIGENVALUE_CUTOFF
+    columns = vectors[:, kept].T
+    outputs = nonlocal_channel().map(columns[:, :, None] * columns[:, None, :].conj())
+    mixed = np.zeros_like(rho)
+    for weight, output in zip(weights[kept], outputs):
+        mixed = mixed + weight * output
+    return mixed
+
+
+def _mixed_rank_stack(rng):
+    """16 states of rank 8, 1 and 2, so rows keep different eigenvector counts."""
+    full = random_density_matrices(rng, 6)
+    pure = [input_state(a).density_matrix().matrix for a in (0.0, 0.3, 0.7, 1.2)]
+    rank_two = []
+    for _ in range(4):
+        a = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        p = rng.uniform(0.2, 0.8)
+        rank_two.append(
+            p * np.outer(a[0], a[0].conj()) + (1 - p) * np.outer(a[1], a[1].conj())
+        )
+    ghz_out = apply_nonlocal_cloning(_ghz_rho()).matrix
+    return np.stack([*full[:3], *pure, *rank_two, ghz_out, *full[3:], pure[2]])
+
+
+class TestCloneMixedStack:
+    def test_equals_per_state_route_bit_for_bit(self, rng):
+        stack = _mixed_rank_stack(rng)
+        kept = np.sum(np.linalg.eigvalsh(stack) > EIGENVALUE_CUTOFF, axis=-1)
+        assert set(kept.tolist()) == {1, 2, 8}
+        mixed = clone_mixed_stack(stack)
+        for k, rho in enumerate(stack):
+            assert np.array_equal(mixed[k], _per_state_route(rho))
+            assert np.array_equal(
+                mixed[k], clone_mixed_nonlocal(DensityMatrix((2, 2, 2), rho)).matrix
+            )
+
+    def test_pure_stack_keeps_one_eigenvector(self):
+        stack = np.stack(
+            [input_state(a).density_matrix().matrix for a in (0.1, 0.5, 0.9)]
+        )
+        mixed = clone_mixed_stack(stack)
+        for k, rho in enumerate(stack):
+            assert np.array_equal(mixed[k], _per_state_route(rho))
+
+    def test_random_full_rank_stack(self, rng):
+        stack = random_density_matrices(rng, 16)
+        mixed = clone_mixed_stack(stack)
+        for k, rho in enumerate(stack):
+            assert np.array_equal(mixed[k], _per_state_route(rho))
 
 
 class TestIterate:

@@ -16,6 +16,7 @@ from triclone.linalg import (
     fidelity_pure,
     kron_all,
 )
+from triclone.entanglement import input_state
 from triclone.reference import partial_trace_matrix
 
 
@@ -135,6 +136,79 @@ class TestCheckDensityMatrices:
         with pytest.raises(ValueError, match=message):
             DensityMatrix((2, 2, 2), outside[2])
 
+    def test_empty_stack_passes(self):
+        check_density_matrices(np.zeros((0, 8, 8), dtype=complex))
+
+
+def _eigvalsh_verdict(matrices):
+    """Positivity verdict of the eigenvalue test alone: None or the message."""
+    smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
+    if smallest < EIGENVALUE_FLOOR:
+        return f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+    return None
+
+
+def _verdict(matrices):
+    try:
+        check_density_matrices(matrices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with_min_eigenvalue(rng, smallest, rotate):
+    """Unit-trace Hermitian 8 x 8 matrix whose lowest eigenvalue is ``smallest``."""
+    rest = rng.uniform(0.1, 1.0, 7)
+    values = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
+    if not rotate:
+        return np.diag(values).astype(complex)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    m = (q * values) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+class TestPsdCertificate:
+    """The Cholesky certificate decides exactly as the eigenvalue test."""
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6])
+    def test_edge_of_the_floor(self, rng, factor, rotate):
+        verdicts = set()
+        for _ in range(20):
+            stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(4)])
+            stack[1] = _with_min_eigenvalue(rng, factor * EIGENVALUE_FLOOR, rotate)
+            expected = _eigvalsh_verdict(stack)
+            assert _verdict(stack) == expected
+            assert _verdict(stack[1]) == _eigvalsh_verdict(stack[1])
+            verdicts.add(expected is None)
+        if abs(factor - 1.0) > 1e-4:
+            # 1e-13 from the floor is far above rounding: the verdict is the
+            # side the spectrum was put on.
+            assert verdicts == {factor < 1.0}
+
+    def test_grid_stacks(self, grid):
+        rho_in = np.stack(
+            [input_state(a).density_matrix().matrix for a in grid.alphas]
+        )
+        for stack in (rho_in, grid.local_out, grid.nonlocal_out):
+            assert _eigvalsh_verdict(stack) is None
+            assert _verdict(stack) is None
+
+    def test_rank_one_projectors(self, rng):
+        columns = np.stack([_random_amplitudes(rng) for _ in range(128)])
+        stack = columns[:, :, None] * columns[:, None, :].conj()
+        assert _eigvalsh_verdict(stack) is None
+        assert _verdict(stack) is None
+
+    def test_accept_path_runs_no_eigenvalue_solver(self, rng, monkeypatch):
+        stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(16)])
+
+        def forbidden(_):
+            raise AssertionError("eigvalsh called on a certified stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        check_density_matrices(stack)
+
 
 def _random_amplitudes(rng):
     a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -142,6 +216,9 @@ def _random_amplitudes(rng):
 
 
 class TestCheckPureStates:
+    def test_empty_stack_passes(self):
+        check_pure_states(np.zeros((0, 8), dtype=complex))
+
     @pytest.mark.parametrize("size", [0.5, 2.0])
     def test_one_off_norm_member_at_the_single_state_tolerance(self, rng, size):
         stack = np.stack([_random_amplitudes(rng) for _ in range(4)])
@@ -229,6 +306,26 @@ class TestEigHermitian:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(g)
+
+    def test_stack_equals_per_matrix_calls(self, rng):
+        stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(32)])
+        values, vectors = eig_hermitian(stack)
+        assert values.shape == (32, 8) and vectors.shape == (32, 8, 8)
+        for k, h in enumerate(stack):
+            one_values, one_vectors = eig_hermitian(h)
+            assert np.array_equal(values[k], one_values)
+            assert np.array_equal(vectors[k], one_vectors)
+        assert np.all(np.diff(values, axis=-1) <= 0.0)
+
+    def test_empty_stack(self):
+        values, vectors = eig_hermitian(np.zeros((0, 8, 8), dtype=complex))
+        assert values.shape == (0, 8) and vectors.shape == (0, 8, 8)
+
+    def test_stack_rejects_one_non_hermitian_member(self, rng):
+        stack = np.stack([_random_hermitian(rng, 4) for _ in range(3)])
+        stack[1, 0, 1] += 2.0 * HERMITIAN_ATOL
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(stack)
 
 
 class TestFidelityPure:
