@@ -11,7 +11,6 @@ from .cloners import (
     apply_local_cloning,
     apply_nonlocal_cloning,
     find_e2_crossings,
-    local_isometry,
     nonlocal_isometry,
 )
 from .entanglement import EntanglementReport, correlations, input_state, measures
@@ -41,7 +40,6 @@ __all__ = [
     "find_e2_crossings",
     "input_state",
     "iterate",
-    "local_isometry",
     "measures",
     "nonlocal_isometry",
 ]

@@ -174,36 +174,17 @@ def nonlocal_isometry(n: int) -> CloningIsometry:
 
 
 @lru_cache(maxsize=1)
-def local_isometry() -> CloningIsometry:
-    """Single-qubit symmetric cloner, 2 -> (2, 2, 2).
-
-    |0> maps to sqrt(2/3)|00,up> + sqrt(1/6)(|10> + |01>)|down>, and |1>
-    to sqrt(2/3)|11,down> + sqrt(1/6)(|10> + |01>)|up>, with the machine
-    kets up/down stored as indices 0/1.
-    """
-    s23 = math.sqrt(2.0 / 3.0)
-    s16 = math.sqrt(1.0 / 6.0)
-    v = np.zeros((8, 2), dtype=complex)
-    # (orig, copy, machine) multi-indices, big-endian.
-    v[0b000, 0] = s23
-    v[0b101, 0] = s16
-    v[0b011, 0] = s16
-    v[0b111, 1] = s23
-    v[0b100, 1] = s16
-    v[0b010, 1] = s16
-    return CloningIsometry(in_dim=2, out_dims=(2, 2, 2), matrix=v)
-
-
-@lru_cache(maxsize=1)
 def local_channel() -> CompiledChannel:
     """The local scheme compiled from the 8 -> 512 register isometry.
 
-    The register isometry applies the qubit cloner to each qubit.  Its
-    nine output qubits are permuted from (orig1, copy1, mach1, ..., mach3)
-    into (orig1, orig2, orig3, copy1, ..., mach3) so that the tensor reads
-    [orig, copy, machine, in] with eight-dimensional sides.
+    The register isometry applies the qubit cloner ``nonlocal_isometry(2)``,
+    the n = 2 member of the family the non-local scheme uses at n = 8, to
+    each qubit.  Its nine output qubits are permuted from (orig1, copy1,
+    mach1, ..., mach3) into (orig1, orig2, orig3, copy1, ..., mach3) so
+    that the tensor reads [orig, copy, machine, in] with eight-dimensional
+    sides.
     """
-    v = local_isometry().matrix
+    v = nonlocal_isometry(2).matrix
     register = kron_all([v, v, v]).reshape((2,) * 9 + (8,))
     tensor = register.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8, 9).reshape(8, 8, 8, 8)
     return compile_channel(tensor)

@@ -54,10 +54,10 @@ class IterationTrace:
 def clone_mixed_stack(rhos: np.ndarray) -> np.ndarray:
     """Spectral-route non-local clones of a stack of states (n, 8, 8).
 
-    Eigenvectors with weight below 1e-12 are skipped; the cutoff is
-    immaterial because each result is checked against the direct channel
-    application to 1e-12.  The projectors and their clones are validated;
-    the returned mixtures are not, so callers validate them.
+    Eigenvectors with weight not above ``EIGENVALUE_CUTOFF`` are skipped;
+    the cutoff is immaterial because each result is checked against the
+    direct channel application to 1e-12.  The projectors and their clones
+    are validated; the returned mixtures are not, so callers validate them.
     """
     channel = nonlocal_channel()
     weights, vectors = eig_hermitian(rhos)
@@ -73,11 +73,11 @@ def clone_mixed_stack(rhos: np.ndarray) -> np.ndarray:
     # Skipped terms carry weight 0 and add +-0.0, which leaves ``mixed`` as
     # it is: it starts at +0.0 and a sum of non-zero terms never rounds to
     # -0.0.
-    terms = np.where(kept, weights[:, :width], 0.0)[:, :, None, None] * outputs
+    w = np.where(kept, weights[:, :width], 0.0)
     mixed = np.zeros_like(rhos)
     # Sequential remix: a tensordot over the weights sums in another order.
     for k in range(width):
-        mixed = mixed + terms[:, k]
+        mixed = mixed + w[:, k, None, None] * outputs[:, k]
     direct = channel.map(rhos)
     check_density_matrices(direct)
     residual = float(np.max(np.abs(mixed - direct)))

@@ -1,11 +1,13 @@
 """References the simulation is checked against.
 
 The closed-form oracles for the two-corner family cos(alpha)|000> +
-sin(alpha)|111>, and ``partial_trace_matrix``, the joint-state partial
-trace with which the tests reduce V rho V+ to check the compiled
-channels.  Only the verification suite and the tests use them; no module
-that ``sweep`` or ``iterate`` loads imports this one, so the
-implementation never consults them.
+sin(alpha)|111>, whose output states come as stacks over many alphas
+(``closed_form_local_outputs``, ``closed_form_nonlocal_outputs``), and
+``partial_trace_matrix``, the joint-state partial trace with which the
+tests reduce V rho V+ to check the compiled channels.  Only the
+verification suite and the tests use them; no module that ``sweep`` or
+``iterate`` loads imports this one, so the implementation never consults
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, check_density_matrices
+from .linalg import check_density_matrices
 
 
 def closed_form_input_measures(alpha: float) -> tuple[float, float]:
@@ -61,30 +63,17 @@ def _validated_stack(matrices: Iterable[np.ndarray]) -> np.ndarray:
     return stack
 
 
-def closed_form_local_output(alpha: float) -> DensityMatrix:
-    """Analytic local-cloning output for the two-corner input family.
-
-    Diagonal coefficients sum to 216/216 for every alpha.
-    """
-    return DensityMatrix((2, 2, 2), _local_output_matrix(alpha))
-
-
 def closed_form_local_outputs(alphas: Iterable[float]) -> np.ndarray:
-    """``closed_form_local_output`` at each alpha as one stack (n, 8, 8).
+    """Analytic local-cloning outputs at each alpha as one stack (n, 8, 8).
 
-    Each member is built as the single-alpha oracle builds it; the stack
-    is validated once.
+    Diagonal coefficients sum to 216/216 for every alpha; the stack is
+    validated once.
     """
     return _validated_stack(_local_output_matrix(a) for a in alphas)
 
 
-def closed_form_nonlocal_output(alpha: float) -> DensityMatrix:
-    """Analytic non-local-cloning output for the two-corner input family."""
-    return DensityMatrix((2, 2, 2), _nonlocal_output_matrix(alpha))
-
-
 def closed_form_nonlocal_outputs(alphas: Iterable[float]) -> np.ndarray:
-    """``closed_form_nonlocal_output`` at each alpha as one stack (n, 8, 8)."""
+    """Analytic non-local-cloning outputs at each alpha as one stack (n, 8, 8)."""
     return _validated_stack(_nonlocal_output_matrix(a) for a in alphas)
 
 

@@ -25,7 +25,7 @@ from .cloners import (
 )
 from .entanglement import correlations, input_state, measure_stack, measures
 from .iteration import clone_mixed_stack, iterate
-from .linalg import DensityMatrix, check_density_matrices, eig_hermitian, kron_all
+from .linalg import check_density_matrices, eig_hermitian, kron_all
 from .reference import (
     closed_form_input_measures,
     closed_form_local_measures,
@@ -201,25 +201,20 @@ def check_iteration_decay() -> CheckResult:
     )
 
 
-def _random_state_matrix(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+def _random_state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m = m / np.trace(m).real
     return 0.5 * (m + m.conj().T)
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random three-qubit density matrix from a complex Gaussian square."""
-    return DensityMatrix((2, 2, 2), _random_state_matrix(rng))
-
-
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` successive ``random_density_matrix`` draws as one stack (n, 8, 8).
+    """``n`` full-rank random three-qubit states as one stack (n, 8, 8).
 
-    Each member equals the draw made alone from the same generator state;
+    Each member is a complex Gaussian square drawn in turn from ``rng``;
     the stack is validated once.
     """
-    stack = np.array([_random_state_matrix(rng) for _ in range(n)])
+    stack = np.array([_random_state_matrix(rng, 8) for _ in range(n)])
     check_density_matrices(stack)
     return stack
 
@@ -232,24 +227,11 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def _product_state_matrix(rng: np.random.Generator) -> np.ndarray:
-    parts = []
-    for _ in range(3):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = g @ g.conj().T
-        m = m / np.trace(m).real
-        parts.append(0.5 * (m + m.conj().T))
-    return kron_all(parts)
-
-
-def random_product_state(rng: np.random.Generator) -> DensityMatrix:
-    """Random product density matrix of three independent qubits."""
-    return DensityMatrix((2, 2, 2), _product_state_matrix(rng))
-
-
 def random_product_states(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` successive ``random_product_state`` draws as one stack (n, 8, 8)."""
-    stack = np.array([_product_state_matrix(rng) for _ in range(n)])
+    """``n`` random products of three independent qubits as one stack (n, 8, 8)."""
+    stack = np.array(
+        [kron_all([_random_state_matrix(rng, 2) for _ in range(3)]) for _ in range(n)]
+    )
     check_density_matrices(stack)
     return stack
 
@@ -301,13 +283,13 @@ def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
     base_states = [
-        input_state(math.pi / 4.0).density_matrix(),
-        input_state(math.pi / 8.0).density_matrix(),
-        random_density_matrix(rng),
+        input_state(math.pi / 4.0).density_matrix().matrix,
+        input_state(math.pi / 8.0).density_matrix().matrix,
+        random_density_matrices(rng, 1)[0],
     ]
     rotations = []
     for trial in range(50):
-        rho = base_states[trial % len(base_states)].matrix
+        rho = base_states[trial % len(base_states)]
         u = kron_all([random_unitary(rng) for _ in range(3)])
         rotations.append((rho, u @ rho @ u.conj().T))
     rotated = np.array(rotations)
@@ -379,20 +361,6 @@ def informational_notes() -> list[str]:
         f"forced by unit trace alongside six single-excitation entries of 7/81"
     )
     return [note1, note2]
-
-
-CHECKS = (
-    check_input_closed_forms,
-    check_local_oracle,
-    check_nonlocal_oracle,
-    check_measure_curves,
-    check_fidelities,
-    check_amplification_window,
-    check_iteration_decay,
-    check_channel_properties,
-    check_measure_properties,
-    check_sweep_determinism,
-)
 
 
 def run_all(seed: int) -> list[CheckResult]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from triclone.cloners import (
     evaluate,
     find_e2_crossings,
     local_channel,
-    local_isometry,
     nonlocal_channel,
     nonlocal_isometry,
 )
@@ -29,16 +29,14 @@ from triclone.linalg import (
 )
 from triclone.reference import (
     closed_form_local_measures,
-    closed_form_local_output,
     closed_form_local_outputs,
     closed_form_nonlocal_measures,
-    closed_form_nonlocal_output,
     closed_form_nonlocal_outputs,
     fidelity_local,
     fidelity_nonlocal,
     partial_trace_matrix,
 )
-from triclone.verification import random_density_matrix
+from triclone.verification import random_density_matrices
 
 GRID = np.linspace(0.0, math.pi / 2, 41)
 
@@ -73,7 +71,7 @@ def _test_states(rng):
 REFERENCE_PATHS = {
     "local": (
         apply_local_cloning,
-        lambda: kron_all([local_isometry().matrix] * 3),
+        lambda: kron_all([nonlocal_isometry(2).matrix] * 3),
         (2,) * 9,
         (0, 3, 6),
         (1, 4, 7),
@@ -108,15 +106,19 @@ def _depolarize_each_qubit(matrix, shrink):
 
 
 class TestLocalIsometry:
+    # The local scheme's qubit cloner is the n = 2 universal cloner.
     def test_is_isometry(self):
-        v = local_isometry().matrix
+        v = nonlocal_isometry(2).matrix
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
 
     def test_machine_is_a_qubit(self):
-        assert local_isometry().out_dims == (2, 2, 2)
+        assert nonlocal_isometry(2).out_dims == (2, 2, 2)
 
     def test_column_amplitudes(self):
-        v = local_isometry().matrix
+        # |0> -> sqrt(2/3)|00,up> + sqrt(1/6)(|10> + |01>)|down> and |1> ->
+        # sqrt(2/3)|11,down> + sqrt(1/6)(|10> + |01>)|up>, the machine kets
+        # up/down stored as indices 0/1 of (orig, copy, machine).
+        v = nonlocal_isometry(2).matrix
         s23, s16 = math.sqrt(2 / 3), math.sqrt(1 / 6)
         expected = np.zeros((8, 2))
         expected[0b000, 0] = s23
@@ -126,14 +128,12 @@ class TestLocalIsometry:
         assert np.max(np.abs(v - expected)) <= 1e-14
 
     def test_copy_fidelity_five_sixths(self):
-        v = local_isometry().matrix
-        out = v @ np.array([1.0, 0.0], dtype=complex)
-        joint = np.outer(out, out.conj())
-        copy = partial_trace_matrix(joint, (2, 2, 2), (1,))
-        assert copy[0, 0].real == pytest.approx(5.0 / 6.0, abs=1e-12)
-
-    def test_matches_dimension_two_general_cloner(self):
-        assert np.max(np.abs(local_isometry().matrix - nonlocal_isometry(2).matrix)) == 0.0
+        v = nonlocal_isometry(2).matrix
+        for ket in (0, 1):
+            out = v[:, ket]
+            joint = np.outer(out, out.conj())
+            copy = partial_trace_matrix(joint, (2, 2, 2), (1,))
+            assert copy[ket, ket].real == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
 class TestNonlocalIsometry:
@@ -184,9 +184,8 @@ class TestLocalChannel:
 
     def test_matches_closed_form_on_grid(self):
         worst = 0.0
-        for alpha in GRID:
+        for alpha, ref in zip(GRID, closed_form_local_outputs(GRID)):
             sim = apply_local_cloning(_rho(alpha)).matrix
-            ref = closed_form_local_output(alpha).matrix
             worst = max(worst, float(np.max(np.abs(sim - ref))))
         assert worst <= 1e-12
 
@@ -207,17 +206,16 @@ class TestNonlocalChannel:
 
     def test_matches_closed_form_on_grid(self):
         worst = 0.0
-        for alpha in GRID:
+        for alpha, ref in zip(GRID, closed_form_nonlocal_outputs(GRID)):
             sim = apply_nonlocal_cloning(_rho(alpha)).matrix
-            ref = closed_form_nonlocal_output(alpha).matrix
             worst = max(worst, float(np.max(np.abs(sim - ref))))
         assert worst <= 1e-12
 
 
 class TestChannelProperties:
     def test_outputs_are_valid_density_matrices(self, rng):
-        for _ in range(10):
-            rho = random_density_matrix(rng)
+        for matrix in random_density_matrices(rng, 10):
+            rho = DensityMatrix((2, 2, 2), matrix)
             for channel in (apply_local_cloning, apply_nonlocal_cloning):
                 out = channel(rho).matrix
                 assert abs(np.trace(out).real - 1.0) <= 1e-12
@@ -226,8 +224,9 @@ class TestChannelProperties:
 
     def test_linearity(self, rng):
         for _ in range(5):
-            rho1 = random_density_matrix(rng)
-            rho2 = random_density_matrix(rng)
+            rho1, rho2 = (
+                DensityMatrix((2, 2, 2), m) for m in random_density_matrices(rng, 2)
+            )
             p = float(rng.uniform(0.1, 0.9))
             mixed = DensityMatrix(
                 (2, 2, 2), p * rho1.matrix + (1 - p) * rho2.matrix
@@ -287,44 +286,59 @@ class TestCompiledChannels:
         with pytest.raises(RuntimeError, match="differ"):
             compile_channel(tensor)
 
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                local_channel,
+                "3e5f78d12be03f14345150a4762059b90965e38f16e6402c814524786fe6d64b",
+            ),
+            (
+                nonlocal_channel,
+                "252c18da46f529a749ecad5334ec93de9ffbd3d263198b94fee2c231791cdb5a",
+            ),
+        ],
+        ids=["local", "nonlocal"],
+    )
+    def test_superoperator_bits_are_pinned(self, build, digest):
+        # SHA-256 of the compiled superoperator's bytes, numpy 2.4.6.
+        data = build().superoperator.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_rejects_non_trace_preserving_tensor(self):
         tensor = 1.1 * nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8)
         with pytest.raises(RuntimeError, match="trace"):
             compile_channel(tensor)
 
 
-class TestClosedFormOutputs:
-    def test_stacks_equal_per_alpha_builds(self, grid):
-        for stack_of, build in (
-            (closed_form_local_outputs, closed_form_local_output),
-            (closed_form_nonlocal_outputs, closed_form_nonlocal_output),
-        ):
-            stack = stack_of(grid.alphas)
-            assert stack.shape == (len(grid.alphas), 8, 8)
-            for alpha, member in zip(grid.alphas, stack):
-                assert np.array_equal(member, build(alpha).matrix)
+def _oracle(stack_of, alpha):
+    return DensityMatrix((2, 2, 2), stack_of([alpha])[0])
 
+
+class TestClosedFormOutputs:
     def test_unit_trace_for_all_alpha(self):
-        for alpha in GRID:
-            for build in (closed_form_local_output, closed_form_nonlocal_output):
-                assert abs(np.trace(build(alpha).matrix) - 1.0) <= 1e-14
+        for stack_of in (closed_form_local_outputs, closed_form_nonlocal_outputs):
+            stack = stack_of(GRID)
+            assert stack.shape == (len(GRID), 8, 8)
+            for member in stack:
+                assert abs(np.trace(member) - 1.0) <= 1e-14
 
     def test_local_balanced_state_measures(self):
-        report = measures(closed_form_local_output(math.pi / 4))
+        report = measures(_oracle(closed_form_local_outputs, math.pi / 4))
         assert report.e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
 
     def test_local_corner_input_is_unentangled(self):
-        report = measures(closed_form_local_output(0.0))
+        report = measures(_oracle(closed_form_local_outputs, 0.0))
         assert report.e3 <= 1e-12
         assert max(report.e2.values()) <= 1e-12
 
     def test_nonlocal_balanced_state_spectrum(self):
-        values, _ = eig_hermitian(closed_form_nonlocal_output(math.pi / 4).matrix)
+        values, _ = eig_hermitian(closed_form_nonlocal_outputs([math.pi / 4])[0])
         expected = np.array([11.0 / 18.0] + [1.0 / 18.0] * 7)
         assert np.max(np.abs(values - expected)) <= 1e-12
 
     def test_nonlocal_balanced_state_measures(self):
-        report = measures(closed_form_nonlocal_output(math.pi / 4))
+        report = measures(_oracle(closed_form_nonlocal_outputs, math.pi / 4))
         assert report.e3 == pytest.approx(25.0 / 81.0, abs=1e-12)
         for value in report.e2.values():
             assert value == pytest.approx(25.0 / 243.0, abs=1e-12)

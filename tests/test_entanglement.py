@@ -20,8 +20,8 @@ from triclone.entanglement import (
 from triclone.linalg import DensityMatrix, kron_all
 from triclone.reference import closed_form_input_measures
 from triclone.verification import (
-    random_density_matrix,
-    random_product_state,
+    random_density_matrices,
+    random_product_states,
     random_unitary,
 )
 
@@ -30,6 +30,10 @@ ALPHAS = (0.0, 0.3, math.pi / 8, math.pi / 4, 1.1, math.pi / 2)
 
 def _rho(alpha):
     return input_state(alpha).density_matrix()
+
+
+def _state(matrix):
+    return DensityMatrix((2, 2, 2), matrix)
 
 
 def _diagonal_state(weights):
@@ -75,7 +79,7 @@ class TestExpectationKernel:
     # order; these tests are what holds it to the einsum's bits.
     def test_equals_the_einsum_on_random_states(self):
         rng = np.random.default_rng(2024)
-        rhos = np.stack([random_density_matrix(rng).matrix for _ in range(500)])
+        rhos = random_density_matrices(rng, 500)
         assert (_flat_correlation_stack(rhos) == _einsum_expectations(rhos)).all()
 
     def test_equals_the_einsum_on_both_channel_outputs(self, grid):
@@ -86,7 +90,7 @@ class TestExpectationKernel:
 
     def test_rows_of_a_stack_equal_a_stack_of_one(self):
         rng = np.random.default_rng(2025)
-        rhos = np.stack([random_density_matrix(rng).matrix for _ in range(128)])
+        rhos = random_density_matrices(rng, 128)
         values = _flat_correlation_stack(rhos)
         for i in range(len(rhos)):
             assert (values[i] == _flat_correlation_stack(rhos[i : i + 1])[0]).all()
@@ -158,7 +162,7 @@ class TestPairCorrelation:
     def test_product_state_factorizes(self, rng):
         # Distinct coherence vectors per qubit, so this also pins the
         # QUBITS row order and the PAIRS slab order.
-        lam, k2, _ = correlations(random_product_state(rng))
+        lam, k2, _ = correlations(_state(random_product_states(rng, 1)[0]))
         for i, (m, n) in enumerate(PAIRS):
             outer = np.outer(lam[m - 1], lam[n - 1])
             assert np.max(np.abs(k2[i] - outer)) <= 1e-12
@@ -227,8 +231,8 @@ class TestEntanglementTensors:
             assert m333 == pytest.approx(expected, abs=1e-12)
 
     def test_product_states_vanish(self, rng):
-        for _ in range(5):
-            tensors = measures(random_product_state(rng))
+        for matrix in random_product_states(rng, 5):
+            tensors = measures(_state(matrix))
             assert np.max(np.abs(tensors.m3)) <= 1e-12
             for pair in PAIRS:
                 assert np.max(np.abs(tensors.m2[pair])) <= 1e-12
@@ -236,7 +240,7 @@ class TestEntanglementTensors:
     def test_recomputation_from_correlations(self, rng):
         # The stored tensors are exactly the correlation/coherence
         # combination, for an arbitrary mixed state.
-        rho = random_density_matrix(rng)
+        rho = _state(random_density_matrices(rng, 1)[0])
         rows, slabs, k3 = correlations(rho)
         lam = {m: rows[m - 1] for m in (1, 2, 3)}
         k2 = dict(zip(PAIRS, slabs))
@@ -287,7 +291,8 @@ class TestMeasures:
         assert e2 == pytest.approx(1.0 / 12.0, abs=1e-14)
 
     def test_local_unitary_invariance(self, rng):
-        states = [_rho(math.pi / 4), _rho(0.5), random_density_matrix(rng)]
+        random_state = _state(random_density_matrices(rng, 1)[0])
+        states = [_rho(math.pi / 4), _rho(0.5), random_state]
         for trial in range(10):
             rho = states[trial % len(states)]
             u = kron_all([random_unitary(rng) for _ in range(3)])
@@ -309,22 +314,22 @@ class TestMeasures:
                 assert max(values) - min(values) <= 1e-12
 
     def test_range_on_random_states(self, rng):
-        for _ in range(1000):
-            report = measures(random_density_matrix(rng))
+        for matrix in random_density_matrices(rng, 1000):
+            report = measures(_state(matrix))
             assert 0.0 <= report.e3 <= 1.0 + 1e-10
             for pair in PAIRS:
                 assert 0.0 <= report.e2[pair] <= 1.0 + 1e-10
 
     def test_product_states_have_zero_measures(self, rng):
-        for _ in range(20):
-            report = measures(random_product_state(rng))
+        for matrix in random_product_states(rng, 20):
+            report = measures(_state(matrix))
             assert report.e3 <= 1e-12
             assert max(report.e2.values()) <= 1e-12
 
 
 class TestMeasureStack:
     def test_rows_equal_single_state_measures(self, rng):
-        states = [random_density_matrix(rng) for _ in range(6)] + [_rho(0.7)]
+        states = [_state(m) for m in random_density_matrices(rng, 6)] + [_rho(0.7)]
         e3, e2, *_ = measure_stack(np.stack([rho.matrix for rho in states]))
         for i, rho in enumerate(states):
             report = measures(rho)

@@ -13,7 +13,7 @@ from triclone.iteration import (
 )
 from triclone.linalg import DensityMatrix, eig_hermitian
 from triclone.reference import closed_form_input_measures
-from triclone.verification import random_density_matrices, random_density_matrix
+from triclone.verification import random_density_matrices
 
 GEOMETRIC_RATIO = 25.0 / 81.0
 
@@ -27,8 +27,8 @@ def _ghz_rho():
 
 class TestCloneMixed:
     def test_equals_direct_channel_on_random_states(self, rng):
-        for _ in range(5):
-            rho = random_density_matrix(rng)
+        for matrix in random_density_matrices(rng, 5):
+            rho = DensityMatrix((2, 2, 2), matrix)
             mixed_route = clone_mixed_nonlocal(rho).matrix
             direct = apply_nonlocal_cloning(rho).matrix
             assert np.max(np.abs(mixed_route - direct)) <= 1e-12

@@ -23,7 +23,6 @@ PUBLIC_NAMES = (
     "find_e2_crossings",
     "input_state",
     "iterate",
-    "local_isometry",
     "measures",
     "nonlocal_isometry",
 )
