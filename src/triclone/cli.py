@@ -9,6 +9,7 @@ numbers, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -135,7 +136,9 @@ def run_verify(seed: int) -> int:
     return 0 if n_passed == total else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="triclone",
         description=(

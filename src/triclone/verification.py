@@ -354,7 +354,7 @@ def informational_notes() -> list[str]:
         f"the coherence vector and the M333 tensor component"
     )
     trace = iterate(math.pi / 4.0, 2)
-    corner = trace.steps[2].rho.matrix[0, 0].real
+    corner = trace.states[2, 0, 0].real
     note2 = (
         f"info: after two non-local cloning steps of the balanced state, the "
         f"corner diagonal entry computes to {corner:.9f} = 13/54, the value "

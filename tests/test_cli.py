@@ -36,6 +36,24 @@ VERIFY_STDOUT_SHA256 = {
 ITERATE_07_CSV_SHA256 = (
     "86d0da2116b5d25f7f7e832e491f3b7ba7e34f9cc33da548dab00cca1a8f918a"
 )
+# SHA-256 of the ``iterate`` stdout table and CSV, keyed by the extra argv:
+# the default (alpha pi/4, 6 steps), a generic angle, and the near-product
+# corner where most eigenvectors fall under ``EIGENVALUE_CUTOFF``.  Pinned
+# with numpy 2.4.6.
+ITERATE_SHA256 = {
+    (): (
+        "bccdf272662889efbbf35de786597d0cdad870d45d2855c870497c7785664f7c",
+        "c07b914ef173aaeb3a8ae1c9b8bacf6c93cf5745458e20c1ec2cf1a22f709f87",
+    ),
+    ("--alpha", "0.7", "--steps", "12"): (
+        "3b9b9fd7cdb3766ad0a9b8226b715987a7bb46811b81976f98bbafc5ad47abb4",
+        ITERATE_07_CSV_SHA256,
+    ),
+    ("--alpha", "1e-9", "--steps", "12"): (
+        "e1199fc0ee51852688afcce73e422c268bc3f6e7bff620912e8f2296772b8881",
+        "e6cf77545aa73b6ea6866cb7a80d8c5c6206a7f1f7f7ef220e0e6b873d5f8eed",
+    ),
+}
 
 # Corners, the balanced state, cos(alpha) = 0.5, and generic angles whose
 # outputs have dense spectra.
@@ -210,12 +228,44 @@ class TestIterate:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_07_CSV_SHA256
 
+    @pytest.mark.parametrize(
+        "extra", sorted(ITERATE_SHA256), ids=lambda extra: " ".join(extra) or "default"
+    )
+    def test_table_and_csv_digests(self, tmp_path, capsys, extra):
+        out = tmp_path / "decay.csv"
+        assert main(["iterate", *extra, "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        table_sha, csv_sha = ITERATE_SHA256[extra]
+        assert hashlib.sha256(stdout).hexdigest() == table_sha
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+
     def test_format_iteration_csv_round_trip(self):
         from triclone.iteration import iterate
 
         trace = iterate(0.4, 1)
         header, rows = _parse_csv(format_iteration_csv(trace))
         assert rows[0][1] == trace.steps[0].e3
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        assert main(["sweep", "--points", "3"]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert out[0] == ",".join(SWEEP_COLUMNS) and len(out) == 4
+        assert main(["iterate", "--steps", "13"]) == 2
+        assert "n_steps must be between 1 and 12, got 13" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--points", "three"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["iterate", "--alpha", "0.3", "--steps", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split() == ["step", "0", "1", "2"]
+        assert main(["iterate"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split() == ["step", "0", "1", "2", "3", "4", "5", "6"]
+        assert lines[1].split()[1] == "1.0000"
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestVerify:

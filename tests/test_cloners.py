@@ -155,13 +155,6 @@ class TestNonlocalIsometry:
             d2 = 1.0 / (2.0 * (n + 1))
             assert c2 + 2 * (n - 1) * d2 == pytest.approx(1.0, abs=1e-15)
 
-    def test_dimension_two_copy_fidelity(self):
-        v = nonlocal_isometry(2).matrix
-        out = v @ np.array([1.0, 0.0], dtype=complex)
-        joint = np.outer(out, out.conj())
-        copy = partial_trace_matrix(joint, (2, 2, 2), (1,))
-        assert copy[0, 0].real == pytest.approx(5.0 / 6.0, abs=1e-12)
-
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
             nonlocal_isometry(1)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from triclone import iteration
+from triclone.cli import main
 from triclone.cloners import apply_nonlocal_cloning, nonlocal_channel
-from triclone.entanglement import input_state
+from triclone.entanglement import input_state, measures
 from triclone.iteration import (
     EIGENVALUE_CUTOFF,
     clone_mixed_nonlocal,
@@ -141,8 +143,7 @@ class TestIterate:
         # nothing else appears.
         trace = iterate(math.pi / 4, 4)
         corner_pairs = {(0, 7), (7, 0)}
-        for step in trace.steps:
-            m = step.rho.matrix
+        for m in trace.states:
             for i in range(8):
                 for j in range(8):
                     if i != j and (i, j) not in corner_pairs:
@@ -150,8 +151,7 @@ class TestIterate:
 
     def test_states_stay_valid(self):
         trace = iterate(math.pi / 4, 6)
-        for step in trace.steps:
-            m = step.rho.matrix
+        for m in trace.states:
             assert abs(np.trace(m).real - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
@@ -168,3 +168,59 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(math.pi / 4, 13)
 
+    def test_states_are_the_read_only_chain_of_single_clones(self):
+        trace = iterate(0.7, 12)
+        assert trace.states.shape == (13, 8, 8)
+        assert not trace.states.flags.writeable
+        with pytest.raises(ValueError):
+            trace.states[1, 0, 0] = 0.0
+        rho = input_state(0.7).density_matrix()
+        assert np.array_equal(trace.states[0], rho.matrix)
+        for k in range(1, 13):
+            rho = clone_mixed_nonlocal(rho)
+            assert np.array_equal(trace.states[k], rho.matrix)
+
+    def test_measures_come_from_the_states(self):
+        trace = iterate(0.7, 12)
+        assert [s.step for s in trace.steps] == list(range(13))
+        for step, m in zip(trace.steps, trace.states):
+            report = measures(DensityMatrix((2, 2, 2), m))
+            assert step.e3 == report.e3
+            assert step.e2 == report.e2[(1, 2)]
+
+
+class TestTrajectoryCertificate:
+    """``iterate`` certifies the whole trajectory once, after the last step."""
+
+    def test_checks_run_per_trace_not_per_step(self, monkeypatch):
+        seen = []
+        check = iteration.check_density_matrices
+
+        def recording(matrices):
+            seen.append(np.array(matrices))
+            check(matrices)
+
+        monkeypatch.setattr(iteration, "check_density_matrices", recording)
+        iterate(0.7, 1)
+        one_step = len(seen)
+        seen.clear()
+        trace = iterate(0.7, 12)
+        assert len(seen) == one_step
+        # The last two checks are the direct outputs and the cloned states.
+        direct, cloned = seen[-2:]
+        assert np.array_equal(direct, nonlocal_channel().map(trace.states[:-1]))
+        assert np.array_equal(cloned, trace.states[1:])
+        assert len(direct) == len(cloned) == 12
+
+    def test_dropped_eigenvectors_fail_the_route_check(self, monkeypatch, capsys):
+        # Step 1 clones a pure state; step 2 would drop the 1/18 eigenvectors
+        # of its output, so its mixture misses 7/18 of the trace.
+        monkeypatch.setattr(iteration, "EIGENVALUE_CUTOFF", 0.5)
+        with pytest.raises(RuntimeError, match="spectral-mixture route"):
+            iterate(math.pi / 4, 2)
+        with pytest.raises(RuntimeError, match="spectral-mixture route"):
+            iterate(math.pi / 4, 6)
+        assert main(["iterate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed:")
+        assert "spectral-mixture route" in err

@@ -1,6 +1,7 @@
 """The public names of the package and the boundary around its oracles."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,13 @@ PUBLIC_NAMES = (
 )
 
 
+# Dataclass fields of the public iteration trace.
+TRACE_FIELDS = {
+    "IterationStep": ("step", "e3", "e2"),
+    "IterationTrace": ("alpha", "steps", "states"),
+}
+
+
 def _imported_modules(module):
     """Every module an import statement anywhere in ``triclone.<module>`` names."""
     path = Path(triclone.__file__).parent / f"{module}.py"
@@ -46,6 +54,12 @@ def _imported_modules(module):
 def test_public_names_are_pinned():
     assert tuple(triclone.__all__) == PUBLIC_NAMES
     assert all(hasattr(triclone, name) for name in PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FIELDS))
+def test_trace_fields_are_pinned(name):
+    fields = dataclasses.fields(getattr(triclone, name))
+    assert tuple(f.name for f in fields) == TRACE_FIELDS[name]
 
 
 @pytest.mark.parametrize(
