@@ -3,6 +3,10 @@
 Each check pins one acceptance criterion with its tolerance and reports
 the measured residual.  The same checks back tests/test_acceptance.py, so
 the CLI and the test suite cannot drift apart.
+
+Each random stack is one generator call laid out (n, 2, d, d), real then
+imaginary part per member, so it reads the stream in the order of a
+draw-by-draw loop and gives the same members bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .cloners import (
 )
 from .entanglement import correlations, input_state, measure_stack, measures
 from .iteration import clone_mixed_stack, iterate
-from .linalg import check_density_matrices, eig_hermitian, kron_all
+from .linalg import check_density_matrices, eig_hermitian
 from .reference import (
     closed_form_input_measures,
     closed_form_local_measures,
@@ -201,37 +205,39 @@ def check_iteration_decay() -> CheckResult:
     )
 
 
-def _random_state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    m = m / np.trace(m).real
-    return 0.5 * (m + m.conj().T)
+def _gaussian_states(g: np.ndarray) -> np.ndarray:
+    """Unit-trace states (n, d, d) from Gaussians laid out (n, 2, d, d)."""
+    z = g[:, 0] + 1j * g[:, 1]
+    m = z @ z.conj().swapaxes(1, 2)
+    m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return 0.5 * (m + m.conj().swapaxes(1, 2))
+
+
+def _kron_qubits(q: np.ndarray) -> np.ndarray:
+    """``kron_all`` of each member's three qubit factors (n, 3, 2, 2): (n, 8, 8)."""
+    pair = (q[:, 0, :, None, :, None] * q[:, 1, None, :, None, :]).reshape(-1, 4, 4)
+    return (pair[:, :, None, :, None] * q[:, 2, None, :, None, :]).reshape(-1, 8, 8)
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` full-rank random three-qubit states as one stack (n, 8, 8).
-
-    Each member is a complex Gaussian square drawn in turn from ``rng``;
-    the stack is validated once.
-    """
-    stack = np.array([_random_state_matrix(rng, 8) for _ in range(n)])
+    """``n`` full-rank random three-qubit states as one stack (n, 8, 8)."""
+    stack = _gaussian_states(rng.standard_normal((n, 2, 8, 8)))
     check_density_matrices(stack)
     return stack
 
 
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed single-qubit unitary via QR with phase fixing."""
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+def random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-distributed single-qubit unitaries (n, 2, 2), QR with phase fixing."""
+    g = rng.standard_normal((n, 2, 2, 2))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
 def random_product_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` random products of three independent qubits as one stack (n, 8, 8)."""
-    stack = np.array(
-        [kron_all([_random_state_matrix(rng, 2) for _ in range(3)]) for _ in range(n)]
-    )
+    qubits = _gaussian_states(rng.standard_normal((3 * n, 2, 2, 2)))
+    stack = _kron_qubits(qubits.reshape(n, 3, 2, 2))
     check_density_matrices(stack)
     return stack
 
@@ -240,7 +246,7 @@ def check_channel_properties(seed: int) -> CheckResult:
     """Both channels are trace-preserving, Hermitian, PSD and linear."""
     rng = np.random.default_rng(seed)
     stack = random_density_matrices(rng, 100)
-    p = np.array([rng.uniform(0.1, 0.9) for _ in range(50)])[:, None, None]
+    p = rng.uniform(0.1, 0.9, 50)[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
     trace_err = herm_err = eig_floor = lin_err = 0.0
@@ -282,17 +288,10 @@ def check_channel_properties(seed: int) -> CheckResult:
 def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
-    base_states = [
-        input_state(math.pi / 4.0).density_matrix().matrix,
-        input_state(math.pi / 8.0).density_matrix().matrix,
-        random_density_matrices(rng, 1)[0],
-    ]
-    rotations = []
-    for trial in range(50):
-        rho = base_states[trial % len(base_states)]
-        u = kron_all([random_unitary(rng) for _ in range(3)])
-        rotations.append((rho, u @ rho @ u.conj().T))
-    rotated = np.array(rotations)
+    base = [input_state(a).density_matrix().matrix for a in (math.pi / 4, math.pi / 8)]
+    rhos = np.array(base + [random_density_matrices(rng, 1)[0]])[np.arange(50) % 3]
+    u = _kron_qubits(random_unitaries(rng, 150).reshape(50, 3, 2, 2))
+    rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
     e3, e2, *_ = measure_stack(rotated)
     invariance_err = float(

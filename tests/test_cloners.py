@@ -17,7 +17,12 @@ from triclone.cloners import (
     nonlocal_channel,
     nonlocal_isometry,
 )
-from triclone.entanglement import input_state, measures
+from triclone.entanglement import (
+    _two_corner_amplitudes,
+    input_state,
+    measure_stack,
+    measures,
+)
 from triclone.linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
@@ -417,6 +422,21 @@ class TestEvaluate:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 evaluate([0.1, bad])
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 201])
+    def test_one_measure_stack_equals_one_per_state_stack(self, n):
+        # Row counts on both sides of 128, a common BLAS block edge.
+        grid = evaluate(np.linspace(0.0, math.pi / 2, n))
+        psis = _two_corner_amplitudes(grid.alphas.tolist())
+        rho_in = psis[:, :, None] * psis[:, None, :].conj()
+        for rhos, e3, e2 in (
+            (rho_in, grid.e3_in, grid.e2_in),
+            (grid.local_out, grid.e3_local, grid.e2_local),
+            (grid.nonlocal_out, grid.e3_nonlocal, grid.e2_nonlocal),
+        ):
+            ref_e3, ref_e2, *_ = measure_stack(np.array(rhos))
+            assert (e3 == ref_e3).all()
+            assert (e2 == ref_e2).all()
 
 
 class TestE2Crossings:

@@ -22,7 +22,7 @@ from triclone.reference import closed_form_input_measures
 from triclone.verification import (
     random_density_matrices,
     random_product_states,
-    random_unitary,
+    random_unitaries,
 )
 
 ALPHAS = (0.0, 0.3, math.pi / 8, math.pi / 4, 1.1, math.pi / 2)
@@ -295,7 +295,7 @@ class TestMeasures:
         states = [_rho(math.pi / 4), _rho(0.5), random_state]
         for trial in range(10):
             rho = states[trial % len(states)]
-            u = kron_all([random_unitary(rng) for _ in range(3)])
+            u = kron_all(random_unitaries(rng, 3))
             rotated = DensityMatrix((2, 2, 2), u @ rho.matrix @ u.conj().T)
             before, after = measures(rho), measures(rotated)
             assert abs(before.e3 - after.e3) <= 1e-10
