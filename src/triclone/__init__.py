@@ -7,39 +7,30 @@ whole register, including repeated cloning of the mixed outputs.
 """
 
 from .cloners import (
-    CloningIsometry,
-    apply_local_cloning,
-    apply_nonlocal_cloning,
+    evaluate,
     find_e2_crossings,
+    local_channel,
+    nonlocal_channel,
     nonlocal_isometry,
 )
-from .entanglement import EntanglementReport, correlations, input_state, measures
-from .iteration import (
-    IterationStep,
-    IterationTrace,
-    clone_mixed_nonlocal,
-    iterate,
-)
-from .linalg import DensityMatrix, PureState, eig_hermitian, fidelity_pure
+from .entanglement import correlations, input_states, measure_stack
+from .iteration import IterationStep, IterationTrace, iterate
+from .linalg import check_density_matrices, fidelities
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CloningIsometry",
-    "DensityMatrix",
-    "EntanglementReport",
     "IterationStep",
     "IterationTrace",
-    "PureState",
-    "apply_local_cloning",
-    "apply_nonlocal_cloning",
-    "clone_mixed_nonlocal",
+    "check_density_matrices",
     "correlations",
-    "eig_hermitian",
-    "fidelity_pure",
+    "evaluate",
+    "fidelities",
     "find_e2_crossings",
-    "input_state",
+    "input_states",
     "iterate",
-    "measures",
+    "local_channel",
+    "measure_stack",
+    "nonlocal_channel",
     "nonlocal_isometry",
 ]

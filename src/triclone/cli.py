@@ -122,6 +122,8 @@ def run_iterate(alpha: float, steps: int, output_path: str | None) -> int:
 
 
 def run_verify(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     from .verification import informational_notes, run_all
 
     results = run_all(seed=seed)

@@ -13,8 +13,8 @@ call is then one matrix-vector product and never forms the 512 x 512
 joint state.  Compilation checks that the originals-side and copies-side
 maps coincide, that the map preserves trace and that its Choi matrix is
 positive, and keeps the residuals.  Because the two sides are proven
-equal there, ``apply_*`` return one validated state: the reduced state
-of the copies, which is also that of the originals.
+equal there, ``CompiledChannel.map`` gives one state per input: the
+reduced state of the copies, which is also that of the originals.
 
 ``evaluate`` runs both channels, the measures and the fidelities over a
 stack of two-corner inputs at once; ``find_e2_crossings`` bisects on it.
@@ -28,18 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entanglement import (
-    _require_three_qubits,
-    _two_corner_amplitudes,
-    measure_stack,
-)
+from .entanglement import _check_stack_shape, input_states, measure_stack
 from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
-    DensityMatrix,
     check_density_matrices,
-    check_pure_states,
     fidelities,
     kron_all,
 )
@@ -90,17 +84,16 @@ class CompiledChannel:
     choi_min_eigenvalue: float
 
     def map(self, rhos: np.ndarray) -> np.ndarray:
-        """Unvalidated outputs for a stack of input matrices (..., 8, 8)."""
+        """Unvalidated outputs for a stack of input matrices (..., 8, 8).
+
+        Only the shape is checked; callers validate the states.
+        """
+        _check_stack_shape(rhos)
         # matmul against (..., 64, 1) columns rounds each member the same way
         # whatever the stack size, so a stack of one equals a stack of many bit
         # for bit; vecs @ S.T does not.
         vecs = rhos.reshape(rhos.shape[:-2] + (64, 1))
         return np.matmul(self.superoperator, vecs).reshape(rhos.shape)
-
-    def apply(self, rho_in: DensityMatrix) -> DensityMatrix:
-        """The validated output of one three-qubit state."""
-        _require_three_qubits(rho_in)
-        return DensityMatrix((2, 2, 2), self.map(rho_in.matrix[None])[0])
 
 
 def compile_channel(tensor: np.ndarray) -> CompiledChannel:
@@ -196,21 +189,6 @@ def nonlocal_channel() -> CompiledChannel:
     return compile_channel(nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8))
 
 
-def apply_local_cloning(rho_in: DensityMatrix) -> DensityMatrix:
-    """Clone each qubit of the register with its own distant cloner.
-
-    The joint output lives on nine qubits (three original/copy/machine
-    triples); the compiled map traces out the three machine qubits and
-    the complementary output side.
-    """
-    return local_channel().apply(rho_in)
-
-
-def apply_nonlocal_cloning(rho_in: DensityMatrix) -> DensityMatrix:
-    """Clone the register as a single eight-dimensional system."""
-    return nonlocal_channel().apply(rho_in)
-
-
 @dataclass
 class GridData:
     """Channel outputs, measures and fidelities over a grid of alphas.
@@ -236,14 +214,14 @@ def evaluate(alphas) -> GridData:
     """Both channels, the measures and the fidelities at each input angle.
 
     One batched pass over the two-corner inputs at ``alphas``; every input,
-    output and measure is validated as in the single-state API and equals
-    it bit for bit.  Raises ValueError if ``alphas`` is empty.
+    output and measure is validated, and each point comes out bit for bit
+    as it would in a call on that point alone.  Raises ValueError if
+    ``alphas`` is empty.
     """
     alphas = np.array(alphas, dtype=float).reshape(-1)
     if alphas.size == 0:
         raise ValueError("evaluate needs at least one alpha")
-    psis = _two_corner_amplitudes(alphas.tolist())
-    check_pure_states(psis)
+    psis = input_states(alphas.tolist())
     # One buffer, one measure_stack call: its matmul runs per member of the
     # leading axis, so the measures equal three separate calls bit for bit.
     states = np.empty((3, alphas.size, 8, 8), dtype=complex)

@@ -10,11 +10,10 @@ forms they are checked against live in ``triclone.reference``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, kron_all
+from .linalg import check_pure_states, kron_all
 
 QUBITS = (1, 2, 3)
 PAIRS = ((1, 2), (2, 3), (1, 3))
@@ -58,13 +57,23 @@ _EXPECTATION_MATRIX = _ALL_OPS.transpose(2, 1, 0).reshape(64, 63)
 _EXPECTATION_MATRIX.setflags(write=False)
 
 
+def _check_stack_shape(rhos: np.ndarray) -> None:
+    if rhos.shape[-2:] != (8, 8):
+        raise ValueError(f"expected three-qubit matrices (..., 8, 8), got {rhos.shape}")
+
+
 def _correlation_stack(rhos: np.ndarray):
     """Coherence vectors (..., 3, 3) and pair and triple tensors (..., 3, 3, 3).
 
     One matrix product gives Tr(rho O) of matrices (..., 8, 8) for every
     operator O in ``_ALL_OPS``; the only place that knows its 9/27/27 layout.
     """
-    values = (rhos.reshape(rhos.shape[:-2] + (64,)) @ _EXPECTATION_MATRIX).real
+    _check_stack_shape(rhos)
+    # A contiguous copy of the real part, so the complex product, twice its
+    # size, is freed here rather than held by views through the caller.
+    values = np.ascontiguousarray(
+        (rhos.reshape(rhos.shape[:-2] + (64,)) @ _EXPECTATION_MATRIX).real
+    )
     shape = values.shape[:-1]
     lam = values[..., :9].reshape(shape + (3, 3))
     k2 = values[..., 9:36].reshape(shape + (3, 3, 3))
@@ -80,7 +89,7 @@ def _check_norms(lams: np.ndarray) -> None:
 
 
 def _check_measures(e3, e2: dict) -> None:
-    """Range check of E3 and of each pair's E2, as floats or arrays."""
+    """Range check of the E3 array and of each pair's E2 array."""
     values = np.array([e3, *e2.values()])
     ok = (0.0 <= values) & (values <= MEASURE_CEILING)
     if not ok.all():
@@ -89,34 +98,16 @@ def _check_measures(e3, e2: dict) -> None:
         raise ValueError(f"{name} value {values[first]} outside [0, 1]")
 
 
-def _require_three_qubits(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2, 2):
-        raise ValueError(f"expected a three-qubit density matrix, got dims {rho.dims}")
+def correlations(rhos: np.ndarray):
+    """Coherence vectors and correlation tensors of three-qubit states (..., 8, 8).
 
-
-@dataclass
-class EntanglementReport:
-    """E3, pairwise E2, and the tensors M2 (by pair) and M3 they come from."""
-
-    e3: float
-    e2: dict[tuple[int, int], float]
-    m2: dict[tuple[int, int], np.ndarray]
-    m3: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_measures(self.e3, self.e2)
-
-
-def correlations(rho: DensityMatrix):
-    """Coherence vectors and correlation tensors of a three-qubit state.
-
-    Returns ``lam`` (3, 3) with rows in ``QUBITS`` order, the pair tensors
-    K_ij(m, n) as ``k2`` (3, 3, 3) with slabs in ``PAIRS`` order, and the
-    triple tensor K_ijk as ``k3`` (3, 3, 3).  Raises ValueError if a
-    coherence vector is longer than 1 or a correlation entry exceeds 1.
+    Returns ``lam`` (..., 3, 3) with rows in ``QUBITS`` order, the pair
+    tensors K_ij(m, n) as ``k2`` (..., 3, 3, 3) with slabs in ``PAIRS``
+    order, and the triple tensor K_ijk as ``k3`` (..., 3, 3, 3).  Raises
+    ValueError if a coherence vector is longer than 1 or a correlation
+    entry exceeds 1.
     """
-    _require_three_qubits(rho)
-    lam, k2, k3 = _correlation_stack(rho.matrix)
+    lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
     top = float(max(np.max(np.abs(k2)), np.max(np.abs(k3))))
     if top > COMPONENT_CEILING:
@@ -153,38 +144,17 @@ def measure_stack(rhos: np.ndarray):
     return e3, np.stack([e2[p] for p in PAIRS], -1), m2, m3
 
 
-def measures(rho: DensityMatrix) -> EntanglementReport:
-    """E3 and pairwise E2 of a three-qubit density matrix.
+def input_states(alphas) -> np.ndarray:
+    """Two-corner states cos(alpha)|000> + sin(alpha)|111> as amplitudes (n, 8).
 
-    E3 is one quarter of the squared Frobenius norm of the triple tensor
-    M3; each E2 is one third of the squared norm of the matching pairwise
-    tensor M2.
-    """
-    _require_three_qubits(rho)
-    e3, e2, m2, m3 = measure_stack(rho.matrix[None])
-    return EntanglementReport(
-        e3=float(e3[0]),
-        e2={pair: float(e2[0, i]) for i, pair in enumerate(PAIRS)},
-        m2={pair: t[0] for pair, t in m2.items()},
-        m3=m3[0],
-    )
-
-
-def _two_corner_amplitudes(alphas: list[float]) -> np.ndarray:
-    """(n, 8) amplitudes of cos(alpha)|000> + sin(alpha)|111>, one row per alpha.
-
-    Uses ``math.cos``/``math.sin``, not their numpy forms, which may differ
-    in the last bit.  Rejects a non-finite alpha; the norm is left to the
-    caller's ``check_pure_states``.
+    One row per alpha, validated by ``check_pure_states``.  Uses
+    ``math.cos``/``math.sin``, not their numpy forms, which may differ in
+    the last bit.  Raises ValueError if an alpha is not finite.
     """
     if not all(math.isfinite(a) for a in alphas):
         raise ValueError("alpha must be finite")
     amplitudes = np.zeros((len(alphas), 8), dtype=complex)
     amplitudes[:, 0] = [math.cos(a) for a in alphas]
     amplitudes[:, 7] = [math.sin(a) for a in alphas]
+    check_pure_states(amplitudes)
     return amplitudes
-
-
-def input_state(alpha: float) -> PureState:
-    """Two-corner three-qubit state cos(alpha)|000> + sin(alpha)|111>."""
-    return PureState((2, 2, 2), _two_corner_amplitudes([float(alpha)])[0])

@@ -13,11 +13,11 @@ projectors in one channel ``map`` and remixes each state sequentially in
 descending-weight order.  ``_certify`` validates the projectors and their
 clones, maps the inputs directly, checks the residual between the two
 routes and validates the direct outputs.  ``clone_mixed_stack`` runs one
-half after the other; ``clone_mixed_nonlocal`` calls it with a stack of
-one, and the verification suite with blocks of states.  ``iterate`` runs
-one ``_spectral_mix`` per step, since each step clones the previous
-spectral output, then one ``_certify`` and one ``measure_stack`` over the
-whole trajectory.  Each state comes out bit for bit as it would alone.
+half after the other; the verification suite calls it with blocks of
+states.  ``iterate`` runs one ``_spectral_mix`` per step, since each step
+clones the previous spectral output, then one ``_certify``, one
+validation and one ``measure_stack`` over the whole trajectory.  Each
+state comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import nonlocal_channel
-from .entanglement import _require_three_qubits, input_state, measure_stack
-from .linalg import DensityMatrix, check_density_matrices, eig_hermitian
+from .entanglement import input_states, measure_stack
+from .linalg import check_density_matrices, eig_hermitian
 
 EIGENVALUE_CUTOFF = 1e-12
 ROUTE_AGREEMENT_ATOL = 1e-12
@@ -118,12 +118,6 @@ def _certify(
     check_density_matrices(direct)
 
 
-def clone_mixed_nonlocal(rho: DensityMatrix) -> DensityMatrix:
-    """Non-local cloning of a mixed state through its eigenvectors."""
-    _require_three_qubits(rho)
-    return DensityMatrix(rho.dims, clone_mixed_stack(rho.matrix[None])[0])
-
-
 def iterate(alpha: float, n_steps: int) -> IterationTrace:
     """Trace of measures over ``n_steps`` repeated non-local cloning steps.
 
@@ -137,7 +131,8 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     alpha = float(alpha)
     states = np.empty((n_steps + 1, 8, 8), dtype=complex)
-    states[0] = input_state(alpha).density_matrix().matrix
+    psi = input_states([alpha])
+    np.multiply(psi[:, :, None], psi[:, None, :].conj(), out=states[:1])
     projectors, clones = [], []
     for k in range(n_steps):
         mixed, kept, cloned = _spectral_mix(states[k : k + 1])
@@ -146,7 +141,7 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
         clones.append(cloned)
     projectors, clones = np.concatenate(projectors), np.concatenate(clones)
     _certify(states[:-1], states[1:], projectors, clones)
-    check_density_matrices(states[1:])
+    check_density_matrices(states)
     e3, e2, _, _ = measure_stack(states)
     states.flags.writeable = False
     steps = [

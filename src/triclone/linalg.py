@@ -1,16 +1,15 @@
 """Dense complex linear algebra over small tensor-product spaces.
 
-States and operators are plain numpy arrays tagged with a tuple of
-subsystem dimensions.  Subsystem 0 is the most significant factor of the
-flattened index (big-endian), so for three qubits the ket |011> sits at
-index 3.  Nothing in this module knows anything about physics beyond the
-density-matrix axioms it validates.
+States are plain numpy arrays, stacked along leading axes: amplitudes
+(..., d) and density matrices (..., d, d).  Subsystem 0 is the most
+significant factor of the flattened index (big-endian), so for three
+qubits the ket |011> sits at index 3.  Nothing in this module knows
+anything about physics beyond the density-matrix axioms it validates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -56,36 +55,6 @@ def check_pure_states(amplitudes: np.ndarray) -> None:
         )
 
 
-@dataclass
-class PureState:
-    """Normalized complex amplitude vector over a tensor-product space."""
-
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if any(d < 1 for d in self.dims):
-            raise ValueError("subsystem dimensions must be positive")
-        if self.amplitudes.size != int(np.prod(self.dims)):
-            raise ValueError(
-                f"amplitude vector of length {self.amplitudes.size} does not "
-                f"match dims {self.dims}"
-            )
-        check_pure_states(self.amplitudes[None])
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density_matrix(self) -> "DensityMatrix":
-        """Rank-one projector |psi><psi| as a validated density matrix."""
-        return DensityMatrix(
-            self.dims, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
-
-
 def check_density_matrices(matrices: np.ndarray) -> None:
     """Validate a stack of square matrices (..., d, d) as density matrices.
 
@@ -124,28 +93,6 @@ def check_density_matrices(matrices: np.ndarray) -> None:
             ) from None
 
 
-@dataclass
-class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace operator."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = int(np.prod(self.dims))
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match dims {self.dims}"
-            )
-        check_density_matrices(self.matrix[None])
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or a stack (..., d, d) of them.
 
@@ -164,22 +111,18 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[..., ::-1], vectors[..., ::-1]
 
 
-def fidelity_pure(psi: PureState, rho: DensityMatrix) -> float:
-    """Overlap <psi|rho|psi> of a density matrix with a pure reference state.
-
-    The result is clamped onto [0, 1] only when it lies within 1e-12 of a
-    boundary; anything further out signals invalid input and is returned
-    as computed.
-    """
-    if psi.dim != rho.dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {psi.dim}, matrix dim {rho.dim}"
-        )
-    return float(fidelities(psi.amplitudes[None], rho.matrix[None])[0])
-
-
 def fidelities(psis: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """``fidelity_pure`` over stacks of amplitudes (n, d) and matrices (n, d, d)."""
+    """Overlaps <psi|rho|psi> of amplitudes (n, d) with matrices (n, d, d), pairwise.
+
+    Raises ValueError if the shapes do not pair up or an overlap has an
+    imaginary part above 1e-12.  A value is clamped onto [0, 1] only when it
+    lies within 1e-12 of a boundary; anything further out signals invalid
+    input and is returned as computed.
+    """
+    if rhos.shape != psis.shape + psis.shape[-1:]:
+        raise ValueError(
+            f"dimension mismatch: amplitudes {psis.shape}, matrices {rhos.shape}"
+        )
     # Two einsums, not one: the three-operand form sums in another order.
     values = np.einsum("ni,ni->n", psis.conj(), np.einsum("nij,nj->ni", rhos, psis))
     bad = np.abs(values.imag) > 1e-12

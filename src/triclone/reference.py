@@ -23,8 +23,9 @@ from .linalg import check_density_matrices
 def closed_form_input_measures(alpha: float) -> tuple[float, float]:
     """Analytic (E3, E2) of the two-corner input state.
 
-    Must agree with ``measures(input_state(alpha).density_matrix())`` to
-    1e-12; the trace pipeline stays the source of truth.
+    Must agree with ``measure_stack`` of the projector of
+    ``input_states([alpha])`` to 1e-12; the trace pipeline stays the source
+    of truth.
     """
     s2 = math.sin(2.0 * alpha) ** 2
     c2 = math.cos(2.0 * alpha) ** 2

@@ -20,14 +20,12 @@ import numpy as np
 
 from .cloners import (
     GridData,
-    apply_local_cloning,
-    apply_nonlocal_cloning,
     evaluate,
     find_e2_crossings,
     local_channel,
     nonlocal_channel,
 )
-from .entanglement import correlations, input_state, measure_stack, measures
+from .entanglement import correlations, input_states, measure_stack
 from .iteration import clone_mixed_stack, iterate
 from .linalg import check_density_matrices, eig_hermitian
 from .reference import (
@@ -71,15 +69,33 @@ def compute_grid() -> GridData:
     return evaluate(np.linspace(0.0, math.pi / 2.0, GRID_POINTS))
 
 
+def _input_projectors(alphas) -> np.ndarray:
+    """Validated projectors (n, 8, 8) of the two-corner inputs at ``alphas``."""
+    psis = input_states(alphas)
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    check_density_matrices(rhos)
+    return rhos
+
+
+def _cloned(channel, alpha: float) -> np.ndarray:
+    """Validated output (1, 8, 8) of ``channel`` for the input at ``alpha``."""
+    out = channel.map(_input_projectors([alpha]))
+    check_density_matrices(out)
+    return out
+
+
+def _measure_error(rhos: np.ndarray, e3: float, e2: float) -> float:
+    """Largest deviation of the E3 and every E2 of one state (1, 8, 8)."""
+    got_e3, got_e2, *_ = measure_stack(rhos)
+    return max(abs(got_e3[0] - e3), max(abs(v - e2) for v in got_e2[0]))
+
+
 def check_input_closed_forms(grid: GridData) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
     cf = np.array([closed_form_input_measures(a) for a in grid.alphas])
     err3 = float(np.max(np.abs(grid.e3_in - cf[:, 0])))
     err2 = float(np.max(np.abs(grid.e2_in - cf[:, 1:2])))
-    ghz = measures(input_state(math.pi / 4.0).density_matrix())
-    ghz_err = max(
-        abs(ghz.e3 - 1.0), max(abs(v - 1.0 / 3.0) for v in ghz.e2.values())
-    )
+    ghz_err = _measure_error(_input_projectors([math.pi / 4.0]), 1.0, 1.0 / 3.0)
     passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
     return CheckResult(
         "input-state-closed-forms",
@@ -93,11 +109,8 @@ def check_local_oracle(grid: GridData) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
     refs = closed_form_local_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.local_out - refs)))
-    rep = measures(apply_local_cloning(input_state(math.pi / 4.0).density_matrix()))
-    m_err = max(
-        abs(rep.e3 - 64.0 / 729.0),
-        max(abs(v - 16.0 / 243.0) for v in rep.e2.values()),
-    )
+    out = _cloned(local_channel(), math.pi / 4.0)
+    m_err = _measure_error(out, 64.0 / 729.0, 16.0 / 243.0)
     passed = err <= 1e-12 and m_err <= 1e-12
     return CheckResult(
         "local-cloning-oracle",
@@ -111,13 +124,9 @@ def check_nonlocal_oracle(grid: GridData) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
     refs = closed_form_nonlocal_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.nonlocal_out - refs)))
-    out = apply_nonlocal_cloning(input_state(math.pi / 4.0).density_matrix())
-    rep = measures(out)
-    m_err = max(
-        abs(rep.e3 - 25.0 / 81.0),
-        max(abs(v - 25.0 / 243.0) for v in rep.e2.values()),
-    )
-    values, _ = eig_hermitian(out.matrix)
+    out = _cloned(nonlocal_channel(), math.pi / 4.0)
+    m_err = _measure_error(out, 25.0 / 81.0, 25.0 / 243.0)
+    values, _ = eig_hermitian(out[0])
     eig_err = float(np.max(np.abs(np.sort(values) - np.array(GHZ_EIGENVALUES))))
     passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
     return CheckResult(
@@ -288,8 +297,8 @@ def check_channel_properties(seed: int) -> CheckResult:
 def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
-    base = [input_state(a).density_matrix().matrix for a in (math.pi / 4, math.pi / 8)]
-    rhos = np.array(base + [random_density_matrices(rng, 1)[0]])[np.arange(50) % 3]
+    base = _input_projectors([math.pi / 4, math.pi / 8])
+    rhos = np.concatenate([base, random_density_matrices(rng, 1)])[np.arange(50) % 3]
     u = _kron_qubits(random_unitaries(rng, 150).reshape(50, 3, 2, 2))
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
@@ -343,8 +352,7 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    out = apply_local_cloning(input_state(alpha).density_matrix())
-    k333 = correlations(out)[2][2, 2, 2]
+    k333 = correlations(_cloned(local_channel(), alpha))[2][0, 2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (
         f"info: triple correlation K333 of the local-clone output at "

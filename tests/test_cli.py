@@ -13,9 +13,9 @@ from triclone.cli import (
     main,
     sweep_table,
 )
-from triclone.cloners import apply_local_cloning, apply_nonlocal_cloning, evaluate
-from triclone.entanglement import PAIRS, input_state, measures
-from triclone.linalg import fidelity_pure
+from triclone.cloners import evaluate, local_channel, nonlocal_channel
+from triclone.entanglement import input_states, measure_stack
+from triclone.linalg import check_density_matrices, fidelities
 
 # SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
 SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
@@ -127,24 +127,26 @@ class TestSweep:
         assert [r[8] for r in parsed] == grid.f_nonlocal.tolist()
 
     def test_row_values_come_from_the_simulated_channel(self):
+        # Each row against the kernels run on that input alone.
         grid = evaluate(ALPHAS)
         for i, alpha in enumerate(ALPHAS):
-            psi = input_state(alpha)
-            rho = psi.density_matrix()
-            local = apply_local_cloning(rho)
-            nonlocal_ = apply_nonlocal_cloning(rho)
-            assert np.array_equal(grid.local_out[i], local.matrix)
-            assert np.array_equal(grid.nonlocal_out[i], nonlocal_.matrix)
+            psi = input_states([alpha])
+            rho = psi[:, :, None] * psi[:, None, :].conj()
+            local = local_channel().map(rho)
+            nonlocal_ = nonlocal_channel().map(rho)
+            check_density_matrices(np.concatenate([rho, local, nonlocal_]))
+            assert np.array_equal(grid.local_out[i], local[0])
+            assert np.array_equal(grid.nonlocal_out[i], nonlocal_[0])
             for e3, e2, state in (
                 (grid.e3_in, grid.e2_in, rho),
                 (grid.e3_local, grid.e2_local, local),
                 (grid.e3_nonlocal, grid.e2_nonlocal, nonlocal_),
             ):
-                report = measures(state)
-                assert e3[i] == report.e3
-                assert e2[i].tolist() == [report.e2[p] for p in PAIRS]
-            assert grid.f_local[i] == fidelity_pure(psi, local)
-            assert grid.f_nonlocal[i] == fidelity_pure(psi, nonlocal_)
+                one_e3, one_e2, _, _ = measure_stack(state)
+                assert e3[i] == one_e3[0]
+                assert e2[i].tolist() == one_e2[0].tolist()
+            assert grid.f_local[i] == fidelities(psi, local)[0]
+            assert grid.f_nonlocal[i] == fidelities(psi, nonlocal_)[0]
 
     def test_stdout_mode(self, capsys):
         assert main(["sweep", "--points", "3"]) == 0
@@ -287,6 +289,18 @@ class TestVerify:
         assert captured.err == ""
         digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
         assert digest == VERIFY_STDOUT_SHA256[seed]
+
+    def test_negative_seed_is_rejected_before_any_check(self, monkeypatch, capsys):
+        from triclone import verification
+
+        def forbidden(seed):
+            raise AssertionError("checks ran for a negative seed")
+
+        monkeypatch.setattr(verification, "run_all", forbidden)
+        assert main(["verify", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -5\n"
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:

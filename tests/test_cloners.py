@@ -8,8 +8,6 @@ from triclone import cloners
 from triclone.cloners import (
     CROSSING_BRACKET,
     OUTPUT_SYMMETRY_ATOL,
-    apply_local_cloning,
-    apply_nonlocal_cloning,
     compile_channel,
     evaluate,
     find_e2_crossings,
@@ -17,19 +15,14 @@ from triclone.cloners import (
     nonlocal_channel,
     nonlocal_isometry,
 )
-from triclone.entanglement import (
-    _two_corner_amplitudes,
-    input_state,
-    measure_stack,
-    measures,
-)
+from triclone.entanglement import input_states, measure_stack
 from triclone.linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
-    DensityMatrix,
+    check_density_matrices,
     eig_hermitian,
-    fidelity_pure,
+    fidelities,
     kron_all,
 )
 from triclone.reference import (
@@ -51,23 +44,38 @@ CROSSING_LO = math.sqrt((1.0 - 3.0 / math.sqrt(14.0)) / 2.0)
 CROSSING_HI = math.sqrt((1.0 + 3.0 / math.sqrt(14.0)) / 2.0)
 
 
+def _inputs(alphas):
+    """Projectors (n, 8, 8) of the two-corner inputs at ``alphas``."""
+    psis = input_states(alphas)
+    return psis[:, :, None] * psis[:, None, :].conj()
+
+
 def _rho(alpha):
-    return input_state(alpha).density_matrix()
+    return _inputs([alpha])[0]
+
+
+def _clone(channel, rhos):
+    """Validated outputs of a compiled channel for inputs (..., 8, 8)."""
+    out = channel().map(rhos)
+    check_density_matrices(out)
+    return out
 
 
 def _random_rank(rng, rank):
     """Random three-qubit density matrix of the given rank."""
     g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
     m = g @ g.conj().T
-    return DensityMatrix((2, 2, 2), m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 def _test_states(rng):
     """Pure, rank-2 and full-rank random states, two-corner states and I/8."""
     states = [_random_rank(rng, rank) for rank in (1, 1, 1, 2, 2, 2, 8, 8, 8)]
-    states += [_rho(alpha) for alpha in (0.0, 0.3, math.pi / 4)]
-    states.append(DensityMatrix((2, 2, 2), np.eye(8) / 8))
-    return states
+    states += list(_inputs([0.0, 0.3, math.pi / 4]))
+    states.append(np.eye(8, dtype=complex) / 8)
+    stack = np.stack(states)
+    check_density_matrices(stack)
+    return stack
 
 
 # The 512-dimensional path: V rho V+ on original x copy x machine, then
@@ -75,14 +83,14 @@ def _test_states(rng):
 # compiled superoperators.
 REFERENCE_PATHS = {
     "local": (
-        apply_local_cloning,
+        local_channel,
         lambda: kron_all([nonlocal_isometry(2).matrix] * 3),
         (2,) * 9,
         (0, 3, 6),
         (1, 4, 7),
     ),
     "nonlocal": (
-        apply_nonlocal_cloning,
+        nonlocal_channel,
         lambda: nonlocal_isometry(8).matrix,
         (8, 8, 8),
         (0,),
@@ -92,7 +100,7 @@ REFERENCE_PATHS = {
 
 
 def _reference_outputs(v, dims, keep_originals, keep_copies, rho):
-    joint = v @ rho.matrix @ v.conj().T
+    joint = v @ rho @ v.conj().T
     return (
         partial_trace_matrix(joint, dims, keep_originals),
         partial_trace_matrix(joint, dims, keep_copies),
@@ -169,7 +177,7 @@ class TestLocalChannel:
     def test_corner_entries(self):
         for alpha in (0.3, math.pi / 4, 1.2):
             sa, ca = math.sin(alpha), math.cos(alpha)
-            out = apply_local_cloning(_rho(alpha)).matrix
+            out = _clone(local_channel, _rho(alpha))
             assert out[0, 0].real == pytest.approx(
                 (1 + 124 * ca * ca) / 216, abs=1e-12
             )
@@ -181,60 +189,49 @@ class TestLocalChannel:
             assert out[1, 1].real == pytest.approx((5 + 20 * ca * ca) / 216, abs=1e-12)
 
     def test_matches_closed_form_on_grid(self):
-        worst = 0.0
-        for alpha, ref in zip(GRID, closed_form_local_outputs(GRID)):
-            sim = apply_local_cloning(_rho(alpha)).matrix
-            worst = max(worst, float(np.max(np.abs(sim - ref))))
-        assert worst <= 1e-12
+        sim = _clone(local_channel, _inputs(GRID.tolist()))
+        assert np.max(np.abs(sim - closed_form_local_outputs(GRID))) <= 1e-12
 
     def test_rejects_wrong_dims(self):
-        with pytest.raises(ValueError):
-            apply_local_cloning(DensityMatrix((2, 2), np.eye(4) / 4))
+        for rhos in (np.eye(4) / 4, np.ones((2, 32)) / 32):
+            for channel in (local_channel, nonlocal_channel):
+                with pytest.raises(ValueError, match="three-qubit"):
+                    channel().map(rhos)
 
 
 class TestNonlocalChannel:
     def test_corner_and_single_entries(self):
         for alpha in (0.25, math.pi / 4, 1.3):
             sa, ca = math.sin(alpha), math.cos(alpha)
-            out = apply_nonlocal_cloning(_rho(alpha)).matrix
+            out = _clone(nonlocal_channel, _rho(alpha))
             assert out[0, 0].real == pytest.approx((1 + 10 * ca * ca) / 18, abs=1e-12)
             assert out[7, 0].real == pytest.approx(5 * sa * ca / 9, abs=1e-12)
             for k in range(1, 7):
                 assert out[k, k].real == pytest.approx(1.0 / 18.0, abs=1e-12)
 
     def test_matches_closed_form_on_grid(self):
-        worst = 0.0
-        for alpha, ref in zip(GRID, closed_form_nonlocal_outputs(GRID)):
-            sim = apply_nonlocal_cloning(_rho(alpha)).matrix
-            worst = max(worst, float(np.max(np.abs(sim - ref))))
-        assert worst <= 1e-12
+        sim = _clone(nonlocal_channel, _inputs(GRID.tolist()))
+        assert np.max(np.abs(sim - closed_form_nonlocal_outputs(GRID))) <= 1e-12
 
 
 class TestChannelProperties:
     def test_outputs_are_valid_density_matrices(self, rng):
-        for matrix in random_density_matrices(rng, 10):
-            rho = DensityMatrix((2, 2, 2), matrix)
-            for channel in (apply_local_cloning, apply_nonlocal_cloning):
-                out = channel(rho).matrix
-                assert abs(np.trace(out).real - 1.0) <= 1e-12
-                assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-                assert np.linalg.eigvalsh(out)[0] >= -1e-10
+        rhos = random_density_matrices(rng, 10)
+        for channel in (local_channel, nonlocal_channel):
+            out = _clone(channel, rhos)
+            assert np.max(np.abs(np.trace(out, axis1=1, axis2=2).real - 1.0)) <= 1e-12
+            assert np.max(np.abs(out - out.conj().swapaxes(1, 2))) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(out)[:, 0]) >= -1e-10
 
     def test_linearity(self, rng):
         for _ in range(5):
-            rho1, rho2 = (
-                DensityMatrix((2, 2, 2), m) for m in random_density_matrices(rng, 2)
-            )
+            rho1, rho2 = random_density_matrices(rng, 2)
             p = float(rng.uniform(0.1, 0.9))
-            mixed = DensityMatrix(
-                (2, 2, 2), p * rho1.matrix + (1 - p) * rho2.matrix
-            )
-            for channel in (apply_local_cloning, apply_nonlocal_cloning):
-                direct = channel(mixed).matrix
-                combined = (
-                    p * channel(rho1).matrix
-                    + (1 - p) * channel(rho2).matrix
-                )
+            mixed = p * rho1 + (1 - p) * rho2
+            check_density_matrices(mixed)
+            for channel in (local_channel, nonlocal_channel):
+                direct, out1, out2 = _clone(channel, np.stack([mixed, rho1, rho2]))
+                combined = p * out1 + (1 - p) * out2
                 assert np.max(np.abs(direct - combined)) <= 1e-12
 
 
@@ -244,7 +241,7 @@ class TestCompiledChannels:
         channel, isometry, dims, keep_orig, keep_copy = REFERENCE_PATHS[name]
         v = isometry()
         for rho in _test_states(rng):
-            out = channel(rho).matrix
+            out = _clone(channel, rho)
             originals, copies = _reference_outputs(v, dims, keep_orig, keep_copy, rho)
             assert np.max(np.abs(out - originals)) <= 1e-14
             assert np.max(np.abs(out - copies)) <= 1e-14
@@ -253,16 +250,16 @@ class TestCompiledChannels:
         # Werner's optimal 1 -> 2 cloner of an 8-dimensional system shrinks
         # toward I/8 by (d + 2) / (2(d + 1)) = 5/9.
         for rho in _test_states(rng):
-            expected = (5.0 / 9.0) * rho.matrix + (4.0 / 9.0) * np.eye(8) / 8.0
-            out = apply_nonlocal_cloning(rho).matrix
+            expected = (5.0 / 9.0) * rho + (4.0 / 9.0) * np.eye(8) / 8.0
+            out = _clone(nonlocal_channel, rho)
             assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_local_output_is_a_per_qubit_buzek_hillery_shrink(self, rng):
         # The Buzek-Hillery qubit cloner shrinks each qubit's Bloch vector
         # by 2/3; three independent cloners act as a product of such maps.
         for rho in _test_states(rng):
-            expected = _depolarize_each_qubit(rho.matrix, 2.0 / 3.0)
-            out = apply_local_cloning(rho).matrix
+            expected = _depolarize_each_qubit(rho, 2.0 / 3.0)
+            out = _clone(local_channel, rho)
             assert np.max(np.abs(out - expected)) <= 1e-12
 
     @pytest.mark.parametrize("build", [local_channel, nonlocal_channel])
@@ -309,8 +306,10 @@ class TestCompiledChannels:
             compile_channel(tensor)
 
 
-def _oracle(stack_of, alpha):
-    return DensityMatrix((2, 2, 2), stack_of([alpha])[0])
+def _oracle_measures(stack_of, alpha):
+    """E3 and the E2 row of the oracle output at ``alpha``."""
+    e3, e2, _, _ = measure_stack(stack_of([alpha]))
+    return e3[0], e2[0]
 
 
 class TestClosedFormOutputs:
@@ -322,13 +321,13 @@ class TestClosedFormOutputs:
                 assert abs(np.trace(member) - 1.0) <= 1e-14
 
     def test_local_balanced_state_measures(self):
-        report = measures(_oracle(closed_form_local_outputs, math.pi / 4))
-        assert report.e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
+        e3, _ = _oracle_measures(closed_form_local_outputs, math.pi / 4)
+        assert e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
 
     def test_local_corner_input_is_unentangled(self):
-        report = measures(_oracle(closed_form_local_outputs, 0.0))
-        assert report.e3 <= 1e-12
-        assert max(report.e2.values()) <= 1e-12
+        e3, e2 = _oracle_measures(closed_form_local_outputs, 0.0)
+        assert e3 <= 1e-12
+        assert max(e2) <= 1e-12
 
     def test_nonlocal_balanced_state_spectrum(self):
         values, _ = eig_hermitian(closed_form_nonlocal_outputs([math.pi / 4])[0])
@@ -336,23 +335,23 @@ class TestClosedFormOutputs:
         assert np.max(np.abs(values - expected)) <= 1e-12
 
     def test_nonlocal_balanced_state_measures(self):
-        report = measures(_oracle(closed_form_nonlocal_outputs, math.pi / 4))
-        assert report.e3 == pytest.approx(25.0 / 81.0, abs=1e-12)
-        for value in report.e2.values():
+        e3, e2 = _oracle_measures(closed_form_nonlocal_outputs, math.pi / 4)
+        assert e3 == pytest.approx(25.0 / 81.0, abs=1e-12)
+        for value in e2:
             assert value == pytest.approx(25.0 / 243.0, abs=1e-12)
 
 
 class TestMeasureCurves:
     def test_simulated_measures_match_closed_forms(self):
-        worst = 0.0
-        for alpha in GRID:
-            rep_l = measures(apply_local_cloning(_rho(alpha)))
-            rep_n = measures(apply_nonlocal_cloning(_rho(alpha)))
-            e3_l, e2_l = closed_form_local_measures(alpha)
-            e3_n, e2_n = closed_form_nonlocal_measures(alpha)
-            worst = max(worst, abs(rep_l.e3 - e3_l), abs(rep_l.e2[(1, 2)] - e2_l))
-            worst = max(worst, abs(rep_n.e3 - e3_n), abs(rep_n.e2[(1, 2)] - e2_n))
-        assert worst <= 1e-12
+        rhos = _inputs(GRID.tolist())
+        for channel, closed_form in (
+            (local_channel, closed_form_local_measures),
+            (nonlocal_channel, closed_form_nonlocal_measures),
+        ):
+            e3, e2, _, _ = measure_stack(_clone(channel, rhos))
+            cf = np.array([closed_form(alpha) for alpha in GRID])
+            assert np.max(np.abs(e3 - cf[:, 0])) <= 1e-12
+            assert np.max(np.abs(e2[:, 0] - cf[:, 1])) <= 1e-12
 
     def test_nonlocal_cloning_preserves_more(self, grid):
         assert np.all(grid.e3_nonlocal >= grid.e3_local - 1e-12)
@@ -397,17 +396,18 @@ class TestFidelities:
         assert fidelity_local(math.pi / 4) == pytest.approx(95.0 / 216.0, abs=1e-14)
 
     def test_local_matches_simulation(self):
-        for alpha in GRID[::4]:
-            psi = input_state(alpha)
-            sim = fidelity_pure(psi, apply_local_cloning(_rho(alpha)))
-            assert sim == pytest.approx(fidelity_local(alpha), abs=1e-12)
+        alphas = GRID[::4].tolist()
+        psis = input_states(alphas)
+        sim = fidelities(psis, _clone(local_channel, _inputs(alphas)))
+        for value, alpha in zip(sim, alphas):
+            assert value == pytest.approx(fidelity_local(alpha), abs=1e-12)
 
     def test_nonlocal_constant(self):
         assert fidelity_nonlocal() == pytest.approx(11.0 / 18.0, abs=1e-15)
-        for alpha in GRID[::4]:
-            psi = input_state(alpha)
-            sim = fidelity_pure(psi, apply_nonlocal_cloning(_rho(alpha)))
-            assert sim == pytest.approx(11.0 / 18.0, abs=1e-12)
+        alphas = GRID[::4].tolist()
+        psis = input_states(alphas)
+        sim = fidelities(psis, _clone(nonlocal_channel, _inputs(alphas)))
+        assert np.max(np.abs(sim - 11.0 / 18.0)) <= 1e-12
 
     def test_nonlocal_always_wins(self, grid):
         assert np.all(grid.f_nonlocal > grid.f_local)
@@ -427,8 +427,7 @@ class TestEvaluate:
     def test_one_measure_stack_equals_one_per_state_stack(self, n):
         # Row counts on both sides of 128, a common BLAS block edge.
         grid = evaluate(np.linspace(0.0, math.pi / 2, n))
-        psis = _two_corner_amplitudes(grid.alphas.tolist())
-        rho_in = psis[:, :, None] * psis[:, None, :].conj()
+        rho_in = _inputs(grid.alphas.tolist())
         for rhos, e3, e2 in (
             (rho_in, grid.e3_in, grid.e2_in),
             (grid.local_out, grid.e3_local, grid.e2_local),

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from triclone.cloners import apply_local_cloning, apply_nonlocal_cloning
+from triclone.cloners import local_channel, nonlocal_channel
 from triclone.entanglement import (
     COMPONENT_CEILING,
     MEASURE_CEILING,
     PAIRS,
     _ALL_OPS,
     _EXPECTATION_MATRIX,
-    EntanglementReport,
     _correlation_stack,
     correlations,
-    input_state,
+    input_states,
     measure_stack,
-    measures,
 )
-from triclone.linalg import DensityMatrix, kron_all
+from triclone.linalg import check_density_matrices, kron_all
 from triclone.reference import closed_form_input_measures
 from triclone.verification import (
     random_density_matrices,
@@ -29,19 +27,37 @@ ALPHAS = (0.0, 0.3, math.pi / 8, math.pi / 4, 1.1, math.pi / 2)
 
 
 def _rho(alpha):
-    return input_state(alpha).density_matrix()
+    """Projector (8, 8) of the two-corner input at ``alpha``."""
+    psi = input_states([alpha])[0]
+    return np.outer(psi, psi.conj())
 
 
-def _state(matrix):
-    return DensityMatrix((2, 2, 2), matrix)
+def _local(rho):
+    out = local_channel().map(rho)
+    check_density_matrices(out)
+    return out
+
+
+def _nonlocal(rho):
+    out = nonlocal_channel().map(rho)
+    check_density_matrices(out)
+    return out
+
+
+def _measures(rho):
+    """E3, the E2 row (3,) in ``PAIRS`` order, M2 by pair and M3 of one state."""
+    e3, e2, m2, m3 = measure_stack(rho[None])
+    return e3[0], e2[0], {p: t[0] for p, t in m2.items()}, m3[0]
 
 
 def _diagonal_state(weights):
-    """Diagonal three-qubit state with the given weights on basis kets."""
+    """Validated diagonal three-qubit state with the given weights on basis kets."""
     diag = np.zeros(8)
     for ket, weight in weights.items():
         diag[ket] = weight
-    return DensityMatrix((2, 2, 2), np.diag(diag))
+    rho = np.diag(diag).astype(complex)
+    check_density_matrices(rho)
+    return rho
 
 
 class TestPauliOperators:
@@ -53,7 +69,7 @@ class TestPauliOperators:
     def test_third_operator_sign(self):
         # diag(-1, +1): |000> has lambda_3 = -1 exactly on every qubit,
         # which pins the sign convention of the whole triple.
-        lam, _, _ = correlations(input_state(0.0).density_matrix())
+        lam, _, _ = correlations(_rho(0.0))
         assert (lam[:, 2] == -1).all()
 
     def test_first_operator_flips(self):
@@ -102,23 +118,24 @@ class TestExpectationKernel:
 
 class TestInputState:
     def test_alpha_zero_is_first_corner(self):
-        psi = input_state(0.0)
-        assert np.allclose(psi.amplitudes, np.eye(8)[0], atol=1e-14)
+        psis = input_states([0.0])
+        assert psis.shape == (1, 8)
+        assert np.allclose(psis[0], np.eye(8)[0], atol=1e-14)
 
     def test_balanced_state(self):
-        psi = input_state(math.pi / 4)
         expected = np.zeros(8)
         expected[0] = expected[7] = 1 / math.sqrt(2)
-        assert np.allclose(psi.amplitudes, expected, atol=1e-14)
+        assert np.allclose(input_states([math.pi / 4])[0], expected, atol=1e-14)
 
     def test_unit_norm_for_all_alpha(self):
-        for alpha in np.linspace(-2.0, 5.0, 23):
-            psi = input_state(alpha)
-            assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+        psis = input_states(np.linspace(-2.0, 5.0, 23).tolist())
+        assert psis.shape == (23, 8)
+        assert np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0)) <= 1e-12
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            input_state(float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                input_states([0.3, bad])
 
 
 class TestCoherenceVector:
@@ -130,20 +147,30 @@ class TestCoherenceVector:
 
     def test_local_clone_output(self):
         for alpha in (0.3, 1.0):
-            lam = correlations(apply_local_cloning(_rho(alpha)))[0]
+            lam = correlations(_local(_rho(alpha)))[0]
             for value in lam[:, 2]:
                 assert value == pytest.approx(
                     -(2.0 / 3.0) * math.cos(2 * alpha), abs=1e-12
                 )
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        assert np.max(np.abs(correlations(rho)[0])) <= 1e-14
+        assert np.max(np.abs(correlations(np.eye(8) / 8)[0])) <= 1e-14
 
     def test_rejects_wrong_dims(self):
-        rho = DensityMatrix((2, 2), np.eye(4) / 4)
-        with pytest.raises(ValueError, match="three-qubit"):
-            correlations(rho)
+        for rhos in (np.eye(4) / 4, np.ones((2, 32)) / 32, np.eye(16)[None] / 16):
+            with pytest.raises(ValueError, match="three-qubit"):
+                correlations(rhos)
+            with pytest.raises(ValueError, match="three-qubit"):
+                measure_stack(rhos)
+
+    def test_stack_members_equal_single_calls(self):
+        stack = np.stack([_rho(alpha) for alpha in ALPHAS])
+        lam, k2, k3 = correlations(stack)
+        assert lam.shape == (len(ALPHAS), 3, 3)
+        assert k2.shape == k3.shape == (len(ALPHAS), 3, 3, 3)
+        for i, alpha in enumerate(ALPHAS):
+            one = correlations(stack[i])
+            assert all(np.array_equal(a[i], b) for a, b in zip((lam, k2, k3), one))
 
 
 class TestPairCorrelation:
@@ -155,14 +182,14 @@ class TestPairCorrelation:
             assert np.max(np.abs(k2 - expected)) <= 1e-12
 
     def test_nonlocal_clone_output(self):
-        k2 = correlations(apply_nonlocal_cloning(_rho(0.7)))[1]
+        k2 = correlations(_nonlocal(_rho(0.7)))[1]
         for value in k2[:, 2, 2]:
             assert value == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_product_state_factorizes(self, rng):
         # Distinct coherence vectors per qubit, so this also pins the
         # QUBITS row order and the PAIRS slab order.
-        lam, k2, _ = correlations(_state(random_product_states(rng, 1)[0]))
+        lam, k2, _ = correlations(random_product_states(rng, 1)[0])
         for i, (m, n) in enumerate(PAIRS):
             outer = np.outer(lam[m - 1], lam[n - 1])
             assert np.max(np.abs(k2[i] - outer)) <= 1e-12
@@ -176,7 +203,9 @@ class TestPairCorrelation:
         )
         with pytest.raises(ValueError, match="correlation entry"):
             correlations(rho)
-        measures(rho)
+        with pytest.raises(ValueError, match="correlation entry"):
+            correlations(np.stack([_rho(0.3), rho]))
+        measure_stack(rho)
 
 
 class TestTripleCorrelation:
@@ -190,8 +219,7 @@ class TestTripleCorrelation:
                 assert k[idx] == pytest.approx(-s, abs=1e-12)
 
     def test_maximally_mixed_vanishes(self):
-        rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        assert np.max(np.abs(correlations(rho)[2])) <= 1e-14
+        assert np.max(np.abs(correlations(np.eye(8) / 8)[2])) <= 1e-14
 
     def test_local_clone_components(self):
         # The (3,3,3) component comes out negative: the sign is forced by
@@ -199,8 +227,7 @@ class TestTripleCorrelation:
         # component, and the channel output is the source of truth.
         for alpha in (0.3, 1.0):
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
-            out = apply_local_cloning(_rho(alpha))
-            k = correlations(out)[2]
+            k = correlations(_local(_rho(alpha)))[2]
             assert k[2, 2, 2] == pytest.approx(-(8.0 / 27.0) * c, abs=1e-12)
             assert k[0, 0, 0] == pytest.approx((8.0 / 27.0) * s, abs=1e-12)
             for idx in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -211,36 +238,34 @@ class TestEntanglementTensors:
     def test_input_family_full_tensors(self):
         for alpha in ALPHAS:
             s, c = math.sin(2 * alpha), math.cos(2 * alpha)
-            tensors = measures(_rho(alpha))
+            _, _, m2, m3 = _measures(_rho(alpha))
             expected_m3 = np.zeros((3, 3, 3))
             expected_m3[0, 0, 0] = s
             expected_m3[0, 1, 1] = expected_m3[1, 0, 1] = expected_m3[1, 1, 0] = -s
             expected_m3[2, 2, 2] = 2.0 * s * s * c
-            assert np.max(np.abs(tensors.m3 - expected_m3)) <= 1e-12
+            assert np.max(np.abs(m3 - expected_m3)) <= 1e-12
             expected_m2 = np.zeros((3, 3))
             expected_m2[2, 2] = s * s
             for pair in PAIRS:
-                assert np.max(np.abs(tensors.m2[pair] - expected_m2)) <= 1e-12
+                assert np.max(np.abs(m2[pair] - expected_m2)) <= 1e-12
 
     def test_nonlocal_clone_m333(self):
         for alpha in (0.2, 0.9):
             c = math.cos(2 * alpha)
-            out = apply_nonlocal_cloning(_rho(alpha))
-            m333 = measures(out).m3[2, 2, 2]
+            m333 = _measures(_nonlocal(_rho(alpha)))[3][2, 2, 2]
             expected = (10.0 / 27.0) * (1.0 - (25.0 / 27.0) * c * c) * c
             assert m333 == pytest.approx(expected, abs=1e-12)
 
     def test_product_states_vanish(self, rng):
-        for matrix in random_product_states(rng, 5):
-            tensors = measures(_state(matrix))
-            assert np.max(np.abs(tensors.m3)) <= 1e-12
-            for pair in PAIRS:
-                assert np.max(np.abs(tensors.m2[pair])) <= 1e-12
+        _, _, m2, m3 = measure_stack(random_product_states(rng, 5))
+        assert np.max(np.abs(m3)) <= 1e-12
+        for pair in PAIRS:
+            assert np.max(np.abs(m2[pair])) <= 1e-12
 
     def test_recomputation_from_correlations(self, rng):
         # The stored tensors are exactly the correlation/coherence
         # combination, for an arbitrary mixed state.
-        rho = _state(random_density_matrices(rng, 1)[0])
+        rho = random_density_matrices(rng, 1)[0]
         rows, slabs, k3 = correlations(rho)
         lam = {m: rows[m - 1] for m in (1, 2, 3)}
         k2 = dict(zip(PAIRS, slabs))
@@ -252,38 +277,37 @@ class TestEntanglementTensors:
             - np.einsum("k,ij->ijk", lam[3], m2[(1, 2)])
             - np.einsum("i,j,k->ijk", lam[1], lam[2], lam[3])
         )
-        tensors = measures(rho)
-        assert np.max(np.abs(tensors.m3 - m3)) <= 1e-12
+        _, _, got_m2, got_m3 = _measures(rho)
+        assert np.max(np.abs(got_m3 - m3)) <= 1e-12
         for pair in PAIRS:
-            assert np.max(np.abs(tensors.m2[pair] - m2[pair])) <= 1e-12
+            assert np.max(np.abs(got_m2[pair] - m2[pair])) <= 1e-12
 
 
 class TestMeasures:
     def test_balanced_state_is_maximal(self):
-        report = measures(_rho(math.pi / 4))
-        assert report.e3 == pytest.approx(1.0, abs=1e-12)
-        for pair in PAIRS:
-            assert report.e2[pair] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        e3, e2, _, _ = _measures(_rho(math.pi / 4))
+        assert e3 == pytest.approx(1.0, abs=1e-12)
+        for value in e2:
+            assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_corner_state_is_zero(self):
-        report = measures(_rho(0.0))
-        assert report.e3 <= 1e-12
-        assert max(report.e2.values()) <= 1e-12
+        e3, e2, _, _ = _measures(_rho(0.0))
+        assert e3 <= 1e-12
+        assert max(e2) <= 1e-12
 
     def test_local_clone_of_balanced_state(self):
-        report = measures(apply_local_cloning(_rho(math.pi / 4)))
-        assert report.e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
-        for pair in PAIRS:
-            assert report.e2[pair] == pytest.approx(16.0 / 243.0, abs=1e-12)
+        e3, e2, _, _ = _measures(_local(_rho(math.pi / 4)))
+        assert e3 == pytest.approx(64.0 / 729.0, abs=1e-12)
+        for value in e2:
+            assert value == pytest.approx(16.0 / 243.0, abs=1e-12)
 
     def test_closed_form_agreement_on_grid(self):
-        worst = 0.0
-        for alpha in np.linspace(0.0, math.pi / 2, 201):
-            report = measures(_rho(alpha))
-            e3, e2 = closed_form_input_measures(alpha)
-            worst = max(worst, abs(report.e3 - e3))
-            worst = max(worst, *(abs(report.e2[p] - e2) for p in PAIRS))
-        assert worst <= 1e-12
+        alphas = np.linspace(0.0, math.pi / 2, 201)
+        psis = input_states(alphas.tolist())
+        e3, e2, _, _ = measure_stack(psis[:, :, None] * psis[:, None, :].conj())
+        cf = np.array([closed_form_input_measures(a) for a in alphas])
+        assert np.max(np.abs(e3 - cf[:, 0])) <= 1e-12
+        assert np.max(np.abs(e2 - cf[:, 1:2])) <= 1e-12
 
     def test_closed_form_at_pi_over_8(self):
         e3, e2 = closed_form_input_measures(math.pi / 8)
@@ -291,65 +315,61 @@ class TestMeasures:
         assert e2 == pytest.approx(1.0 / 12.0, abs=1e-14)
 
     def test_local_unitary_invariance(self, rng):
-        random_state = _state(random_density_matrices(rng, 1)[0])
+        random_state = random_density_matrices(rng, 1)[0]
         states = [_rho(math.pi / 4), _rho(0.5), random_state]
         for trial in range(10):
             rho = states[trial % len(states)]
             u = kron_all(random_unitaries(rng, 3))
-            rotated = DensityMatrix((2, 2, 2), u @ rho.matrix @ u.conj().T)
-            before, after = measures(rho), measures(rotated)
-            assert abs(before.e3 - after.e3) <= 1e-10
-            for pair in PAIRS:
-                assert abs(before.e2[pair] - after.e2[pair]) <= 1e-10
+            rotated = u @ rho @ u.conj().T
+            check_density_matrices(rotated)
+            e3, e2, _, _ = measure_stack(np.stack([rho, rotated]))
+            assert abs(e3[0] - e3[1]) <= 1e-10
+            assert np.max(np.abs(e2[0] - e2[1])) <= 1e-10
 
     def test_permutation_symmetric_states_have_equal_pairs(self):
         for alpha in (0.4, math.pi / 4):
-            for rho in (
-                _rho(alpha),
-                apply_local_cloning(_rho(alpha)),
-                apply_nonlocal_cloning(_rho(alpha)),
-            ):
-                e2 = measures(rho).e2
-                values = [e2[p] for p in PAIRS]
-                assert max(values) - min(values) <= 1e-12
+            rho = _rho(alpha)
+            _, e2, _, _ = measure_stack(np.stack([rho, _local(rho), _nonlocal(rho)]))
+            assert np.max(np.ptp(e2, axis=1)) <= 1e-12
 
     def test_range_on_random_states(self, rng):
-        for matrix in random_density_matrices(rng, 1000):
-            report = measures(_state(matrix))
-            assert 0.0 <= report.e3 <= 1.0 + 1e-10
-            for pair in PAIRS:
-                assert 0.0 <= report.e2[pair] <= 1.0 + 1e-10
+        e3, e2, _, _ = measure_stack(random_density_matrices(rng, 1000))
+        assert np.all((0.0 <= e3) & (e3 <= 1.0 + 1e-10))
+        assert np.all((0.0 <= e2) & (e2 <= 1.0 + 1e-10))
 
     def test_product_states_have_zero_measures(self, rng):
-        for matrix in random_product_states(rng, 20):
-            report = measures(_state(matrix))
-            assert report.e3 <= 1e-12
-            assert max(report.e2.values()) <= 1e-12
+        e3, e2, _, _ = measure_stack(random_product_states(rng, 20))
+        assert np.max(e3) <= 1e-12
+        assert np.max(e2) <= 1e-12
 
 
 class TestMeasureStack:
     def test_rows_equal_single_state_measures(self, rng):
-        states = [_state(m) for m in random_density_matrices(rng, 6)] + [_rho(0.7)]
-        e3, e2, *_ = measure_stack(np.stack([rho.matrix for rho in states]))
-        for i, rho in enumerate(states):
-            report = measures(rho)
-            assert e3[i] == report.e3
-            assert e2[i].tolist() == [report.e2[p] for p in PAIRS]
+        # Each row of a stack equals a stack of that state alone, bit for bit.
+        states = np.concatenate([random_density_matrices(rng, 6), _rho(0.7)[None]])
+        e3, e2, m2, m3 = measure_stack(states)
+        for i in range(len(states)):
+            one_e3, one_e2, one_m2, one_m3 = measure_stack(states[i : i + 1])
+            assert e3[i] == one_e3[0]
+            assert e2[i].tolist() == one_e2[0].tolist()
+            assert np.array_equal(m3[i], one_m3[0])
+            for pair in PAIRS:
+                assert np.array_equal(m2[pair][i], one_m2[pair][0])
 
     @pytest.mark.parametrize("size", [0.5, 2.0])
     def test_e3_ceiling_matches_the_report(self, size):
         # Scaling the balanced projector by c gives E3 = c^2 and zero
         # coherence vectors, so only the E3 range check can fire.
         c = math.sqrt(1.0 + size * (MEASURE_CEILING - 1.0))
-        stack = np.stack([_rho(0.3).matrix, c * _rho(math.pi / 4).matrix])
+        stack = np.stack([_rho(0.3), c * _rho(math.pi / 4)])
         if size < 1.0:
             e3, *_ = measure_stack(stack)
-            EntanglementReport(e3=float(e3[1]), e2={}, m2={}, m3=None)
+            assert e3[1] == pytest.approx(c * c, abs=1e-15)
             return
         with pytest.raises(ValueError, match="E3 value"):
             measure_stack(stack)
         with pytest.raises(ValueError, match="E3 value"):
-            EntanglementReport(e3=c * c, e2={}, m2={}, m3=None)
+            measure_stack(stack[1])
 
     @pytest.mark.parametrize("size", [0.5, 2.0])
     def test_coherence_ceiling_matches_the_vector(self, size):
@@ -358,7 +378,7 @@ class TestMeasureStack:
         # stack and the coherence vectors of ``correlations`` agree.
         eps = 0.5 * size * (COMPONENT_CEILING - 1.0)
         rho = _diagonal_state({0b000: 1.0 + eps, 0b100: -eps})
-        stack = np.stack([_rho(0.3).matrix, rho.matrix])
+        stack = np.stack([_rho(0.3), rho])
         if size < 1.0:
             measure_stack(stack)
             correlations(rho)

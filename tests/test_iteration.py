@@ -5,15 +5,10 @@ import pytest
 
 from triclone import iteration
 from triclone.cli import main
-from triclone.cloners import apply_nonlocal_cloning, nonlocal_channel
-from triclone.entanglement import input_state, measures
-from triclone.iteration import (
-    EIGENVALUE_CUTOFF,
-    clone_mixed_nonlocal,
-    clone_mixed_stack,
-    iterate,
-)
-from triclone.linalg import DensityMatrix, eig_hermitian
+from triclone.cloners import nonlocal_channel
+from triclone.entanglement import input_states, measure_stack
+from triclone.iteration import EIGENVALUE_CUTOFF, clone_mixed_stack, iterate
+from triclone.linalg import check_density_matrices, eig_hermitian
 from triclone.reference import closed_form_input_measures
 from triclone.verification import random_density_matrices
 
@@ -23,29 +18,38 @@ TABLE_E3 = (1.0000, 0.3086, 0.0953, 0.0294, 0.0091, 0.0028)
 TABLE_E2 = (0.3333, 0.1029, 0.0318, 0.0098, 0.0030, 0.0009)
 
 
-def _ghz_rho():
-    return input_state(math.pi / 4).density_matrix()
+def _inputs(alphas):
+    """Projectors (n, 8, 8) of the two-corner inputs at ``alphas``."""
+    psis = input_states(alphas)
+    return psis[:, :, None] * psis[:, None, :].conj()
+
+
+def _clone_mixed(rhos):
+    """Validated spectral-route clones of a stack (n, 8, 8)."""
+    mixed = clone_mixed_stack(rhos)
+    check_density_matrices(mixed)
+    return mixed
 
 
 class TestCloneMixed:
     def test_equals_direct_channel_on_random_states(self, rng):
-        for matrix in random_density_matrices(rng, 5):
-            rho = DensityMatrix((2, 2, 2), matrix)
-            mixed_route = clone_mixed_nonlocal(rho).matrix
-            direct = apply_nonlocal_cloning(rho).matrix
-            assert np.max(np.abs(mixed_route - direct)) <= 1e-12
+        rhos = random_density_matrices(rng, 5)
+        direct = nonlocal_channel().map(rhos)
+        for k in range(len(rhos)):
+            mixed_route = _clone_mixed(rhos[k : k + 1])[0]
+            assert np.max(np.abs(mixed_route - direct[k])) <= 1e-12
 
     def test_first_step_spectral_structure(self):
-        rho1 = clone_mixed_nonlocal(_ghz_rho())
-        values, vectors = eig_hermitian(rho1.matrix)
+        rho1 = _clone_mixed(_inputs([math.pi / 4]))[0]
+        values, vectors = eig_hermitian(rho1)
         expected = np.array([11.0 / 18.0] + [1.0 / 18.0] * 7)
         assert np.max(np.abs(values - expected)) <= 1e-12
-        ghz = input_state(math.pi / 4).amplitudes
+        ghz = input_states([math.pi / 4])[0]
         overlap = abs(np.vdot(ghz, vectors[:, 0]))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_second_step_entries(self):
-        rho2 = clone_mixed_nonlocal(clone_mixed_nonlocal(_ghz_rho())).matrix
+        rho2 = _clone_mixed(_clone_mixed(_inputs([math.pi / 4])))[0]
         assert rho2[0, 0].real == pytest.approx(13.0 / 54.0, abs=1e-12)
         assert rho2[7, 7].real == pytest.approx(13.0 / 54.0, abs=1e-12)
         assert rho2[0, 7].real == pytest.approx(25.0 / 162.0, abs=1e-12)
@@ -69,7 +73,7 @@ def _per_state_route(rho):
 def _mixed_rank_stack(rng):
     """16 states of rank 8, 1 and 2, so rows keep different eigenvector counts."""
     full = random_density_matrices(rng, 6)
-    pure = [input_state(a).density_matrix().matrix for a in (0.0, 0.3, 0.7, 1.2)]
+    pure = list(_inputs([0.0, 0.3, 0.7, 1.2]))
     rank_two = []
     for _ in range(4):
         a = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
@@ -78,7 +82,7 @@ def _mixed_rank_stack(rng):
         rank_two.append(
             p * np.outer(a[0], a[0].conj()) + (1 - p) * np.outer(a[1], a[1].conj())
         )
-    ghz_out = apply_nonlocal_cloning(_ghz_rho()).matrix
+    ghz_out = nonlocal_channel().map(_inputs([math.pi / 4]))[0]
     return np.stack([*full[:3], *pure, *rank_two, ghz_out, *full[3:], pure[2]])
 
 
@@ -90,14 +94,10 @@ class TestCloneMixedStack:
         mixed = clone_mixed_stack(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
-            assert np.array_equal(
-                mixed[k], clone_mixed_nonlocal(DensityMatrix((2, 2, 2), rho)).matrix
-            )
+            assert np.array_equal(mixed[k], clone_mixed_stack(stack[k : k + 1])[0])
 
     def test_pure_stack_keeps_one_eigenvector(self):
-        stack = np.stack(
-            [input_state(a).density_matrix().matrix for a in (0.1, 0.5, 0.9)]
-        )
+        stack = _inputs([0.1, 0.5, 0.9])
         mixed = clone_mixed_stack(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
@@ -174,19 +174,19 @@ class TestIterate:
         assert not trace.states.flags.writeable
         with pytest.raises(ValueError):
             trace.states[1, 0, 0] = 0.0
-        rho = input_state(0.7).density_matrix()
-        assert np.array_equal(trace.states[0], rho.matrix)
+        rho = _inputs([0.7])
+        assert np.array_equal(trace.states[0], rho[0])
         for k in range(1, 13):
-            rho = clone_mixed_nonlocal(rho)
-            assert np.array_equal(trace.states[k], rho.matrix)
+            rho = _clone_mixed(rho)
+            assert np.array_equal(trace.states[k], rho[0])
 
     def test_measures_come_from_the_states(self):
         trace = iterate(0.7, 12)
         assert [s.step for s in trace.steps] == list(range(13))
         for step, m in zip(trace.steps, trace.states):
-            report = measures(DensityMatrix((2, 2, 2), m))
-            assert step.e3 == report.e3
-            assert step.e2 == report.e2[(1, 2)]
+            e3, e2, _, _ = measure_stack(m[None])
+            assert step.e3 == e3[0]
+            assert step.e2 == e2[0, 0]
 
 
 class TestTrajectoryCertificate:
@@ -206,11 +206,12 @@ class TestTrajectoryCertificate:
         seen.clear()
         trace = iterate(0.7, 12)
         assert len(seen) == one_step
-        # The last two checks are the direct outputs and the cloned states.
-        direct, cloned = seen[-2:]
+        # The last two checks are the direct outputs and the whole trajectory,
+        # step 0 included.
+        direct, states = seen[-2:]
         assert np.array_equal(direct, nonlocal_channel().map(trace.states[:-1]))
-        assert np.array_equal(cloned, trace.states[1:])
-        assert len(direct) == len(cloned) == 12
+        assert np.array_equal(states, trace.states)
+        assert len(direct) == 12 and len(states) == 13
 
     def test_dropped_eigenvectors_fail_the_route_check(self, monkeypatch, capsys):
         # Step 1 clones a pure state; step 2 would drop the 1/18 eigenvectors

@@ -8,15 +8,13 @@ from triclone.linalg import (
     HERMITIAN_ATOL,
     NORM_ATOL,
     TRACE_ATOL,
-    DensityMatrix,
-    PureState,
     check_density_matrices,
     check_pure_states,
     eig_hermitian,
-    fidelity_pure,
+    fidelities,
     kron_all,
 )
-from triclone.entanglement import input_state
+from triclone.entanglement import input_states
 from triclone.reference import partial_trace_matrix
 
 
@@ -25,11 +23,18 @@ def _random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
-def _random_density(rng, dims):
-    n = int(np.prod(dims))
+def _random_density(rng, n):
+    """Validated full-rank n x n density matrix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
-    return DensityMatrix(dims, m / np.trace(m).real)
+    m = m / np.trace(m).real
+    check_density_matrices(m)
+    return m
+
+
+def _projector(amplitudes):
+    a = np.asarray(amplitudes, dtype=complex)
+    return np.outer(a, a.conj())
 
 
 class TestKron:
@@ -62,39 +67,29 @@ class TestKron:
 
 
 class TestPureState:
+    """``check_pure_states`` on a single amplitude vector."""
+
     def test_norm_validation(self):
-        with pytest.raises(ValueError):
-            PureState((2,), np.array([1.0, 1.0]))
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            PureState((2, 2), np.array([1.0, 0.0]))
-
-    def test_density_matrix_roundtrip(self):
-        psi = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-        rho = psi.density_matrix()
-        assert rho.dims == (2, 2)
-        assert abs(rho.matrix[0, 3] - 0.5) <= 1e-14
+        with pytest.raises(ValueError, match="state norm"):
+            check_pure_states(np.array([1.0, 1.0], dtype=complex))
 
 
 class TestDensityMatrix:
+    """``check_density_matrices`` on a single matrix."""
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix((2,), m)
+            check_density_matrices(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix((2,), np.eye(2))
+            check_density_matrices(np.eye(2, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix((2,), m)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            DensityMatrix((2, 2), np.eye(2) / 2)
+            check_density_matrices(m)
 
 
 def _skew(m, size):
@@ -121,20 +116,18 @@ class TestCheckDensityMatrices:
     def test_one_bad_member_is_rejected_at_the_single_state_tolerance(
         self, rng, perturb, message
     ):
-        stack = np.stack(
-            [_random_density(rng, (2, 2, 2)).matrix for _ in range(4)]
-        )
+        stack = np.stack([_random_density(rng, 8) for _ in range(4)])
         check_density_matrices(stack)
         inside = stack.copy()
         perturb(inside[2], 0.5)
         check_density_matrices(inside)
-        DensityMatrix((2, 2, 2), inside[2])
+        check_density_matrices(inside[2])
         outside = stack.copy()
         perturb(outside[2], 2.0)
         with pytest.raises(ValueError, match=message):
             check_density_matrices(outside)
         with pytest.raises(ValueError, match=message):
-            DensityMatrix((2, 2, 2), outside[2])
+            check_density_matrices(outside[2])
 
     def test_empty_stack_passes(self):
         check_density_matrices(np.zeros((0, 8, 8), dtype=complex))
@@ -175,7 +168,7 @@ class TestPsdCertificate:
     def test_edge_of_the_floor(self, rng, factor, rotate):
         verdicts = set()
         for _ in range(20):
-            stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(4)])
+            stack = np.stack([_random_density(rng, 8) for _ in range(4)])
             stack[1] = _with_min_eigenvalue(rng, factor * EIGENVALUE_FLOOR, rotate)
             expected = _eigvalsh_verdict(stack)
             assert _verdict(stack) == expected
@@ -187,9 +180,8 @@ class TestPsdCertificate:
             assert verdicts == {factor < 1.0}
 
     def test_grid_stacks(self, grid):
-        rho_in = np.stack(
-            [input_state(a).density_matrix().matrix for a in grid.alphas]
-        )
+        psis = input_states(grid.alphas.tolist())
+        rho_in = psis[:, :, None] * psis[:, None, :].conj()
         for stack in (rho_in, grid.local_out, grid.nonlocal_out):
             assert _eigvalsh_verdict(stack) is None
             assert _verdict(stack) is None
@@ -201,7 +193,7 @@ class TestPsdCertificate:
         assert _verdict(stack) is None
 
     def test_accept_path_runs_no_eigenvalue_solver(self, rng, monkeypatch):
-        stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(16)])
+        stack = np.stack([_random_density(rng, 8) for _ in range(16)])
 
         def forbidden(_):
             raise AssertionError("eigvalsh called on a certified stack")
@@ -226,12 +218,12 @@ class TestCheckPureStates:
         stack[2] *= 1.0 + size * NORM_ATOL
         if size < 1.0:
             check_pure_states(stack)
-            PureState((2, 2, 2), stack[2])
+            check_pure_states(stack[2])
             return
         with pytest.raises(ValueError, match="state norm"):
             check_pure_states(stack)
         with pytest.raises(ValueError, match="state norm"):
-            PureState((2, 2, 2), stack[2])
+            check_pure_states(stack[2])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_one_non_finite_member_is_rejected(self, rng, bad):
@@ -240,47 +232,47 @@ class TestCheckPureStates:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             check_pure_states(stack)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
-            PureState((2, 2, 2), stack[2])
+            check_pure_states(stack[2])
 
 
 class TestPartialTrace:
     def test_product_state(self):
-        psi = PureState((2, 2), np.array([1.0, 0.0, 0.0, 0.0]))
-        reduced = partial_trace_matrix(psi.density_matrix().matrix, (2, 2), [0])
+        rho = _projector([1.0, 0.0, 0.0, 0.0])
+        reduced = partial_trace_matrix(rho, (2, 2), [0])
         assert np.allclose(reduced, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_bell_state_is_maximally_mixed(self):
-        psi = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
-        reduced = partial_trace_matrix(psi.density_matrix().matrix, (2, 2), [0])
+        rho = _projector(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+        reduced = partial_trace_matrix(rho, (2, 2), [0])
         assert np.max(np.abs(reduced - np.eye(2) / 2)) <= 1e-14
 
     def test_trace_preserved(self, rng):
-        rho = _random_density(rng, (2, 2, 2))
+        rho = _random_density(rng, 8)
         for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
+            reduced = partial_trace_matrix(rho, (2, 2, 2), keep)
             assert abs(np.trace(reduced) - 1.0) <= 1e-12
 
     def test_composition(self, rng):
         # Tracing out the middle qubit and then the last equals tracing
         # out both at once.
-        rho = _random_density(rng, (2, 2, 2))
-        outer = partial_trace_matrix(rho.matrix, rho.dims, [0, 2])
+        rho = _random_density(rng, 8)
+        outer = partial_trace_matrix(rho, (2, 2, 2), [0, 2])
         two_step = partial_trace_matrix(outer, (2, 2), [0])
-        one_step = partial_trace_matrix(rho.matrix, rho.dims, [0])
+        one_step = partial_trace_matrix(rho, (2, 2, 2), [0])
         assert np.max(np.abs(two_step - one_step)) <= 1e-12
 
     def test_keep_order_is_original_order(self, rng):
-        rho = _random_density(rng, (2, 2, 2))
-        a = partial_trace_matrix(rho.matrix, (2, 2, 2), (2, 0))
-        b = partial_trace_matrix(rho.matrix, (2, 2, 2), (0, 2))
+        rho = _random_density(rng, 8)
+        a = partial_trace_matrix(rho, (2, 2, 2), (2, 0))
+        b = partial_trace_matrix(rho, (2, 2, 2), (0, 2))
         assert np.max(np.abs(a - b)) == 0.0
 
     def test_bad_index_raises(self, rng):
-        rho = _random_density(rng, (2, 2))
+        rho = _random_density(rng, 4)
         with pytest.raises(ValueError):
-            partial_trace_matrix(rho.matrix, rho.dims, [2])
+            partial_trace_matrix(rho, (2, 2), [2])
         with pytest.raises(ValueError):
-            partial_trace_matrix(rho.matrix, rho.dims, [])
+            partial_trace_matrix(rho, (2, 2), [])
 
 
 class TestEigHermitian:
@@ -298,8 +290,7 @@ class TestEigHermitian:
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
     def test_density_eigenvalues_sum_to_one(self, rng):
-        rho = _random_density(rng, (2, 2, 2))
-        values, _ = eig_hermitian(rho.matrix)
+        values, _ = eig_hermitian(_random_density(rng, 8))
         assert abs(values.sum() - 1.0) <= 1e-10
 
     def test_rejects_non_hermitian(self, rng):
@@ -308,7 +299,7 @@ class TestEigHermitian:
             eig_hermitian(g)
 
     def test_stack_equals_per_matrix_calls(self, rng):
-        stack = np.stack([_random_density(rng, (2, 2, 2)).matrix for _ in range(32)])
+        stack = np.stack([_random_density(rng, 8) for _ in range(32)])
         values, vectors = eig_hermitian(stack)
         assert values.shape == (32, 8) and vectors.shape == (32, 8, 8)
         for k, h in enumerate(stack):
@@ -329,32 +320,34 @@ class TestEigHermitian:
 
 
 class TestFidelityPure:
+    """``fidelities`` on stacks of amplitudes and matrices."""
+
     def test_self_fidelity_is_one(self, rng):
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = PureState((2, 2, 2), v / np.linalg.norm(v))
-        assert fidelity_pure(psi, psi.density_matrix()) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        psi = v / np.linalg.norm(v)
+        value = fidelities(psi[None], _projector(psi)[None])[0]
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_state_is_zero(self):
-        psi = PureState((2, 2, 2), np.eye(8)[0])
-        rho = PureState((2, 2, 2), np.eye(8)[7]).density_matrix()
-        assert fidelity_pure(psi, rho) == pytest.approx(0.0, abs=1e-12)
+        psi = np.eye(8, dtype=complex)[:1]
+        rho = _projector(np.eye(8)[7])[None]
+        assert fidelities(psi, rho)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_in_rho(self, rng):
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = PureState((2, 2, 2), v / np.linalg.norm(v))
-        rho1 = _random_density(rng, (2, 2, 2))
-        rho2 = _random_density(rng, (2, 2, 2))
+        psi = (v / np.linalg.norm(v))[None]
+        rho1 = _random_density(rng, 8)
+        rho2 = _random_density(rng, 8)
         p = 0.37
-        mixed = DensityMatrix(
-            (2, 2, 2), p * rho1.matrix + (1 - p) * rho2.matrix
-        )
-        expected = p * fidelity_pure(psi, rho1) + (1 - p) * fidelity_pure(psi, rho2)
-        assert fidelity_pure(psi, mixed) == pytest.approx(expected, abs=1e-12)
+        mixed = p * rho1 + (1 - p) * rho2
+        check_density_matrices(mixed)
+        f1, f2, f_mixed = (fidelities(psi, r[None])[0] for r in (rho1, rho2, mixed))
+        assert f_mixed == pytest.approx(p * f1 + (1 - p) * f2, abs=1e-12)
 
     def test_dimension_mismatch_raises(self, rng):
-        psi = PureState((2,), np.array([1.0, 0.0]))
-        rho = _random_density(rng, (2, 2))
+        psi = np.array([[1.0, 0.0]], dtype=complex)
+        rho = _random_density(rng, 4)[None]
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity_pure(psi, rho)
+            fidelities(psi, rho)
+        with pytest.raises(ValueError, match="mismatch"):
+            fidelities(np.eye(4, dtype=complex)[:1], np.stack([rho[0]] * 3))

@@ -2,29 +2,28 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 import triclone
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 PUBLIC_NAMES = (
-    "CloningIsometry",
-    "DensityMatrix",
-    "EntanglementReport",
     "IterationStep",
     "IterationTrace",
-    "PureState",
-    "apply_local_cloning",
-    "apply_nonlocal_cloning",
-    "clone_mixed_nonlocal",
+    "check_density_matrices",
     "correlations",
-    "eig_hermitian",
-    "fidelity_pure",
+    "evaluate",
+    "fidelities",
     "find_e2_crossings",
-    "input_state",
+    "input_states",
     "iterate",
-    "measures",
+    "local_channel",
+    "measure_stack",
+    "nonlocal_channel",
     "nonlocal_isometry",
 )
 
@@ -72,3 +71,20 @@ def test_implementation_does_not_import_the_oracles(module):
 def test_verification_imports_the_oracles():
     # Keeps the scan above from passing because it finds no imports at all.
     assert "triclone.reference" in _imported_modules("verification")
+
+
+def test_readme_sketch_runs_on_the_public_names(capsys):
+    # The README's one Python block is the library sketch; it may use only
+    # names in ``__all__`` and must print the values its comments give.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    used = set(re.findall(r"\btc\.(\w+)", blocks[0]))
+    assert used and used <= set(triclone.__all__)
+    exec(compile(blocks[0], str(README), "exec"), {})
+    lines = capsys.readouterr().out.split("\n")
+    e3, e2 = (float(v) for v in lines[0].split())
+    assert e3 == pytest.approx(25.0 / 81.0, abs=1e-12)
+    assert e2 == pytest.approx(25.0 / 243.0, abs=1e-12)
+    assert float(lines[1]) == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert float(lines[2]) == pytest.approx(11.0 / 18.0, abs=1e-12)
