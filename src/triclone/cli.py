@@ -77,9 +77,10 @@ def format_sweep_csv(table: np.ndarray) -> str:
 
 def format_iteration_table(trace: IterationTrace) -> str:
     """Human-readable decay table, four decimals per entry."""
-    header = ["step"] + [str(s.step) for s in trace.steps]
-    row_e3 = ["E3"] + [f"{s.e3:.4f}" for s in trace.steps]
-    row_e2 = ["E2"] + [f"{s.e2:.4f}" for s in trace.steps]
+    e3, e2 = trace.e3.tolist(), trace.e2[:, 0].tolist()
+    header = ["step"] + [str(k) for k in range(len(e3))]
+    row_e3 = ["E3"] + [f"{v:.4f}" for v in e3]
+    row_e2 = ["E2"] + [f"{v:.4f}" for v in e2]
     lines = []
     for cells in (header, row_e3, row_e2):
         lines.append(cells[0].ljust(4) + " ".join(c.rjust(6) for c in cells[1:]))
@@ -88,8 +89,8 @@ def format_iteration_table(trace: IterationTrace) -> str:
 
 def format_iteration_csv(trace: IterationTrace) -> str:
     lines = ["step,e3,e2"]
-    for s in trace.steps:
-        lines.append(f"{s.step},{_fmt(s.e3)},{_fmt(s.e2)}")
+    for k, (e3, e2) in enumerate(zip(trace.e3.tolist(), trace.e2[:, 0].tolist())):
+        lines.append(f"{k},{_fmt(e3)},{_fmt(e2)}")
     return "\n".join(lines) + "\n"
 
 

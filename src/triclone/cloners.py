@@ -43,31 +43,6 @@ OUTPUT_SYMMETRY_ATOL = 1e-12
 CROSSING_BRACKET = 1e-6
 
 
-@dataclass
-class CloningIsometry:
-    """Inner-product-preserving map into original x copy x machine."""
-
-    in_dim: int
-    out_dims: tuple[int, int, int]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.in_dim = int(self.in_dim)
-        self.out_dims = tuple(int(d) for d in self.out_dims)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        expected = (int(np.prod(self.out_dims)), self.in_dim)
-        if self.matrix.shape != expected:
-            raise ValueError(
-                f"isometry shape {self.matrix.shape} does not match {expected}"
-            )
-        gram = self.matrix.conj().T @ self.matrix
-        residual = float(np.max(np.abs(gram - np.eye(self.in_dim))))
-        if residual > ISOMETRY_ATOL:
-            raise ValueError(f"map is not an isometry (V+V residual {residual:.3e})")
-        # Isometries are shared through a cache; freeze them.
-        self.matrix.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class CompiledChannel:
     """A cloning channel as a 64 x 64 superoperator, with build-time residuals.
@@ -141,13 +116,15 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
 
 
 @lru_cache(maxsize=None)
-def nonlocal_isometry(n: int) -> CloningIsometry:
-    """Universal symmetric cloner of one n-dimensional system.
+def nonlocal_isometry(n: int) -> np.ndarray:
+    """Universal symmetric cloner of one n-dimensional system, read-only (n^3, n).
 
     Column i sends basis state i to
     c |i,i,i> + d * sum_{j != i} (|i,j> + |j,i>) |j>
     over original x copy x machine, with c^2 = 2/(n+1) and
-    d^2 = 1/(2(n+1)); the machine basis is the computational one.
+    d^2 = 1/(2(n+1)); the machine basis is the computational one.  Raises
+    ValueError if n < 2 or if V+V deviates from the identity by more than
+    ``ISOMETRY_ATOL``.
     """
     n = int(n)
     if n < 2:
@@ -163,7 +140,12 @@ def nonlocal_isometry(n: int) -> CloningIsometry:
                 column[i, j, j] += d
                 column[j, i, j] += d
         v[:, i] = column.reshape(-1)
-    return CloningIsometry(in_dim=n, out_dims=(n, n, n), matrix=v)
+    residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
+    if residual > ISOMETRY_ATOL:
+        raise ValueError(f"map is not an isometry (V+V residual {residual:.3e})")
+    # Isometries are shared through the cache; freeze them.
+    v.setflags(write=False)
+    return v
 
 
 @lru_cache(maxsize=1)
@@ -177,7 +159,7 @@ def local_channel() -> CompiledChannel:
     that the tensor reads [orig, copy, machine, in] with eight-dimensional
     sides.
     """
-    v = nonlocal_isometry(2).matrix
+    v = nonlocal_isometry(2)
     register = kron_all([v, v, v]).reshape((2,) * 9 + (8,))
     tensor = register.transpose(0, 3, 6, 1, 4, 7, 2, 5, 8, 9).reshape(8, 8, 8, 8)
     return compile_channel(tensor)
@@ -186,7 +168,7 @@ def local_channel() -> CompiledChannel:
 @lru_cache(maxsize=1)
 def nonlocal_channel() -> CompiledChannel:
     """The non-local scheme compiled from the eight-dimensional cloner."""
-    return compile_channel(nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8))
+    return compile_channel(nonlocal_isometry(8).reshape(8, 8, 8, 8))
 
 
 @dataclass

@@ -84,7 +84,7 @@ def _correlation_stack(rhos: np.ndarray):
 def _check_norms(lams: np.ndarray) -> None:
     """Norm check of coherence vectors (..., 3)."""
     norm = float(np.sqrt((lams * lams).sum(axis=-1)).max())
-    if norm > COMPONENT_CEILING:
+    if not norm <= COMPONENT_CEILING:
         raise ValueError(f"coherence vector norm {norm} exceeds 1")
 
 
@@ -109,8 +109,8 @@ def correlations(rhos: np.ndarray):
     """
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
-    top = float(max(np.max(np.abs(k2)), np.max(np.abs(k3))))
-    if top > COMPONENT_CEILING:
+    top = float(np.maximum(np.abs(k2).max(), np.abs(k3).max()))
+    if not top <= COMPONENT_CEILING:
         raise ValueError(f"correlation entry {top} exceeds 1")
     return lam, k2, k3
 

@@ -36,23 +36,18 @@ MAX_STEPS = 12
 
 
 @dataclass
-class IterationStep:
-    step: int
-    e3: float
-    e2: float
-
-
-@dataclass
 class IterationTrace:
-    """Measures and states along a sequence of cloning steps.
+    """Measures and states along a sequence of cloning steps, step 0 first.
 
-    ``e2`` stores the (1, 2) pairwise value; all three pairs coincide for
-    the exchange-symmetric states this module produces.  ``states`` is the
-    validated, read-only (len(steps), 8, 8) stack, step 0 first.
+    ``e3`` (n+1,) and ``e2`` (n+1, 3) are the read-only ``measure_stack``
+    outputs of ``states``, the validated, read-only (n+1, 8, 8) trajectory
+    of n steps; E2 columns follow ``PAIRS``, and all three coincide for the
+    exchange-symmetric states this module produces.
     """
 
     alpha: float
-    steps: list[IterationStep]
+    e3: np.ndarray
+    e2: np.ndarray
     states: np.ndarray
 
 
@@ -143,9 +138,6 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
     _certify(states[:-1], states[1:], projectors, clones)
     check_density_matrices(states)
     e3, e2, _, _ = measure_stack(states)
-    states.flags.writeable = False
-    steps = [
-        IterationStep(step=k, e3=float(e3[k]), e2=float(e2[k, 0]))
-        for k in range(n_steps + 1)
-    ]
-    return IterationTrace(alpha=alpha, steps=steps, states=states)
+    for array in (e3, e2, states):
+        array.flags.writeable = False
+    return IterationTrace(alpha=alpha, e3=e3, e2=e2, states=states)

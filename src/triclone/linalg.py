@@ -28,11 +28,19 @@ PSD_CERTIFICATE_MARGIN = 1e-13
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product, the first factor most significant."""
-    factors = list(factors)
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+    """Kronecker product of stacks (..., r, c), the first factor most significant.
+
+    One broadcast product per factor, left to right: stacks of factors give
+    the stack of their members' products, and each entry is the product of
+    factor entries that ``np.kron`` forms, bit for bit.
+    """
+    factors = iter(factors)
+    out = np.asarray(next(factors), dtype=complex)
+    for f in factors:
+        f = np.asarray(f, dtype=complex)
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        *stack, r1, r2, c1, c2 = prod.shape
+        out = prod.reshape(*stack, r1 * r2, c1 * c2)
     return out
 
 
@@ -105,7 +113,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     residual = float(np.max(np.abs(h - h.conj().swapaxes(-1, -2)), initial=0.0))
-    if residual > HERMITIAN_ATOL:
+    if not residual <= HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     values, vectors = np.linalg.eigh(h)
     return values[..., ::-1], vectors[..., ::-1]

@@ -1,8 +1,9 @@
 """Executable verification suite behind ``triclone verify``.
 
 Each check pins one acceptance criterion with its tolerance and reports
-the measured residual.  The same checks back tests/test_acceptance.py, so
-the CLI and the test suite cannot drift apart.
+the measured residual; single-state values come from one-point
+``evaluate`` calls, the path the sweep runs.  The same checks back
+tests/test_acceptance.py, so the CLI and the test suite cannot drift apart.
 
 Each random stack is one generator call laid out (n, 2, d, d), real then
 imaginary part per member, so it reads the stream in the order of a
@@ -27,7 +28,7 @@ from .cloners import (
 )
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import clone_mixed_stack, iterate
-from .linalg import check_density_matrices, eig_hermitian
+from .linalg import check_density_matrices, eig_hermitian, kron_all
 from .reference import (
     closed_form_input_measures,
     closed_form_local_measures,
@@ -69,25 +70,9 @@ def compute_grid() -> GridData:
     return evaluate(np.linspace(0.0, math.pi / 2.0, GRID_POINTS))
 
 
-def _input_projectors(alphas) -> np.ndarray:
-    """Validated projectors (n, 8, 8) of the two-corner inputs at ``alphas``."""
-    psis = input_states(alphas)
-    rhos = psis[:, :, None] * psis[:, None, :].conj()
-    check_density_matrices(rhos)
-    return rhos
-
-
-def _cloned(channel, alpha: float) -> np.ndarray:
-    """Validated output (1, 8, 8) of ``channel`` for the input at ``alpha``."""
-    out = channel.map(_input_projectors([alpha]))
-    check_density_matrices(out)
-    return out
-
-
-def _measure_error(rhos: np.ndarray, e3: float, e2: float) -> float:
-    """Largest deviation of the E3 and every E2 of one state (1, 8, 8)."""
-    got_e3, got_e2, *_ = measure_stack(rhos)
-    return max(abs(got_e3[0] - e3), max(abs(v - e2) for v in got_e2[0]))
+def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
+    """Largest deviation of one point's E3 (1,) and every E2 (1, 3)."""
+    return max(abs(e3s[0] - e3), max(abs(v - e2) for v in e2s[0]))
 
 
 def check_input_closed_forms(grid: GridData) -> CheckResult:
@@ -95,7 +80,8 @@ def check_input_closed_forms(grid: GridData) -> CheckResult:
     cf = np.array([closed_form_input_measures(a) for a in grid.alphas])
     err3 = float(np.max(np.abs(grid.e3_in - cf[:, 0])))
     err2 = float(np.max(np.abs(grid.e2_in - cf[:, 1:2])))
-    ghz_err = _measure_error(_input_projectors([math.pi / 4.0]), 1.0, 1.0 / 3.0)
+    ghz = evaluate([math.pi / 4.0])
+    ghz_err = _measure_error(ghz.e3_in, ghz.e2_in, 1.0, 1.0 / 3.0)
     passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
     return CheckResult(
         "input-state-closed-forms",
@@ -109,8 +95,8 @@ def check_local_oracle(grid: GridData) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
     refs = closed_form_local_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.local_out - refs)))
-    out = _cloned(local_channel(), math.pi / 4.0)
-    m_err = _measure_error(out, 64.0 / 729.0, 16.0 / 243.0)
+    ghz = evaluate([math.pi / 4.0])
+    m_err = _measure_error(ghz.e3_local, ghz.e2_local, 64.0 / 729.0, 16.0 / 243.0)
     passed = err <= 1e-12 and m_err <= 1e-12
     return CheckResult(
         "local-cloning-oracle",
@@ -124,9 +110,9 @@ def check_nonlocal_oracle(grid: GridData) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
     refs = closed_form_nonlocal_outputs(grid.alphas)
     err = float(np.max(np.abs(grid.nonlocal_out - refs)))
-    out = _cloned(nonlocal_channel(), math.pi / 4.0)
-    m_err = _measure_error(out, 25.0 / 81.0, 25.0 / 243.0)
-    values, _ = eig_hermitian(out[0])
+    ghz = evaluate([math.pi / 4.0])
+    m_err = _measure_error(ghz.e3_nonlocal, ghz.e2_nonlocal, 25.0 / 81.0, 25.0 / 243.0)
+    values, _ = eig_hermitian(ghz.nonlocal_out[0])
     eig_err = float(np.max(np.abs(np.sort(values) - np.array(GHZ_EIGENVALUES))))
     passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
     return CheckResult(
@@ -198,18 +184,14 @@ def check_amplification_window() -> CheckResult:
 def check_iteration_decay() -> CheckResult:
     """Repeated non-local cloning of the balanced state matches the decay table."""
     trace = iterate(math.pi / 4.0, 6)
-    err = 0.0
-    for k in range(6):
-        err = max(err, abs(trace.steps[k].e3 - TABLE_E3[k]))
-        err = max(err, abs(trace.steps[k].e2 - TABLE_E2[k]))
-    e3_6 = trace.steps[6].e3
-    e2_6 = trace.steps[6].e2
-    passed = err <= TABLE_ATOL and e3_6 < STEP6_CEILING and e2_6 < STEP6_CEILING
+    e3, e2 = trace.e3.tolist(), trace.e2[:, 0].tolist()
+    err = max(abs(v - ref) for v, ref in zip(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
+    passed = err <= TABLE_ATOL and max(e3[6], e2[6]) < STEP6_CEILING
     return CheckResult(
         "iterated-cloning-decay",
         passed,
         f"steps 0-5 max err={err:.2e} (tol {TABLE_ATOL}); step 6 computes to "
-        f"E3={e3_6:.6f}, E2={e2_6:.6f} (reference table prints 0.0000; the "
+        f"E3={e3[6]:.6f}, E2={e2[6]:.6f} (reference table prints 0.0000; the "
         f"substituted property is decay below {STEP6_CEILING})",
     )
 
@@ -220,12 +202,6 @@ def _gaussian_states(g: np.ndarray) -> np.ndarray:
     m = z @ z.conj().swapaxes(1, 2)
     m = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return 0.5 * (m + m.conj().swapaxes(1, 2))
-
-
-def _kron_qubits(q: np.ndarray) -> np.ndarray:
-    """``kron_all`` of each member's three qubit factors (n, 3, 2, 2): (n, 8, 8)."""
-    pair = (q[:, 0, :, None, :, None] * q[:, 1, None, :, None, :]).reshape(-1, 4, 4)
-    return (pair[:, :, None, :, None] * q[:, 2, None, :, None, :]).reshape(-1, 8, 8)
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -246,7 +222,7 @@ def random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_product_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` random products of three independent qubits as one stack (n, 8, 8)."""
     qubits = _gaussian_states(rng.standard_normal((3 * n, 2, 2, 2)))
-    stack = _kron_qubits(qubits.reshape(n, 3, 2, 2))
+    stack = kron_all(qubits.reshape(n, 3, 2, 2).swapaxes(0, 1))
     check_density_matrices(stack)
     return stack
 
@@ -297,9 +273,11 @@ def check_channel_properties(seed: int) -> CheckResult:
 def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
-    base = _input_projectors([math.pi / 4, math.pi / 8])
+    psis = input_states([math.pi / 4, math.pi / 8])
+    base = psis[:, :, None] * psis[:, None, :].conj()
+    check_density_matrices(base)
     rhos = np.concatenate([base, random_density_matrices(rng, 1)])[np.arange(50) % 3]
-    u = _kron_qubits(random_unitaries(rng, 150).reshape(50, 3, 2, 2))
+    u = kron_all(random_unitaries(rng, 150).reshape(50, 3, 2, 2).swapaxes(0, 1))
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
     e3, e2, *_ = measure_stack(rotated)
@@ -352,7 +330,7 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    k333 = correlations(_cloned(local_channel(), alpha))[2][0, 2, 2, 2]
+    k333 = correlations(evaluate([alpha]).local_out)[2][0, 2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (
         f"info: triple correlation K333 of the local-clone output at "

@@ -246,7 +246,7 @@ class TestIterate:
 
         trace = iterate(0.4, 1)
         header, rows = _parse_csv(format_iteration_csv(trace))
-        assert rows[0][1] == trace.steps[0].e3
+        assert rows[0][1] == trace.e3[0]
 
 
 class TestParser:

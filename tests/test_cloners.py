@@ -84,14 +84,14 @@ def _test_states(rng):
 REFERENCE_PATHS = {
     "local": (
         local_channel,
-        lambda: kron_all([nonlocal_isometry(2).matrix] * 3),
+        lambda: kron_all([nonlocal_isometry(2)] * 3),
         (2,) * 9,
         (0, 3, 6),
         (1, 4, 7),
     ),
     "nonlocal": (
         nonlocal_channel,
-        lambda: nonlocal_isometry(8).matrix,
+        lambda: nonlocal_isometry(8),
         (8, 8, 8),
         (0,),
         (1,),
@@ -121,17 +121,17 @@ def _depolarize_each_qubit(matrix, shrink):
 class TestLocalIsometry:
     # The local scheme's qubit cloner is the n = 2 universal cloner.
     def test_is_isometry(self):
-        v = nonlocal_isometry(2).matrix
+        v = nonlocal_isometry(2)
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
 
     def test_machine_is_a_qubit(self):
-        assert nonlocal_isometry(2).out_dims == (2, 2, 2)
+        assert nonlocal_isometry(2).shape == (8, 2)
 
     def test_column_amplitudes(self):
         # |0> -> sqrt(2/3)|00,up> + sqrt(1/6)(|10> + |01>)|down> and |1> ->
         # sqrt(2/3)|11,down> + sqrt(1/6)(|10> + |01>)|up>, the machine kets
         # up/down stored as indices 0/1 of (orig, copy, machine).
-        v = nonlocal_isometry(2).matrix
+        v = nonlocal_isometry(2)
         s23, s16 = math.sqrt(2 / 3), math.sqrt(1 / 6)
         expected = np.zeros((8, 2))
         expected[0b000, 0] = s23
@@ -141,7 +141,7 @@ class TestLocalIsometry:
         assert np.max(np.abs(v - expected)) <= 1e-14
 
     def test_copy_fidelity_five_sixths(self):
-        v = nonlocal_isometry(2).matrix
+        v = nonlocal_isometry(2)
         for ket in (0, 1):
             out = v[:, ket]
             joint = np.outer(out, out.conj())
@@ -152,14 +152,14 @@ class TestLocalIsometry:
 class TestNonlocalIsometry:
     def test_coefficients_for_register_cloner(self):
         v = nonlocal_isometry(8)
-        assert v.out_dims == (8, 8, 8)
-        column = v.matrix[:, 3].reshape(8, 8, 8)
+        assert v.shape == (512, 8)
+        column = v[:, 3].reshape(8, 8, 8)
         assert column[3, 3, 3].real ** 2 == pytest.approx(2.0 / 9.0, abs=1e-14)
         assert column[3, 5, 5].real ** 2 == pytest.approx(1.0 / 18.0, abs=1e-14)
         assert column[5, 3, 5].real ** 2 == pytest.approx(1.0 / 18.0, abs=1e-14)
 
     def test_is_isometry(self):
-        v = nonlocal_isometry(8).matrix
+        v = nonlocal_isometry(8)
         assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
 
     def test_column_normalization_identity(self):
@@ -171,6 +171,13 @@ class TestNonlocalIsometry:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
             nonlocal_isometry(1)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_cached_isometry_is_read_only(self, n):
+        v = nonlocal_isometry(n)
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+        assert nonlocal_isometry(n) is v
 
 
 class TestLocalChannel:
@@ -301,7 +308,7 @@ class TestCompiledChannels:
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_rejects_non_trace_preserving_tensor(self):
-        tensor = 1.1 * nonlocal_isometry(8).matrix.reshape(8, 8, 8, 8)
+        tensor = 1.1 * nonlocal_isometry(8).reshape(8, 8, 8, 8)
         with pytest.raises(RuntimeError, match="trace"):
             compile_channel(tensor)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triclone import entanglement
 from triclone.cloners import local_channel, nonlocal_channel
 from triclone.entanglement import (
     COMPONENT_CEILING,
@@ -206,6 +207,17 @@ class TestPairCorrelation:
         with pytest.raises(ValueError, match="correlation entry"):
             correlations(np.stack([_rho(0.3), rho]))
         measure_stack(rho)
+
+    def test_nan_stack_is_rejected(self, monkeypatch):
+        stack = np.full((1, 8, 8), np.nan)
+        with pytest.raises(ValueError, match="coherence vector norm nan exceeds 1"):
+            correlations(stack)
+        with pytest.raises(ValueError, match="coherence vector norm nan exceeds 1"):
+            measure_stack(stack)
+        # With the norm check out of the way, the entry check still rejects it.
+        monkeypatch.setattr(entanglement, "_check_norms", lambda lams: None)
+        with pytest.raises(ValueError, match="correlation entry nan exceeds 1"):
+            correlations(stack)
 
 
 class TestTripleCorrelation:

@@ -113,28 +113,26 @@ class TestIterate:
     def test_reproduces_decay_table(self):
         trace = iterate(math.pi / 4, 6)
         for k in range(6):
-            assert trace.steps[k].e3 == pytest.approx(TABLE_E3[k], abs=5e-5)
-            assert trace.steps[k].e2 == pytest.approx(TABLE_E2[k], abs=5e-5)
+            assert trace.e3[k] == pytest.approx(TABLE_E3[k], abs=5e-5)
+            assert trace.e2[k, 0] == pytest.approx(TABLE_E2[k], abs=5e-5)
 
     def test_second_step_closed_form(self):
         trace = iterate(math.pi / 4, 2)
-        assert trace.steps[2].e3 == pytest.approx(GEOMETRIC_RATIO**2, abs=1e-12)
-        assert trace.steps[2].e2 == pytest.approx(
+        assert trace.e3[2] == pytest.approx(GEOMETRIC_RATIO**2, abs=1e-12)
+        assert trace.e2[2, 0] == pytest.approx(
             GEOMETRIC_RATIO**2 / 3.0, abs=1e-12
         )
 
     def test_decay_is_exactly_geometric_for_balanced_input(self):
         trace = iterate(math.pi / 4, 6)
-        for step in trace.steps:
-            assert step.e3 == pytest.approx(GEOMETRIC_RATIO**step.step, abs=1e-12)
-            assert step.e2 == pytest.approx(
-                GEOMETRIC_RATIO**step.step / 3.0, abs=1e-12
-            )
+        for step, (e3, e2) in enumerate(zip(trace.e3, trace.e2[:, 0])):
+            assert e3 == pytest.approx(GEOMETRIC_RATIO**step, abs=1e-12)
+            assert e2 == pytest.approx(GEOMETRIC_RATIO**step / 3.0, abs=1e-12)
 
     def test_strictly_monotone_decay(self):
         trace = iterate(math.pi / 4, 6)
-        e3 = [s.e3 for s in trace.steps]
-        e2 = [s.e2 for s in trace.steps]
+        e3 = trace.e3.tolist()
+        e2 = trace.e2[:, 0].tolist()
         assert all(a > b for a, b in zip(e3, e3[1:]))
         assert all(a > b for a, b in zip(e2, e2[1:]))
 
@@ -159,8 +157,8 @@ class TestIterate:
         alpha = 0.6
         trace = iterate(alpha, 1)
         e3, e2 = closed_form_input_measures(alpha)
-        assert trace.steps[0].e3 == pytest.approx(e3, abs=1e-12)
-        assert trace.steps[0].e2 == pytest.approx(e2, abs=1e-12)
+        assert trace.e3[0] == pytest.approx(e3, abs=1e-12)
+        assert trace.e2[0, 0] == pytest.approx(e2, abs=1e-12)
 
     def test_step_bounds(self):
         with pytest.raises(ValueError):
@@ -182,11 +180,14 @@ class TestIterate:
 
     def test_measures_come_from_the_states(self):
         trace = iterate(0.7, 12)
-        assert [s.step for s in trace.steps] == list(range(13))
-        for step, m in zip(trace.steps, trace.states):
-            e3, e2, _, _ = measure_stack(m[None])
-            assert step.e3 == e3[0]
-            assert step.e2 == e2[0, 0]
+        assert trace.e3.shape == (13,) and trace.e2.shape == (13, 3)
+        e3, e2, _, _ = measure_stack(trace.states)
+        assert np.array_equal(trace.e3, e3)
+        assert np.array_equal(trace.e2, e2)
+        for measure in (trace.e3, trace.e2):
+            assert not measure.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                measure[0] = 0.0
 
 
 class TestTrajectoryCertificate:

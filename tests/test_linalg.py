@@ -14,6 +14,7 @@ from triclone.linalg import (
     fidelities,
     kron_all,
 )
+from triclone.cloners import nonlocal_isometry
 from triclone.entanglement import input_states
 from triclone.reference import partial_trace_matrix
 
@@ -64,6 +65,29 @@ class TestKron:
         left = kron_all([kron_all(mats[:2]), mats[2]])
         right = kron_all([mats[0], kron_all(mats[1:])])
         assert np.max(np.abs(left - right)) <= 1e-14
+
+    def test_matches_np_kron_on_matrices(self, rng):
+        # The (8, 2) qubit cloner, as the local register takes it, and
+        # non-square random factors.
+        v = nonlocal_isometry(2)
+        assert np.array_equal(kron_all([v, v, v]), np.kron(np.kron(v, v), v))
+        a, b, c = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((2, 3), (3, 1), (1, 4))
+        )
+        assert np.array_equal(kron_all([a, b, c]), np.kron(np.kron(a, b), c))
+        assert np.array_equal(kron_all([a]), a)
+
+    def test_stack_members_equal_per_member_products(self, rng):
+        a, b = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((5, 2, 2), (5, 3, 2))
+        )
+        c = rng.standard_normal((2, 2))
+        out = kron_all([a, b, c])
+        assert out.shape == (5, 12, 8)
+        for k in range(5):
+            assert np.array_equal(out[k], np.kron(np.kron(a[k], b[k]), c))
 
 
 class TestPureState:
@@ -311,6 +335,14 @@ class TestEigHermitian:
     def test_empty_stack(self):
         values, vectors = eig_hermitian(np.zeros((0, 8, 8), dtype=complex))
         assert values.shape == (0, 8) and vectors.shape == (0, 8, 8)
+
+    def test_rejects_nan_input(self):
+        # NaN compares false with the tolerance, so the check must not pass it
+        # on to eigh, which would fail with LinAlgError instead.
+        stack = np.full((2, 8, 8), np.nan)
+        for h in (stack[0], stack):
+            with pytest.raises(ValueError, match=r"not Hermitian \(residual nan\)"):
+                eig_hermitian(h)
 
     def test_stack_rejects_one_non_hermitian_member(self, rng):
         stack = np.stack([_random_hermitian(rng, 4) for _ in range(3)])

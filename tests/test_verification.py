@@ -12,7 +12,6 @@ import pytest
 
 from triclone.linalg import kron_all
 from triclone.verification import (
-    _kron_qubits,
     random_density_matrices,
     random_product_states,
     random_unitaries,
@@ -75,13 +74,13 @@ def test_batched_kronecker_products_equal_kron_all(n):
     rng, reference = _generators()
     factors = random_unitaries(rng, 3 * n).reshape(n, 3, 2, 2)
     expected = [kron_all([_unitary(reference) for _ in range(3)]) for _ in range(n)]
-    assert np.array_equal(_kron_qubits(factors), expected)
+    assert np.array_equal(kron_all(factors.swapaxes(0, 1)), expected)
     _assert_same_next_draw(rng, reference)
 
 
 def test_batched_rotations_equal_per_member_products():
     rng = np.random.default_rng(2024)
-    u = _kron_qubits(random_unitaries(rng, 60).reshape(20, 3, 2, 2))
+    u = kron_all(random_unitaries(rng, 60).reshape(20, 3, 2, 2).swapaxes(0, 1))
     rhos = random_density_matrices(rng, 20)
     rotated = u @ rhos @ u.conj().swapaxes(1, 2)
     expected = [a @ rho @ a.conj().T for a, rho in zip(u, rhos)]
