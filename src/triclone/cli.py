@@ -41,11 +41,6 @@ SWEEP_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest decimal that round-trips.
-    return repr(float(value))
-
-
 def sweep_table(points: int) -> np.ndarray:
     """(points, 9) array in ``SWEEP_COLUMNS`` order over a cos(alpha) grid."""
     xs = np.linspace(0.0, 1.0, points)
@@ -71,7 +66,8 @@ def sweep_table(points: int) -> np.ndarray:
 
 def format_sweep_csv(table: np.ndarray) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
-    lines.extend(",".join(map(_fmt, row)) for row in table.tolist())
+    # repr of a Python float is the shortest decimal that round-trips.
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -90,7 +86,8 @@ def format_iteration_table(trace: IterationTrace) -> str:
 def format_iteration_csv(trace: IterationTrace) -> str:
     lines = ["step,e3,e2"]
     for k, (e3, e2) in enumerate(zip(trace.e3.tolist(), trace.e2[:, 0].tolist())):
-        lines.append(f"{k},{_fmt(e3)},{_fmt(e2)}")
+        # repr of a Python float is the shortest decimal that round-trips.
+        lines.append(f"{k},{e3!r},{e2!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -131,15 +131,12 @@ def nonlocal_isometry(n: int) -> np.ndarray:
         raise ValueError(f"cloner dimension must be at least 2, got {n}")
     c = math.sqrt(2.0 / (n + 1))
     d = math.sqrt(1.0 / (2.0 * (n + 1)))
-    v = np.zeros((n**3, n), dtype=complex)
-    for i in range(n):
-        column = np.zeros((n, n, n), dtype=complex)
-        column[i, i, i] = c
-        for j in range(n):
-            if j != i:
-                column[i, j, j] += d
-                column[j, i, j] += d
-        v[:, i] = column.reshape(-1)
+    k = np.arange(n)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    v = np.zeros((n, n, n, n), dtype=complex)
+    v[k, k, k, k] = c
+    v[i, j, j, i] = v[j, i, j, i] = d
+    v = v.reshape(n**3, n)
     residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
     if residual > ISOMETRY_ATOL:
         raise ValueError(f"map is not an isometry (V+V residual {residual:.3e})")

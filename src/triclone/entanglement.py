@@ -88,13 +88,13 @@ def _check_norms(lams: np.ndarray) -> None:
         raise ValueError(f"coherence vector norm {norm} exceeds 1")
 
 
-def _check_measures(e3, e2: dict) -> None:
-    """Range check of the E3 array and of each pair's E2 array."""
-    values = np.array([e3, *e2.values()])
+def _check_measures(e3: np.ndarray, e2: np.ndarray) -> None:
+    """Range check of E3 (...,) and of E2 (..., 3), columns in ``PAIRS`` order."""
+    values = np.concatenate([e3[None], np.moveaxis(e2, -1, 0)])
     ok = (0.0 <= values) & (values <= MEASURE_CEILING)
     if not ok.all():
         first = tuple(np.argwhere(~ok)[0])
-        name = ("E3", *(f"E2{p}" for p in e2))[first[0]]
+        name = ("E3", *(f"E2{p}" for p in PAIRS))[first[0]]
         raise ValueError(f"{name} value {values[first]} outside [0, 1]")
 
 
@@ -118,30 +118,28 @@ def correlations(rhos: np.ndarray):
 def measure_stack(rhos: np.ndarray):
     """E3 (...,) and E2 (..., 3) of a stack of three-qubit matrices (..., 8, 8).
 
-    E2 columns follow ``PAIRS``.  Also returns the tensors they are built
-    from: M2 by pair, K_ij(m,n) - lambda_i(m) lambda_j(n), and M3, which
-    removes the three coherence-weighted M2 terms and the rank-one
-    coherence product from K_ijk.  Checks every coherence vector norm and
-    every E3 and E2 range.
+    Also returns the tensors they are built from: M2 (..., 3, 3, 3), the
+    slabs K_ij(m,n) - lambda_i(m) lambda_j(n), and M3, which removes the
+    three coherence-weighted M2 terms and the rank-one coherence product
+    from K_ijk.  The M2 slabs and the E2 columns follow ``PAIRS``, like
+    the K2 slabs of ``correlations``.  Checks every coherence vector norm
+    and every E3 and E2 range.
     """
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
-    lams = {m: lam[..., m - 1, :] for m in QUBITS}
-    m2 = {
-        (m, n): k2[..., i, :, :] - lams[m][..., :, None] * lams[n][..., None, :]
-        for i, (m, n) in enumerate(PAIRS)
-    }
+    m2 = k2 - lam[..., [0, 1, 0], :, None] * lam[..., [1, 2, 2], None, :]
+    l1, l2, l3 = np.moveaxis(lam, -2, 0)
     m3 = (
         k3
-        - np.einsum("...i,...jk->...ijk", lams[1], m2[(2, 3)])
-        - np.einsum("...j,...ik->...ijk", lams[2], m2[(1, 3)])
-        - np.einsum("...k,...ij->...ijk", lams[3], m2[(1, 2)])
-        - np.einsum("...i,...j,...k->...ijk", lams[1], lams[2], lams[3])
+        - np.einsum("...i,...jk->...ijk", l1, m2[..., 1, :, :])
+        - np.einsum("...j,...ik->...ijk", l2, m2[..., 2, :, :])
+        - np.einsum("...k,...ij->...ijk", l3, m2[..., 0, :, :])
+        - np.einsum("...i,...j,...k->...ijk", l1, l2, l3)
     )
     e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
-    e2 = {p: (t * t).sum(axis=(-2, -1)) / 3.0 for p, t in m2.items()}
+    e2 = (m2 * m2).sum(axis=(-2, -1)) / 3.0
     _check_measures(e3, e2)
-    return e3, np.stack([e2[p] for p in PAIRS], -1), m2, m3
+    return e3, e2, m2, m3
 
 
 def input_states(alphas) -> np.ndarray:

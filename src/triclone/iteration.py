@@ -45,7 +45,6 @@ class IterationTrace:
     exchange-symmetric states this module produces.
     """
 
-    alpha: float
     e3: np.ndarray
     e2: np.ndarray
     states: np.ndarray
@@ -124,9 +123,8 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
     n_steps = int(n_steps)
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
-    alpha = float(alpha)
     states = np.empty((n_steps + 1, 8, 8), dtype=complex)
-    psi = input_states([alpha])
+    psi = input_states([float(alpha)])
     np.multiply(psi[:, :, None], psi[:, None, :].conj(), out=states[:1])
     projectors, clones = [], []
     for k in range(n_steps):
@@ -140,4 +138,4 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
     e3, e2, _, _ = measure_stack(states)
     for array in (e3, e2, states):
         array.flags.writeable = False
-    return IterationTrace(alpha=alpha, e3=e3, e2=e2, states=states)
+    return IterationTrace(e3=e3, e2=e2, states=states)

@@ -133,7 +133,7 @@ def fidelities(psis: np.ndarray, rhos: np.ndarray) -> np.ndarray:
         )
     # Two einsums, not one: the three-operand form sums in another order.
     values = np.einsum("ni,ni->n", psis.conj(), np.einsum("nij,nj->ni", rhos, psis))
-    bad = np.abs(values.imag) > 1e-12
+    bad = ~(np.abs(values.imag) <= 1e-12)
     if np.any(bad):
         raise ValueError(f"overlap has non-real value {complex(values[bad][0])}")
     out = values.real

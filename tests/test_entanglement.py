@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ def _nonlocal(rho):
 
 
 def _measures(rho):
-    """E3, the E2 row (3,) in ``PAIRS`` order, M2 by pair and M3 of one state."""
+    """E3, the E2 row (3,) and M2 (3, 3, 3) in ``PAIRS`` order, and M3 of one state."""
     e3, e2, m2, m3 = measure_stack(rho[None])
-    return e3[0], e2[0], {p: t[0] for p, t in m2.items()}, m3[0]
+    return e3[0], e2[0], m2[0], m3[0]
 
 
 def _diagonal_state(weights):
@@ -258,8 +259,7 @@ class TestEntanglementTensors:
             assert np.max(np.abs(m3 - expected_m3)) <= 1e-12
             expected_m2 = np.zeros((3, 3))
             expected_m2[2, 2] = s * s
-            for pair in PAIRS:
-                assert np.max(np.abs(m2[pair] - expected_m2)) <= 1e-12
+            assert np.max(np.abs(m2 - expected_m2)) <= 1e-12
 
     def test_nonlocal_clone_m333(self):
         for alpha in (0.2, 0.9):
@@ -271,8 +271,7 @@ class TestEntanglementTensors:
     def test_product_states_vanish(self, rng):
         _, _, m2, m3 = measure_stack(random_product_states(rng, 5))
         assert np.max(np.abs(m3)) <= 1e-12
-        for pair in PAIRS:
-            assert np.max(np.abs(m2[pair])) <= 1e-12
+        assert np.max(np.abs(m2)) <= 1e-12
 
     def test_recomputation_from_correlations(self, rng):
         # The stored tensors are exactly the correlation/coherence
@@ -291,8 +290,7 @@ class TestEntanglementTensors:
         )
         _, _, got_m2, got_m3 = _measures(rho)
         assert np.max(np.abs(got_m3 - m3)) <= 1e-12
-        for pair in PAIRS:
-            assert np.max(np.abs(got_m2[pair] - m2[pair])) <= 1e-12
+        assert np.max(np.abs(got_m2 - np.stack([m2[p] for p in PAIRS]))) <= 1e-12
 
 
 class TestMeasures:
@@ -365,8 +363,7 @@ class TestMeasureStack:
             assert e3[i] == one_e3[0]
             assert e2[i].tolist() == one_e2[0].tolist()
             assert np.array_equal(m3[i], one_m3[0])
-            for pair in PAIRS:
-                assert np.array_equal(m2[pair][i], one_m2[pair][0])
+            assert np.array_equal(m2[i], one_m2[0])
 
     @pytest.mark.parametrize("size", [0.5, 2.0])
     def test_e3_ceiling_matches_the_report(self, size):
@@ -381,6 +378,26 @@ class TestMeasureStack:
         with pytest.raises(ValueError, match="E3 value"):
             measure_stack(stack)
         with pytest.raises(ValueError, match="E3 value"):
+            measure_stack(stack[1])
+
+    @pytest.mark.parametrize("size", [0.5, 2.0])
+    def test_e2_ceiling_names_the_pair(self, size):
+        # I/2 x |Phi+><Phi+| on qubits 2-3 scaled by c has zero coherence
+        # vectors, E3 = 0 and E2 = (0, c^2, 0), so only the E2 range check
+        # of pair (2, 3) can fire.
+        phi = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        c = math.sqrt(1.0 + size * (MEASURE_CEILING - 1.0))
+        rho = c * kron_all([np.eye(2) / 2, np.outer(phi, phi)])
+        stack = np.stack([_rho(0.3), rho])
+        if size < 1.0:
+            e3, e2, *_ = measure_stack(stack)
+            assert e3[1] == pytest.approx(0.0, abs=1e-15)
+            assert e2[1] == pytest.approx([0.0, c * c, 0.0], abs=1e-15)
+            return
+        message = re.escape("E2(2, 3) value 1.0000000001999996 outside [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            measure_stack(stack)
+        with pytest.raises(ValueError, match=message):
             measure_stack(stack[1])
 
     @pytest.mark.parametrize("size", [0.5, 2.0])

@@ -383,3 +383,11 @@ class TestFidelityPure:
             fidelities(psi, rho)
         with pytest.raises(ValueError, match="mismatch"):
             fidelities(np.eye(4, dtype=complex)[:1], np.stack([rho[0]] * 3))
+
+    def test_rejects_nan_input(self):
+        # NaN compares false with the tolerance, so the guard is written to
+        # reject anything not shown to be within it.
+        psi = np.full((1, 8), np.nan, dtype=complex)
+        rho = np.full((1, 8, 8), np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="non-real value"):
+            fidelities(psi, rho)

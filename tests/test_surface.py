@@ -5,6 +5,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triclone
@@ -32,7 +33,7 @@ PUBLIC_NAMES = (
 # returns, the grid ``evaluate`` returns and the channel that
 # ``local_channel``/``nonlocal_channel`` return.
 TRACE_FIELDS = {
-    triclone.IterationTrace: ("alpha", "e3", "e2", "states"),
+    triclone.IterationTrace: ("e3", "e2", "states"),
     GridData: (
         "alphas",
         "local_out",
@@ -80,6 +81,20 @@ def test_public_names_are_pinned():
 def test_trace_fields_are_pinned(cls):
     fields = dataclasses.fields(cls)
     assert tuple(f.name for f in fields) == TRACE_FIELDS[cls]
+
+
+def test_results_are_plain_arrays():
+    # Every public result is an ndarray, stacked along leading axes.
+    rhos = triclone.nonlocal_channel().map(np.eye(8, dtype=complex)[None] / 8)
+    grid = triclone.evaluate([0.3])
+    trace = triclone.iterate(0.3, 1)
+    items = [
+        *triclone.measure_stack(rhos),
+        *triclone.correlations(rhos),
+        *(getattr(grid, f.name) for f in dataclasses.fields(grid)),
+        *(getattr(trace, f.name) for f in dataclasses.fields(trace)),
+    ]
+    assert all(isinstance(item, np.ndarray) for item in items)
 
 
 @pytest.mark.parametrize(
