@@ -33,6 +33,7 @@ from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     TRACE_ATOL,
+    as_index,
     check_density_matrices,
     fidelities,
     kron_all,
@@ -123,10 +124,10 @@ def nonlocal_isometry(n: int) -> np.ndarray:
     c |i,i,i> + d * sum_{j != i} (|i,j> + |j,i>) |j>
     over original x copy x machine, with c^2 = 2/(n+1) and
     d^2 = 1/(2(n+1)); the machine basis is the computational one.  Raises
-    ValueError if n < 2 or if V+V deviates from the identity by more than
-    ``ISOMETRY_ATOL``.
+    ValueError if n is not an integer of at least 2 or if V+V deviates from
+    the identity by more than ``ISOMETRY_ATOL``.
     """
-    n = int(n)
+    n = as_index(n, "cloner dimension")
     if n < 2:
         raise ValueError(f"cloner dimension must be at least 2, got {n}")
     c = math.sqrt(2.0 / (n + 1))

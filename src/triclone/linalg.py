@@ -10,6 +10,7 @@ anything about physics beyond the density-matrix axioms it validates.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -27,15 +28,31 @@ EIGENVALUE_FLOOR = -1e-10
 PSD_CERTIFICATE_MARGIN = 1e-13
 
 
+def as_index(value, name: str) -> int:
+    """``value`` as an int if ``operator.index`` accepts it.
+
+    Anything else, such as a float or a string, raises ValueError naming
+    ``name`` and the value rather than being truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of stacks (..., r, c), the first factor most significant.
 
     One broadcast product per factor, left to right: stacks of factors give
     the stack of their members' products, and each entry is the product of
-    factor entries that ``np.kron`` forms, bit for bit.
+    factor entries that ``np.kron`` forms, bit for bit.  Raises ValueError
+    if there is no factor.
     """
     factors = iter(factors)
-    out = np.asarray(next(factors), dtype=complex)
+    try:
+        out = np.asarray(next(factors), dtype=complex)
+    except StopIteration:
+        raise ValueError("kron_all needs at least one factor") from None
     for f in factors:
         f = np.asarray(f, dtype=complex)
         prod = out[..., :, None, :, None] * f[..., None, :, None, :]

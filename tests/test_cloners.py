@@ -172,6 +172,17 @@ class TestNonlocalIsometry:
         with pytest.raises(ValueError):
             nonlocal_isometry(1)
 
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+    def test_rejects_non_integral_dimension(self, n):
+        # The value is rejected before the cache learns a key for it.
+        size = nonlocal_isometry.cache_info().currsize
+        with pytest.raises(ValueError, match=f"must be an integer, got {n!r}"):
+            nonlocal_isometry(n)
+        assert nonlocal_isometry.cache_info().currsize == size
+
+    def test_accepts_numpy_integers(self):
+        assert np.array_equal(nonlocal_isometry(np.int64(2)), nonlocal_isometry(2))
+
     @pytest.mark.parametrize("n", [2, 8])
     def test_cached_isometry_is_read_only(self, n):
         v = nonlocal_isometry(n)

@@ -108,6 +108,10 @@ class TestCloneMixedStack:
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
 
+    def test_empty_stack(self):
+        mixed = clone_mixed_stack(np.empty((0, 8, 8), dtype=complex))
+        assert mixed.shape == (0, 8, 8)
+
 
 class TestIterate:
     def test_reproduces_decay_table(self):
@@ -166,6 +170,15 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(math.pi / 4, 13)
 
+    @pytest.mark.parametrize("n_steps", [2.7, 3.0, "3"])
+    def test_rejects_non_integral_step_counts(self, n_steps):
+        with pytest.raises(ValueError, match=f"must be an integer, got {n_steps!r}"):
+            iterate(0.3, n_steps)
+
+    def test_accepts_numpy_integers(self):
+        trace = iterate(0.3, np.int64(3))
+        assert np.array_equal(trace.states, iterate(0.3, 3).states)
+
     def test_states_are_the_read_only_chain_of_single_clones(self):
         trace = iterate(0.7, 12)
         assert trace.states.shape == (13, 8, 8)
@@ -193,7 +206,9 @@ class TestIterate:
 class TestTrajectoryCertificate:
     """``iterate`` certifies the whole trajectory once, after the last step."""
 
-    def test_checks_run_per_trace_not_per_step(self, monkeypatch):
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Copies of the stacks ``iteration`` validates, in call order."""
         seen = []
         check = iteration.check_density_matrices
 
@@ -202,6 +217,9 @@ class TestTrajectoryCertificate:
             check(matrices)
 
         monkeypatch.setattr(iteration, "check_density_matrices", recording)
+        return seen
+
+    def test_checks_run_per_trace_not_per_step(self, seen):
         iterate(0.7, 1)
         one_step = len(seen)
         seen.clear()
@@ -214,9 +232,20 @@ class TestTrajectoryCertificate:
         assert np.array_equal(states, trace.states)
         assert len(direct) == 12 and len(states) == 13
 
+    def test_certificate_covers_every_eigenprojector(self, seen):
+        # Step 0 is pure, so a certificate of the kept projectors alone would
+        # hold 1 + 11 * 8 = 89 of them.
+        iterate(0.7, 12)
+        projectors, clones = (m.reshape(-1, 8, 8) for m in seen[:2])
+        assert len(projectors) == len(clones) == 96
+        # The eight projectors of each step resolve the identity.
+        completeness = projectors.reshape(12, 8, 8, 8).sum(axis=1) - np.eye(8)
+        assert np.max(np.abs(completeness)) <= 1e-12
+        assert np.array_equal(clones, nonlocal_channel().map(projectors))
+
     def test_dropped_eigenvectors_fail_the_route_check(self, monkeypatch, capsys):
-        # Step 1 clones a pure state; step 2 would drop the 1/18 eigenvectors
-        # of its output, so its mixture misses 7/18 of the trace.
+        # Step 1 clones a pure state; step 2 would give the 1/18 eigenvectors
+        # of its output weight zero, so its mixture misses 7/18 of the trace.
         monkeypatch.setattr(iteration, "EIGENVALUE_CUTOFF", 0.5)
         with pytest.raises(RuntimeError, match="spectral-mixture route"):
             iterate(math.pi / 4, 2)

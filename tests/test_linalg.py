@@ -89,6 +89,11 @@ class TestKron:
         for k in range(5):
             assert np.array_equal(out[k], np.kron(np.kron(a[k], b[k]), c))
 
+    @pytest.mark.parametrize("factors", [[], iter(())], ids=["list", "iterator"])
+    def test_rejects_no_factor(self, factors):
+        with pytest.raises(ValueError, match="kron_all needs at least one factor"):
+            kron_all(factors)
+
 
 class TestPureState:
     """``check_pure_states`` on a single amplitude vector."""
