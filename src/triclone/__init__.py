@@ -14,13 +14,12 @@ from .cloners import (
     nonlocal_isometry,
 )
 from .entanglement import correlations, input_states, measure_stack
-from .iteration import IterationTrace, iterate
+from .iteration import iterate
 from .linalg import check_density_matrices, fidelities
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IterationTrace",
     "check_density_matrices",
     "correlations",
     "evaluate",

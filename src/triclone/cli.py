@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .cloners import evaluate
-from .iteration import IterationTrace, iterate
+from .iteration import iterate
 
 DEFAULT_POINTS = 201
 # Upper bound on sweep --points, so a typo cannot allocate without limit.
@@ -47,20 +47,8 @@ def sweep_table(points: int) -> np.ndarray:
     table = np.empty((points, len(SWEEP_COLUMNS)))
     for start in range(0, points, SWEEP_BLOCK):
         x = xs[start : start + SWEEP_BLOCK]
-        grid = evaluate([math.acos(float(v)) for v in x])
-        table[start : start + len(x)] = np.column_stack(
-            (
-                x,
-                grid.e3_in,
-                grid.e3_local,
-                grid.e3_nonlocal,
-                grid.e2_in[:, 0],
-                grid.e2_local[:, 0],
-                grid.e2_nonlocal[:, 0],
-                grid.f_local,
-                grid.f_nonlocal,
-            )
-        )
+        _, e3, e2, f = evaluate([math.acos(float(v)) for v in x])
+        table[start : start + len(x)] = np.column_stack((x, *e3, *e2[..., 0], *f))
     return table
 
 
@@ -71,9 +59,9 @@ def format_sweep_csv(table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_iteration_table(trace: IterationTrace) -> str:
-    """Human-readable decay table, four decimals per entry."""
-    e3, e2 = trace.e3.tolist(), trace.e2[:, 0].tolist()
+def format_iteration_table(e3: np.ndarray, e2: np.ndarray) -> str:
+    """Human-readable decay table of ``iterate``'s E3 and E2, four decimals each."""
+    e3, e2 = e3.tolist(), e2[:, 0].tolist()
     header = ["step"] + [str(k) for k in range(len(e3))]
     row_e3 = ["E3"] + [f"{v:.4f}" for v in e3]
     row_e2 = ["E2"] + [f"{v:.4f}" for v in e2]
@@ -83,11 +71,11 @@ def format_iteration_table(trace: IterationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_iteration_csv(trace: IterationTrace) -> str:
+def format_iteration_csv(e3: np.ndarray, e2: np.ndarray) -> str:
     lines = ["step,e3,e2"]
-    for k, (e3, e2) in enumerate(zip(trace.e3.tolist(), trace.e2[:, 0].tolist())):
+    for k, (v3, v2) in enumerate(zip(e3.tolist(), e2[:, 0].tolist())):
         # repr of a Python float is the shortest decimal that round-trips.
-        lines.append(f"{k},{e3!r},{e2!r}")
+        lines.append(f"{k},{v3!r},{v2!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -112,10 +100,10 @@ def run_sweep(points: int, output_path: str | None) -> int:
 
 
 def run_iterate(alpha: float, steps: int, output_path: str | None) -> int:
-    trace = iterate(alpha, steps)
-    sys.stdout.write(format_iteration_table(trace))
+    e3, e2, _ = iterate(alpha, steps)
+    sys.stdout.write(format_iteration_table(e3, e2))
     if output_path is not None:
-        return _write_or_print(format_iteration_csv(trace), output_path)
+        return _write_or_print(format_iteration_csv(e3, e2), output_path)
     return 0
 
 

@@ -169,31 +169,14 @@ def nonlocal_channel() -> CompiledChannel:
     return compile_channel(nonlocal_isometry(8).reshape(8, 8, 8, 8))
 
 
-@dataclass
-class GridData:
-    """Channel outputs, measures and fidelities over a grid of alphas.
-
-    E2 arrays are (n, 3) with pairs in the order (1,2), (2,3), (1,3); the
-    outputs are the copies-side states, (n, 8, 8).
-    """
-
-    alphas: np.ndarray
-    local_out: np.ndarray
-    nonlocal_out: np.ndarray
-    e3_in: np.ndarray
-    e2_in: np.ndarray
-    e3_local: np.ndarray
-    e2_local: np.ndarray
-    e3_nonlocal: np.ndarray
-    e2_nonlocal: np.ndarray
-    f_local: np.ndarray
-    f_nonlocal: np.ndarray
-
-
-def evaluate(alphas) -> GridData:
+def evaluate(alphas):
     """Both channels, the measures and the fidelities at each input angle.
 
-    One batched pass over the two-corner inputs at ``alphas``; every input,
+    Returns ``(states, e3, e2, f)`` over the n two-corner inputs at
+    ``alphas``: ``states`` (3, n, 8, 8) stacks the input projectors, the
+    local outputs and the non-local outputs; ``e3`` (3, n) and ``e2``
+    (3, n, 3) are their measures in that order; ``f`` (2, n) holds the
+    local and the non-local fidelities.  One batched pass; every input,
     output and measure is validated, and each point comes out bit for bit
     as it would in a call on that point alone.  Raises ValueError if
     ``alphas`` is empty.
@@ -213,19 +196,8 @@ def evaluate(alphas) -> GridData:
     nonlocal_out[...] = nonlocal_channel().map(rho_in)
     check_density_matrices(nonlocal_out)
     e3, e2, *_ = measure_stack(states)
-    return GridData(
-        alphas=alphas,
-        local_out=local_out,
-        nonlocal_out=nonlocal_out,
-        e3_in=e3[0],
-        e2_in=e2[0],
-        e3_local=e3[1],
-        e2_local=e2[1],
-        e3_nonlocal=e3[2],
-        e2_nonlocal=e2[2],
-        f_local=fidelities(psis, local_out),
-        f_nonlocal=fidelities(psis, nonlocal_out),
-    )
+    f = np.stack([fidelities(psis, local_out), fidelities(psis, nonlocal_out)])
+    return states, e3, e2, f
 
 
 def find_e2_crossings() -> tuple[float, float]:
@@ -239,8 +211,8 @@ def find_e2_crossings() -> tuple[float, float]:
     """
 
     def gaps(cos_alphas):
-        grid = evaluate([math.acos(x) for x in cos_alphas])
-        return grid.e2_nonlocal[:, 0] - grid.e2_in[:, 0]
+        _, _, e2, _ = evaluate([math.acos(x) for x in cos_alphas])
+        return e2[2, :, 0] - e2[0, :, 0]
 
     half = math.sqrt(0.5)
     f_ends = gaps([0.0, half, 1.0])

@@ -83,7 +83,7 @@ def _correlation_stack(rhos: np.ndarray):
 
 def _check_norms(lams: np.ndarray) -> None:
     """Norm check of coherence vectors (..., 3)."""
-    norm = float(np.sqrt((lams * lams).sum(axis=-1)).max())
+    norm = float(np.sqrt((lams * lams).sum(axis=-1)).max(initial=0.0))
     if not norm <= COMPONENT_CEILING:
         raise ValueError(f"coherence vector norm {norm} exceeds 1")
 
@@ -109,7 +109,7 @@ def correlations(rhos: np.ndarray):
     """
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
-    top = float(np.maximum(np.abs(k2).max(), np.abs(k3).max()))
+    top = float(np.maximum(np.abs(k2).max(initial=0.0), np.abs(k3).max(initial=0.0)))
     if not top <= COMPONENT_CEILING:
         raise ValueError(f"correlation entry {top} exceeds 1")
     return lam, k2, k3

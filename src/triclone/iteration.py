@@ -17,13 +17,12 @@ between the two routes and validates the direct outputs.
 suite calls it with blocks of states.  ``iterate`` runs one
 ``_spectral_mix`` per step, since each step clones the previous spectral
 output, then one ``_certify``, one validation and one ``measure_stack``
-over the whole trajectory.  Each state comes out bit for bit as it would
-alone.
+over the whole trajectory, and returns the measures and the states as
+read-only arrays ``(e3, e2, states)``.  Each state comes out bit for bit
+as it would alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +33,6 @@ from .linalg import as_index, check_density_matrices, eig_hermitian
 EIGENVALUE_CUTOFF = 1e-12
 ROUTE_AGREEMENT_ATOL = 1e-12
 MAX_STEPS = 12
-
-
-@dataclass
-class IterationTrace:
-    """Measures and states along a sequence of cloning steps, step 0 first.
-
-    ``e3`` (n+1,) and ``e2`` (n+1, 3) are the read-only ``measure_stack``
-    outputs of ``states``, the validated, read-only (n+1, 8, 8) trajectory
-    of n steps; E2 columns follow ``PAIRS``, and all three coincide for the
-    exchange-symmetric states this module produces.
-    """
-
-    e3: np.ndarray
-    e2: np.ndarray
-    states: np.ndarray
 
 
 def clone_mixed_stack(rhos: np.ndarray) -> np.ndarray:
@@ -108,13 +92,17 @@ def _certify(
     check_density_matrices(direct)
 
 
-def iterate(alpha: float, n_steps: int) -> IterationTrace:
-    """Trace of measures over ``n_steps`` repeated non-local cloning steps.
+def iterate(alpha: float, n_steps: int):
+    """Measures and states over ``n_steps`` repeated non-local cloning steps.
 
     Step 0 is the pure two-corner input at ``alpha``; each later step
     clones the previous output through the spectral route.  ``n_steps``
-    is an integer from 1 to ``MAX_STEPS``.  The whole trajectory is certified and
-    measured once, after the last step.
+    is an integer from 1 to ``MAX_STEPS``.  The whole trajectory is
+    certified and measured once, after the last step.  Returns the
+    read-only ``(e3, e2, states)``: ``measure_stack``'s E3 (n+1,) and E2
+    (n+1, 3) of the validated trajectory ``states`` (n+1, 8, 8), n =
+    ``n_steps``, step 0 first; the three E2 columns coincide for the
+    exchange-symmetric states this module produces.
     """
     n_steps = as_index(n_steps, "n_steps")
     if not 1 <= n_steps <= MAX_STEPS:
@@ -131,4 +119,4 @@ def iterate(alpha: float, n_steps: int) -> IterationTrace:
     e3, e2, _, _ = measure_stack(states)
     for array in (e3, e2, states):
         array.flags.writeable = False
-    return IterationTrace(e3=e3, e2=e2, states=states)
+    return e3, e2, states

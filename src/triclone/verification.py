@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import (
-    GridData,
-    evaluate,
-    find_e2_crossings,
-    local_channel,
-    nonlocal_channel,
-)
+from .cloners import evaluate, find_e2_crossings, local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import clone_mixed_stack, iterate
 from .linalg import check_density_matrices, eig_hermitian, kron_all
@@ -39,7 +33,8 @@ from .reference import (
     fidelity_nonlocal,
 )
 
-GRID_POINTS = 201
+GRID_ALPHAS = np.linspace(0.0, math.pi / 2.0, 201)
+GRID_ALPHAS.setflags(write=False)
 # States per spectral-route block: 16 full-rank states give 128 projectors
 # per channel map, the size of a sweep block.
 ROUTE_BLOCK = 16
@@ -65,9 +60,9 @@ class CheckResult:
     detail: str
 
 
-def compute_grid() -> GridData:
-    """Channel outputs and measures over a uniform alpha grid on [0, pi/2]."""
-    return evaluate(np.linspace(0.0, math.pi / 2.0, GRID_POINTS))
+def compute_grid():
+    """``evaluate`` over ``GRID_ALPHAS``: (states, e3, e2, f)."""
+    return evaluate(GRID_ALPHAS)
 
 
 def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
@@ -75,13 +70,14 @@ def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> fl
     return max(abs(e3s[0] - e3), max(abs(v - e2) for v in e2s[0]))
 
 
-def check_input_closed_forms(grid: GridData) -> CheckResult:
+def check_input_closed_forms(grid) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
-    cf = np.array([closed_form_input_measures(a) for a in grid.alphas])
-    err3 = float(np.max(np.abs(grid.e3_in - cf[:, 0])))
-    err2 = float(np.max(np.abs(grid.e2_in - cf[:, 1:2])))
-    ghz = evaluate([math.pi / 4.0])
-    ghz_err = _measure_error(ghz.e3_in, ghz.e2_in, 1.0, 1.0 / 3.0)
+    _, e3, e2, _ = grid
+    cf = np.array([closed_form_input_measures(a) for a in GRID_ALPHAS])
+    err3 = float(np.max(np.abs(e3[0] - cf[:, 0])))
+    err2 = float(np.max(np.abs(e2[0] - cf[:, 1:2])))
+    _, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
+    ghz_err = _measure_error(ghz_e3[0], ghz_e2[0], 1.0, 1.0 / 3.0)
     passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
     return CheckResult(
         "input-state-closed-forms",
@@ -91,12 +87,13 @@ def check_input_closed_forms(grid: GridData) -> CheckResult:
     )
 
 
-def check_local_oracle(grid: GridData) -> CheckResult:
+def check_local_oracle(grid) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
-    refs = closed_form_local_outputs(grid.alphas)
-    err = float(np.max(np.abs(grid.local_out - refs)))
-    ghz = evaluate([math.pi / 4.0])
-    m_err = _measure_error(ghz.e3_local, ghz.e2_local, 64.0 / 729.0, 16.0 / 243.0)
+    states, *_ = grid
+    refs = closed_form_local_outputs(GRID_ALPHAS)
+    err = float(np.max(np.abs(states[1] - refs)))
+    _, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
+    m_err = _measure_error(ghz_e3[1], ghz_e2[1], 64.0 / 729.0, 16.0 / 243.0)
     passed = err <= 1e-12 and m_err <= 1e-12
     return CheckResult(
         "local-cloning-oracle",
@@ -106,13 +103,14 @@ def check_local_oracle(grid: GridData) -> CheckResult:
     )
 
 
-def check_nonlocal_oracle(grid: GridData) -> CheckResult:
+def check_nonlocal_oracle(grid) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
-    refs = closed_form_nonlocal_outputs(grid.alphas)
-    err = float(np.max(np.abs(grid.nonlocal_out - refs)))
-    ghz = evaluate([math.pi / 4.0])
-    m_err = _measure_error(ghz.e3_nonlocal, ghz.e2_nonlocal, 25.0 / 81.0, 25.0 / 243.0)
-    values, _ = eig_hermitian(ghz.nonlocal_out[0])
+    states, *_ = grid
+    refs = closed_form_nonlocal_outputs(GRID_ALPHAS)
+    err = float(np.max(np.abs(states[2] - refs)))
+    ghz_states, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
+    m_err = _measure_error(ghz_e3[2], ghz_e2[2], 25.0 / 81.0, 25.0 / 243.0)
+    values, _ = eig_hermitian(ghz_states[2, 0])
     eig_err = float(np.max(np.abs(np.sort(values) - np.array(GHZ_EIGENVALUES))))
     passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
     return CheckResult(
@@ -123,17 +121,18 @@ def check_nonlocal_oracle(grid: GridData) -> CheckResult:
     )
 
 
-def check_measure_curves(grid: GridData) -> CheckResult:
+def check_measure_curves(grid) -> CheckResult:
     """Simulated output measures match the analytic curves for both cloners."""
-    cf_l = np.array([closed_form_local_measures(a) for a in grid.alphas])
-    cf_n = np.array([closed_form_nonlocal_measures(a) for a in grid.alphas])
+    _, e3, e2, _ = grid
+    cf_l = np.array([closed_form_local_measures(a) for a in GRID_ALPHAS])
+    cf_n = np.array([closed_form_nonlocal_measures(a) for a in GRID_ALPHAS])
     err_l = max(
-        float(np.max(np.abs(grid.e3_local - cf_l[:, 0]))),
-        float(np.max(np.abs(grid.e2_local - cf_l[:, 1:2]))),
+        float(np.max(np.abs(e3[1] - cf_l[:, 0]))),
+        float(np.max(np.abs(e2[1] - cf_l[:, 1:2]))),
     )
     err_n = max(
-        float(np.max(np.abs(grid.e3_nonlocal - cf_n[:, 0]))),
-        float(np.max(np.abs(grid.e2_nonlocal - cf_n[:, 1:2]))),
+        float(np.max(np.abs(e3[2] - cf_n[:, 0]))),
+        float(np.max(np.abs(e2[2] - cf_n[:, 1:2]))),
     )
     passed = err_l <= 1e-12 and err_n <= 1e-12
     return CheckResult(
@@ -143,12 +142,13 @@ def check_measure_curves(grid: GridData) -> CheckResult:
     )
 
 
-def check_fidelities(grid: GridData) -> CheckResult:
+def check_fidelities(grid) -> CheckResult:
     """Simulated fidelities match the analytic values; non-local wins everywhere."""
-    f1 = np.array([fidelity_local(a) for a in grid.alphas])
-    err1 = float(np.max(np.abs(grid.f_local - f1)))
-    err2 = float(np.max(np.abs(grid.f_nonlocal - fidelity_nonlocal())))
-    min_gap = float(np.min(grid.f_nonlocal - grid.f_local))
+    f_local, f_nonlocal = grid[3]
+    f1 = np.array([fidelity_local(a) for a in GRID_ALPHAS])
+    err1 = float(np.max(np.abs(f_local - f1)))
+    err2 = float(np.max(np.abs(f_nonlocal - fidelity_nonlocal())))
+    min_gap = float(np.min(f_nonlocal - f_local))
     passed = err1 <= 1e-12 and err2 <= 1e-12 and min_gap > 0.0
     return CheckResult(
         "fidelities",
@@ -166,8 +166,8 @@ def check_amplification_window() -> CheckResult:
     # Sign pattern around the measured roots: amplified outside, degraded
     # inside the window.
     probes = (max(lo - 0.02, 1e-3), 0.5 * (lo + hi), min(hi + 0.02, 1.0 - 1e-3))
-    grid = evaluate([math.acos(x) for x in probes])
-    gap = grid.e2_nonlocal[:, 0] - grid.e2_in[:, 0]
+    _, _, e2, _ = evaluate([math.acos(x) for x in probes])
+    gap = e2[2, :, 0] - e2[0, :, 0]
     signs_ok = bool(gap[0] > 0.0 and gap[1] < 0.0 and gap[2] > 0.0)
     passed = err_lo <= WINDOW_ATOL and err_hi <= WINDOW_ATOL and signs_ok
     return CheckResult(
@@ -183,8 +183,8 @@ def check_amplification_window() -> CheckResult:
 
 def check_iteration_decay() -> CheckResult:
     """Repeated non-local cloning of the balanced state matches the decay table."""
-    trace = iterate(math.pi / 4.0, 6)
-    e3, e2 = trace.e3.tolist(), trace.e2[:, 0].tolist()
+    e3, e2, _ = iterate(math.pi / 4.0, 6)
+    e3, e2 = e3.tolist(), e2[:, 0].tolist()
     err = max(abs(v - ref) for v, ref in zip(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
     passed = err <= TABLE_ATOL and max(e3[6], e2[6]) < STEP6_CEILING
     return CheckResult(
@@ -330,7 +330,8 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    k333 = correlations(evaluate([alpha]).local_out)[2][0, 2, 2, 2]
+    states, *_ = evaluate([alpha])
+    k333 = correlations(states[1])[2][0, 2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (
         f"info: triple correlation K333 of the local-clone output at "
@@ -338,8 +339,8 @@ def informational_notes() -> list[str]:
         f"({expected:.9f}); the negative sign is forced by consistency with "
         f"the coherence vector and the M333 tensor component"
     )
-    trace = iterate(math.pi / 4.0, 2)
-    corner = trace.states[2, 0, 0].real
+    _, _, states = iterate(math.pi / 4.0, 2)
+    corner = states[2, 0, 0].real
     note2 = (
         f"info: after two non-local cloning steps of the balanced state, the "
         f"corner diagonal entry computes to {corner:.9f} = 13/54, the value "

@@ -121,32 +121,28 @@ class TestSweep:
         header, parsed = _parse_csv(format_sweep_csv(table))
         assert tuple(header) == SWEEP_COLUMNS
         assert parsed == table.tolist()
-        grid = evaluate([math.acos(x) for x in np.linspace(0.0, 1.0, 5)])
-        assert [r[1] for r in parsed] == grid.e3_in.tolist()
-        assert [r[5] for r in parsed] == grid.e2_local[:, 0].tolist()
-        assert [r[8] for r in parsed] == grid.f_nonlocal.tolist()
+        _, e3, e2, f = evaluate([math.acos(x) for x in np.linspace(0.0, 1.0, 5)])
+        assert [r[1] for r in parsed] == e3[0].tolist()
+        assert [r[5] for r in parsed] == e2[1, :, 0].tolist()
+        assert [r[8] for r in parsed] == f[1].tolist()
 
     def test_row_values_come_from_the_simulated_channel(self):
         # Each row against the kernels run on that input alone.
-        grid = evaluate(ALPHAS)
+        states, e3s, e2s, f = evaluate(ALPHAS)
         for i, alpha in enumerate(ALPHAS):
             psi = input_states([alpha])
             rho = psi[:, :, None] * psi[:, None, :].conj()
             local = local_channel().map(rho)
             nonlocal_ = nonlocal_channel().map(rho)
             check_density_matrices(np.concatenate([rho, local, nonlocal_]))
-            assert np.array_equal(grid.local_out[i], local[0])
-            assert np.array_equal(grid.nonlocal_out[i], nonlocal_[0])
-            for e3, e2, state in (
-                (grid.e3_in, grid.e2_in, rho),
-                (grid.e3_local, grid.e2_local, local),
-                (grid.e3_nonlocal, grid.e2_nonlocal, nonlocal_),
-            ):
+            assert np.array_equal(states[1, i], local[0])
+            assert np.array_equal(states[2, i], nonlocal_[0])
+            for e3, e2, state in zip(e3s, e2s, (rho, local, nonlocal_)):
                 one_e3, one_e2, _, _ = measure_stack(state)
                 assert e3[i] == one_e3[0]
                 assert e2[i].tolist() == one_e2[0].tolist()
-            assert grid.f_local[i] == fidelities(psi, local)[0]
-            assert grid.f_nonlocal[i] == fidelities(psi, nonlocal_)[0]
+            assert f[0, i] == fidelities(psi, local)[0]
+            assert f[1, i] == fidelities(psi, nonlocal_)[0]
 
     def test_stdout_mode(self, capsys):
         assert main(["sweep", "--points", "3"]) == 0
@@ -244,9 +240,9 @@ class TestIterate:
     def test_format_iteration_csv_round_trip(self):
         from triclone.iteration import iterate
 
-        trace = iterate(0.4, 1)
-        header, rows = _parse_csv(format_iteration_csv(trace))
-        assert rows[0][1] == trace.e3[0]
+        e3, e2, _ = iterate(0.4, 1)
+        header, rows = _parse_csv(format_iteration_csv(e3, e2))
+        assert rows[0][1] == e3[0]
 
 
 class TestParser:

@@ -32,9 +32,10 @@ from triclone.reference import (
     closed_form_nonlocal_outputs,
     fidelity_local,
     fidelity_nonlocal,
-    partial_trace_matrix,
 )
 from triclone.verification import random_density_matrices
+
+from partial_trace import partial_trace_matrix
 
 GRID = np.linspace(0.0, math.pi / 2, 41)
 
@@ -372,13 +373,15 @@ class TestMeasureCurves:
             assert np.max(np.abs(e2[:, 0] - cf[:, 1])) <= 1e-12
 
     def test_nonlocal_cloning_preserves_more(self, grid):
-        assert np.all(grid.e3_nonlocal >= grid.e3_local - 1e-12)
-        assert np.all(grid.e2_nonlocal >= grid.e2_local - 1e-12)
+        _, e3, e2, _ = grid
+        assert np.all(e3[2] >= e3[1] - 1e-12)
+        assert np.all(e2[2] >= e2[1] - 1e-12)
 
     def test_e3_never_amplified_by_the_local_channel(self, grid):
         # The local output curve is the input curve scaled by 64/729, so
         # it sits below the input everywhere, corners included.
-        assert np.all(grid.e3_local <= grid.e3_in + 1e-12)
+        _, e3, _, _ = grid
+        assert np.all(e3[1] <= e3[0] + 1e-12)
 
     def test_e3_never_amplified_away_from_the_corners(self, grid):
         # The non-local clone of a product corner keeps an E3 floor of
@@ -387,19 +390,21 @@ class TestMeasureCurves:
         # floor, about 0.00825 rad from each corner; on this grid that is
         # every point except the two nearest each end.
         inner = slice(2, -2)
-        assert np.all(grid.e3_nonlocal[inner] <= grid.e3_in[inner] + 1e-12)
+        _, e3, _, _ = grid
+        assert np.all(e3[2, inner] <= e3[0, inner] + 1e-12)
 
     def test_e3_corner_artifact_is_the_known_floor(self, grid):
+        _, e3, _, _ = grid
         for idx in (0, -1):
-            assert grid.e3_in[idx] <= 1e-12
-            assert grid.e3_local[idx] <= 1e-12
-            assert grid.e3_nonlocal[idx] == pytest.approx(
+            assert e3[0, idx] <= 1e-12
+            assert e3[1, idx] <= 1e-12
+            assert e3[2, idx] == pytest.approx(
                 100.0 / 531441.0, abs=1e-12
             )
         # Inside the corner zone the output stays bounded by the floor's
         # scale even where it exceeds the input.
         for idx in (1, -2):
-            assert grid.e3_nonlocal[idx] <= 3e-4
+            assert e3[2, idx] <= 3e-4
 
     def test_retention_ratios_for_balanced_input(self):
         e3_ratio = (64.0 / 729.0) / 1.0 * 100
@@ -428,7 +433,8 @@ class TestFidelities:
         assert np.max(np.abs(sim - 11.0 / 18.0)) <= 1e-12
 
     def test_nonlocal_always_wins(self, grid):
-        assert np.all(grid.f_nonlocal > grid.f_local)
+        f_local, f_nonlocal = grid[3]
+        assert np.all(f_nonlocal > f_local)
 
 
 class TestEvaluate:
@@ -444,13 +450,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 201])
     def test_one_measure_stack_equals_one_per_state_stack(self, n):
         # Row counts on both sides of 128, a common BLAS block edge.
-        grid = evaluate(np.linspace(0.0, math.pi / 2, n))
-        rho_in = _inputs(grid.alphas.tolist())
-        for rhos, e3, e2 in (
-            (rho_in, grid.e3_in, grid.e2_in),
-            (grid.local_out, grid.e3_local, grid.e2_local),
-            (grid.nonlocal_out, grid.e3_nonlocal, grid.e2_nonlocal),
-        ):
+        alphas = np.linspace(0.0, math.pi / 2, n)
+        states, e3s, e2s, _ = evaluate(alphas)
+        assert np.array_equal(states[0], _inputs(alphas.tolist()))
+        for rhos, e3, e2 in zip(states, e3s, e2s):
             ref_e3, ref_e2, *_ = measure_stack(np.array(rhos))
             assert (e3 == ref_e3).all()
             assert (e2 == ref_e2).all()
@@ -472,8 +475,8 @@ class TestE2Crossings:
     def test_brackets_are_bisected_together(self, monkeypatch):
         # Reference: each bracket bisected on its own, one point per call.
         def gap(x):
-            grid = evaluate([math.acos(x)])
-            return grid.e2_nonlocal[0, 0] - grid.e2_in[0, 0]
+            _, _, e2, _ = evaluate([math.acos(x)])
+            return e2[2, 0, 0] - e2[0, 0, 0]
 
         expected = []
         for lo, hi in ((0.0, math.sqrt(0.5)), (math.sqrt(0.5), 1.0)):

@@ -101,7 +101,7 @@ class TestExpectationKernel:
         assert (_flat_correlation_stack(rhos) == _einsum_expectations(rhos)).all()
 
     def test_equals_the_einsum_on_both_channel_outputs(self, grid):
-        for outputs in (grid.local_out, grid.nonlocal_out):
+        for outputs in grid[0][1:]:
             assert len(outputs) == 201
             values = _flat_correlation_stack(outputs)
             assert (values == _einsum_expectations(outputs)).all()
@@ -416,3 +416,18 @@ class TestMeasureStack:
             measure_stack(stack)
         with pytest.raises(ValueError, match="coherence vector norm"):
             correlations(rho)
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 0, 8, 8)], ids=str)
+    @pytest.mark.parametrize(
+        "function", [measure_stack, correlations], ids=lambda f: f.__name__
+    )
+    def test_empty_stacks(self, function, shape):
+        # Like the validators and the channel map, both take a stack with no
+        # members and return empty results with the usual trailing shapes.
+        lead = shape[:-2]
+        trailing = {
+            measure_stack: [(), (3,), (3, 3, 3), (3, 3, 3)],
+            correlations: [(3, 3), (3, 3, 3), (3, 3, 3)],
+        }[function]
+        results = function(np.zeros(shape, dtype=complex))
+        assert [r.shape for r in results] == [lead + t for t in trailing]

@@ -115,54 +115,54 @@ class TestCloneMixedStack:
 
 class TestIterate:
     def test_reproduces_decay_table(self):
-        trace = iterate(math.pi / 4, 6)
+        e3, e2, _ = iterate(math.pi / 4, 6)
         for k in range(6):
-            assert trace.e3[k] == pytest.approx(TABLE_E3[k], abs=5e-5)
-            assert trace.e2[k, 0] == pytest.approx(TABLE_E2[k], abs=5e-5)
+            assert e3[k] == pytest.approx(TABLE_E3[k], abs=5e-5)
+            assert e2[k, 0] == pytest.approx(TABLE_E2[k], abs=5e-5)
 
     def test_second_step_closed_form(self):
-        trace = iterate(math.pi / 4, 2)
-        assert trace.e3[2] == pytest.approx(GEOMETRIC_RATIO**2, abs=1e-12)
-        assert trace.e2[2, 0] == pytest.approx(
+        e3, e2, _ = iterate(math.pi / 4, 2)
+        assert e3[2] == pytest.approx(GEOMETRIC_RATIO**2, abs=1e-12)
+        assert e2[2, 0] == pytest.approx(
             GEOMETRIC_RATIO**2 / 3.0, abs=1e-12
         )
 
     def test_decay_is_exactly_geometric_for_balanced_input(self):
-        trace = iterate(math.pi / 4, 6)
-        for step, (e3, e2) in enumerate(zip(trace.e3, trace.e2[:, 0])):
+        e3s, e2s, _ = iterate(math.pi / 4, 6)
+        for step, (e3, e2) in enumerate(zip(e3s, e2s[:, 0])):
             assert e3 == pytest.approx(GEOMETRIC_RATIO**step, abs=1e-12)
             assert e2 == pytest.approx(GEOMETRIC_RATIO**step / 3.0, abs=1e-12)
 
     def test_strictly_monotone_decay(self):
-        trace = iterate(math.pi / 4, 6)
-        e3 = trace.e3.tolist()
-        e2 = trace.e2[:, 0].tolist()
+        e3, e2, _ = iterate(math.pi / 4, 6)
+        e3 = e3.tolist()
+        e2 = e2[:, 0].tolist()
         assert all(a > b for a, b in zip(e3, e3[1:]))
         assert all(a > b for a, b in zip(e2, e2[1:]))
 
     def test_support_pattern_is_preserved(self):
         # Every iterate keeps the two corner coherences plus a diagonal;
         # nothing else appears.
-        trace = iterate(math.pi / 4, 4)
+        _, _, states = iterate(math.pi / 4, 4)
         corner_pairs = {(0, 7), (7, 0)}
-        for m in trace.states:
+        for m in states:
             for i in range(8):
                 for j in range(8):
                     if i != j and (i, j) not in corner_pairs:
                         assert abs(m[i, j]) <= 1e-12
 
     def test_states_stay_valid(self):
-        trace = iterate(math.pi / 4, 6)
-        for m in trace.states:
+        _, _, states = iterate(math.pi / 4, 6)
+        for m in states:
             assert abs(np.trace(m).real - 1.0) <= 1e-12
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_step_zero_matches_input_closed_form(self):
         alpha = 0.6
-        trace = iterate(alpha, 1)
+        e3s, e2s, _ = iterate(alpha, 1)
         e3, e2 = closed_form_input_measures(alpha)
-        assert trace.e3[0] == pytest.approx(e3, abs=1e-12)
-        assert trace.e2[0, 0] == pytest.approx(e2, abs=1e-12)
+        assert e3s[0] == pytest.approx(e3, abs=1e-12)
+        assert e2s[0, 0] == pytest.approx(e2, abs=1e-12)
 
     def test_step_bounds(self):
         with pytest.raises(ValueError):
@@ -176,28 +176,28 @@ class TestIterate:
             iterate(0.3, n_steps)
 
     def test_accepts_numpy_integers(self):
-        trace = iterate(0.3, np.int64(3))
-        assert np.array_equal(trace.states, iterate(0.3, 3).states)
+        _, _, states = iterate(0.3, np.int64(3))
+        assert np.array_equal(states, iterate(0.3, 3)[2])
 
     def test_states_are_the_read_only_chain_of_single_clones(self):
-        trace = iterate(0.7, 12)
-        assert trace.states.shape == (13, 8, 8)
-        assert not trace.states.flags.writeable
+        _, _, states = iterate(0.7, 12)
+        assert states.shape == (13, 8, 8)
+        assert not states.flags.writeable
         with pytest.raises(ValueError):
-            trace.states[1, 0, 0] = 0.0
+            states[1, 0, 0] = 0.0
         rho = _inputs([0.7])
-        assert np.array_equal(trace.states[0], rho[0])
+        assert np.array_equal(states[0], rho[0])
         for k in range(1, 13):
             rho = _clone_mixed(rho)
-            assert np.array_equal(trace.states[k], rho[0])
+            assert np.array_equal(states[k], rho[0])
 
     def test_measures_come_from_the_states(self):
-        trace = iterate(0.7, 12)
-        assert trace.e3.shape == (13,) and trace.e2.shape == (13, 3)
-        e3, e2, _, _ = measure_stack(trace.states)
-        assert np.array_equal(trace.e3, e3)
-        assert np.array_equal(trace.e2, e2)
-        for measure in (trace.e3, trace.e2):
+        e3s, e2s, states = iterate(0.7, 12)
+        assert e3s.shape == (13,) and e2s.shape == (13, 3)
+        e3, e2, _, _ = measure_stack(states)
+        assert np.array_equal(e3s, e3)
+        assert np.array_equal(e2s, e2)
+        for measure in (e3s, e2s):
             assert not measure.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 measure[0] = 0.0
@@ -223,13 +223,13 @@ class TestTrajectoryCertificate:
         iterate(0.7, 1)
         one_step = len(seen)
         seen.clear()
-        trace = iterate(0.7, 12)
+        _, _, trajectory = iterate(0.7, 12)
         assert len(seen) == one_step
         # The last two checks are the direct outputs and the whole trajectory,
         # step 0 included.
         direct, states = seen[-2:]
-        assert np.array_equal(direct, nonlocal_channel().map(trace.states[:-1]))
-        assert np.array_equal(states, trace.states)
+        assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1]))
+        assert np.array_equal(states, trajectory)
         assert len(direct) == 12 and len(states) == 13
 
     def test_certificate_covers_every_eigenprojector(self, seen):

@@ -16,7 +16,9 @@ from triclone.linalg import (
 )
 from triclone.cloners import nonlocal_isometry
 from triclone.entanglement import input_states
-from triclone.reference import partial_trace_matrix
+from triclone.verification import GRID_ALPHAS
+
+from partial_trace import partial_trace_matrix
 
 
 def _random_hermitian(rng, n):
@@ -209,9 +211,11 @@ class TestPsdCertificate:
             assert verdicts == {factor < 1.0}
 
     def test_grid_stacks(self, grid):
-        psis = input_states(grid.alphas.tolist())
+        psis = input_states(GRID_ALPHAS.tolist())
         rho_in = psis[:, :, None] * psis[:, None, :].conj()
-        for stack in (rho_in, grid.local_out, grid.nonlocal_out):
+        states = grid[0]
+        assert np.array_equal(states[0], rho_in)
+        for stack in states:
             assert _eigvalsh_verdict(stack) is None
             assert _verdict(stack) is None
 

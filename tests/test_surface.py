@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import triclone
-from triclone.cloners import CompiledChannel, GridData
+from triclone.cloners import CompiledChannel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = (
-    "IterationTrace",
     "check_density_matrices",
     "correlations",
     "evaluate",
@@ -29,24 +28,9 @@ PUBLIC_NAMES = (
 )
 
 
-# Dataclass fields of every public result type: the trace ``iterate``
-# returns, the grid ``evaluate`` returns and the channel that
-# ``local_channel``/``nonlocal_channel`` return.
+# Dataclass fields of the one public result type that is not an array: the
+# channel that ``local_channel``/``nonlocal_channel`` return.
 TRACE_FIELDS = {
-    triclone.IterationTrace: ("e3", "e2", "states"),
-    GridData: (
-        "alphas",
-        "local_out",
-        "nonlocal_out",
-        "e3_in",
-        "e2_in",
-        "e3_local",
-        "e2_local",
-        "e3_nonlocal",
-        "e2_nonlocal",
-        "f_local",
-        "f_nonlocal",
-    ),
     CompiledChannel: (
         "superoperator",
         "symmetry_gap",
@@ -86,15 +70,38 @@ def test_trace_fields_are_pinned(cls):
 def test_results_are_plain_arrays():
     # Every public result is an ndarray, stacked along leading axes.
     rhos = triclone.nonlocal_channel().map(np.eye(8, dtype=complex)[None] / 8)
-    grid = triclone.evaluate([0.3])
-    trace = triclone.iterate(0.3, 1)
+    grid = [*triclone.evaluate([0.3])]
+    trace = [*triclone.iterate(0.3, 1)]
+    assert [item.shape for item in grid] == [(3, 1, 8, 8), (3, 1), (3, 1, 3), (2, 1)]
+    assert [item.shape for item in trace] == [(2,), (2, 3), (2, 8, 8)]
     items = [
         *triclone.measure_stack(rhos),
         *triclone.correlations(rhos),
-        *(getattr(grid, f.name) for f in dataclasses.fields(grid)),
-        *(getattr(trace, f.name) for f in dataclasses.fields(trace)),
+        *grid,
+        *trace,
     ]
     assert all(isinstance(item, np.ndarray) for item in items)
+
+
+def _dataclasses():
+    """(module, class) of every class decorated with ``dataclass`` in the package."""
+    found = set()
+    for path in Path(triclone.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found.add((path.stem, node.name))
+    return found
+
+
+def test_no_new_record_types():
+    # Results are plain arrays; the channel with its build-time residuals and
+    # the verification check report are the only records.
+    assert _dataclasses() == {
+        ("cloners", "CompiledChannel"),
+        ("verification", "CheckResult"),
+    }
 
 
 @pytest.mark.parametrize(
