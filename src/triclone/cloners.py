@@ -181,13 +181,12 @@ def evaluate(alphas):
     as it would in a call on that point alone.  Raises ValueError if
     ``alphas`` is empty.
     """
-    alphas = np.array(alphas, dtype=float).reshape(-1)
-    if alphas.size == 0:
+    psis = input_states(alphas)
+    if len(psis) == 0:
         raise ValueError("evaluate needs at least one alpha")
-    psis = input_states(alphas.tolist())
     # One buffer, one measure_stack call: its matmul runs per member of the
     # leading axis, so the measures equal three separate calls bit for bit.
-    states = np.empty((3, alphas.size, 8, 8), dtype=complex)
+    states = np.empty((3, len(psis), 8, 8), dtype=complex)
     rho_in, local_out, nonlocal_out = states
     np.multiply(psis[:, :, None], psis[:, None, :].conj(), out=rho_in)
     check_density_matrices(rho_in)

@@ -7,19 +7,17 @@ applying the channel to the mixed state, which is enforced as a hard
 cross-check (it also proves the result does not depend on the basis chosen
 inside degenerate eigenspaces).
 
-The route has two halves.  ``_spectral_mix`` is unvalidated: for a stack
-(n, 8, 8) of states it makes one ``eig_hermitian`` call, clones all 8n
-eigenprojectors in one channel ``map`` and remixes them in one reduction,
-weights descending and zero where negligible.  ``_certify`` validates the
-projectors and their clones, maps the inputs directly, checks the residual
-between the two routes and validates the direct outputs.
-``clone_mixed_stack`` runs one half after the other; the verification
-suite calls it with blocks of states.  ``iterate`` runs one
-``_spectral_mix`` per step, since each step clones the previous spectral
-output, then one ``_certify``, one validation and one ``measure_stack``
-over the whole trajectory, and returns the measures and the states as
-read-only arrays ``(e3, e2, states)``.  Each state comes out bit for bit
-as it would alone.
+``spectral_trajectory`` is the one path through the route, for any stack
+(m, 8, 8) of states and any number of steps.  Each step is one
+``_spectral_mix`` over the whole stack, which is unvalidated: one
+``eig_hermitian`` call, one channel ``map`` over all 8m eigenprojectors
+and one reduction that remixes them, weights descending and zero where
+negligible.  After the last step, one ``_certify`` validates every
+projector and its clone, checks the spectral route against the direct
+channel outputs, validates those, and returns the residual; one
+validation then covers the whole trajectory.  ``iterate`` runs it on the
+two-corner input at one angle, and the verification suite on blocks of
+random states.  Each state comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -35,18 +33,26 @@ ROUTE_AGREEMENT_ATOL = 1e-12
 MAX_STEPS = 12
 
 
-def clone_mixed_stack(rhos: np.ndarray) -> np.ndarray:
-    """Spectral-route non-local clones of a stack of states (n, 8, 8).
+def spectral_trajectory(rhos: np.ndarray, n_steps: int):
+    """Validated spectral-route trajectory of a stack of states (m, 8, 8).
 
-    Eigenvectors with weight not above ``EIGENVALUE_CUTOFF`` get weight
-    zero, not skipped; the cutoff is immaterial because each result is
-    checked against the direct channel application to 1e-12.  All 8n
-    projectors and their clones are validated; the returned mixtures are
-    not, so callers validate them.
+    Step 0 is ``rhos``; each of the ``n_steps`` later steps clones the
+    previous one.  Eigenvectors with weight not above ``EIGENVALUE_CUTOFF``
+    get weight zero, not skipped; the cutoff is immaterial because every
+    step is checked against the direct channel application to
+    ``ROUTE_AGREEMENT_ATOL``.  Returns the trajectory
+    (n_steps + 1, m, 8, 8), every state validated, and the largest
+    entrywise deviation of the spectral route from the direct one.
     """
-    mixed, projectors, clones = _spectral_mix(rhos)
-    _certify(rhos, mixed, projectors, clones)
-    return mixed
+    trajectory = np.empty((n_steps + 1,) + rhos.shape, dtype=complex)
+    trajectory[0] = rhos
+    projectors = np.empty((n_steps,) + rhos.shape + (8,), dtype=complex)
+    clones = np.empty_like(projectors)
+    for k in range(n_steps):
+        trajectory[k + 1], projectors[k], clones[k] = _spectral_mix(trajectory[k])
+    residual = _certify(trajectory[:-1], trajectory[1:], projectors, clones)
+    check_density_matrices(trajectory)
+    return trajectory, residual
 
 
 def _spectral_mix(rhos: np.ndarray):
@@ -70,15 +76,15 @@ def _spectral_mix(rhos: np.ndarray):
 
 def _certify(
     rhos: np.ndarray, mixed: np.ndarray, projectors: np.ndarray, clones: np.ndarray
-) -> None:
+) -> float:
     """Hard checks of the spectral route of ``rhos`` against the direct one.
 
     Validates the projectors and their clones, then raises RuntimeError if
     any mixture deviates from the direct channel output by more than
-    ``ROUTE_AGREEMENT_ATOL``, then validates the direct outputs.  The
-    residual comes before the direct outputs so that a faulty route is
-    reported as such even when it has already fed an invalid state to a
-    later step of a trajectory.
+    ``ROUTE_AGREEMENT_ATOL``, then validates the direct outputs and returns
+    the deviation.  The residual comes before the direct outputs so that a
+    faulty route is reported as such even when it has already fed an
+    invalid state to a later step of a trajectory.
     """
     check_density_matrices(projectors)
     check_density_matrices(clones)
@@ -90,6 +96,7 @@ def _certify(
             f"application by {residual:.3e}"
         )
     check_density_matrices(direct)
+    return residual
 
 
 def iterate(alpha: float, n_steps: int):
@@ -107,15 +114,9 @@ def iterate(alpha: float, n_steps: int):
     n_steps = as_index(n_steps, "n_steps")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
-    states = np.empty((n_steps + 1, 8, 8), dtype=complex)
-    psi = input_states([float(alpha)])
-    np.multiply(psi[:, :, None], psi[:, None, :].conj(), out=states[:1])
-    projectors = np.empty((n_steps, 8, 8, 8), dtype=complex)
-    clones = np.empty_like(projectors)
-    for k in range(n_steps):
-        states[k + 1], projectors[k], clones[k] = _spectral_mix(states[k : k + 1])
-    _certify(states[:-1], states[1:], projectors, clones)
-    check_density_matrices(states)
+    psi = input_states([alpha])
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    states = spectral_trajectory(rho, n_steps)[0][:, 0]
     e3, e2, _, _ = measure_stack(states)
     for array in (e3, e2, states):
         array.flags.writeable = False

@@ -29,15 +29,17 @@ PSD_CERTIFICATE_MARGIN = 1e-13
 
 
 def as_index(value, name: str) -> int:
-    """``value`` as an int if ``operator.index`` accepts it.
+    """``value`` as an int if ``operator.index`` accepts it and it is no bool.
 
-    Anything else, such as a float or a string, raises ValueError naming
-    ``name`` and the value rather than being truncated or parsed.
+    Anything else, such as a bool, a float or a string, raises ValueError
+    naming ``name`` and the value rather than being truncated or parsed.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:

@@ -173,7 +173,7 @@ class TestNonlocalIsometry:
         with pytest.raises(ValueError):
             nonlocal_isometry(1)
 
-    @pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8", True])
     def test_rejects_non_integral_dimension(self, n):
         # The value is rejected before the cache learns a key for it.
         size = nonlocal_isometry.cache_info().currsize

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triclone import entanglement
-from triclone.cloners import local_channel, nonlocal_channel
+from triclone.cloners import evaluate, local_channel, nonlocal_channel
 from triclone.entanglement import (
     COMPONENT_CEILING,
     MEASURE_CEILING,
@@ -17,6 +17,7 @@ from triclone.entanglement import (
     input_states,
     measure_stack,
 )
+from triclone.iteration import iterate
 from triclone.linalg import check_density_matrices, kron_all
 from triclone.reference import closed_form_input_measures
 from triclone.verification import (
@@ -138,6 +139,23 @@ class TestInputState:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 input_states([0.3, bad])
+
+    @pytest.mark.parametrize(
+        "run, alphas",
+        [
+            (evaluate, ["0.1"]),
+            (evaluate, [[0.1, 0.2]]),
+            (lambda alphas: iterate(alphas[0], 1), ["0.3"]),
+        ],
+        ids=["evaluate-string", "evaluate-nested", "iterate-string"],
+    )
+    def test_callers_leave_angles_to_input_states(self, run, alphas):
+        # No caller converts the angles first, so a string or a nested
+        # sequence fails as it does in ``input_states`` itself.
+        with pytest.raises(TypeError) as expected:
+            input_states(alphas)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            run(alphas)
 
 
 class TestCoherenceVector:

@@ -7,8 +7,13 @@ from triclone import iteration
 from triclone.cli import main
 from triclone.cloners import nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
-from triclone.iteration import EIGENVALUE_CUTOFF, clone_mixed_stack, iterate
-from triclone.linalg import check_density_matrices, eig_hermitian
+from triclone.iteration import (
+    EIGENVALUE_CUTOFF,
+    ROUTE_AGREEMENT_ATOL,
+    iterate,
+    spectral_trajectory,
+)
+from triclone.linalg import eig_hermitian
 from triclone.reference import closed_form_input_measures
 from triclone.verification import random_density_matrices
 
@@ -26,9 +31,7 @@ def _inputs(alphas):
 
 def _clone_mixed(rhos):
     """Validated spectral-route clones of a stack (n, 8, 8)."""
-    mixed = clone_mixed_stack(rhos)
-    check_density_matrices(mixed)
-    return mixed
+    return spectral_trajectory(rhos, 1)[0][1]
 
 
 class TestCloneMixed:
@@ -91,26 +94,35 @@ class TestCloneMixedStack:
         stack = _mixed_rank_stack(rng)
         kept = np.sum(np.linalg.eigvalsh(stack) > EIGENVALUE_CUTOFF, axis=-1)
         assert set(kept.tolist()) == {1, 2, 8}
-        mixed = clone_mixed_stack(stack)
+        mixed = _clone_mixed(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
-            assert np.array_equal(mixed[k], clone_mixed_stack(stack[k : k + 1])[0])
+            assert np.array_equal(mixed[k], _clone_mixed(stack[k : k + 1])[0])
 
     def test_pure_stack_keeps_one_eigenvector(self):
         stack = _inputs([0.1, 0.5, 0.9])
-        mixed = clone_mixed_stack(stack)
+        mixed = _clone_mixed(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
 
     def test_random_full_rank_stack(self, rng):
         stack = random_density_matrices(rng, 16)
-        mixed = clone_mixed_stack(stack)
+        mixed = _clone_mixed(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
 
     def test_empty_stack(self):
-        mixed = clone_mixed_stack(np.empty((0, 8, 8), dtype=complex))
+        mixed = _clone_mixed(np.empty((0, 8, 8), dtype=complex))
         assert mixed.shape == (0, 8, 8)
+
+
+def test_stacked_trajectory_equals_single_angle_iterations():
+    alphas = [0.3, 0.7, math.pi / 4]
+    trajectory, residual = spectral_trajectory(_inputs(alphas), 12)
+    assert trajectory.shape == (13, 3, 8, 8)
+    for k, alpha in enumerate(alphas):
+        assert np.array_equal(trajectory[:, k], iterate(alpha, 12)[2])
+    assert 0.0 <= residual <= ROUTE_AGREEMENT_ATOL
 
 
 class TestIterate:
@@ -170,7 +182,7 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(math.pi / 4, 13)
 
-    @pytest.mark.parametrize("n_steps", [2.7, 3.0, "3"])
+    @pytest.mark.parametrize("n_steps", [2.7, 3.0, "3", True])
     def test_rejects_non_integral_step_counts(self, n_steps):
         with pytest.raises(ValueError, match=f"must be an integer, got {n_steps!r}"):
             iterate(0.3, n_steps)
@@ -228,8 +240,8 @@ class TestTrajectoryCertificate:
         # The last two checks are the direct outputs and the whole trajectory,
         # step 0 included.
         direct, states = seen[-2:]
-        assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1]))
-        assert np.array_equal(states, trajectory)
+        assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1, None]))
+        assert np.array_equal(states, trajectory[:, None])
         assert len(direct) == 12 and len(states) == 13
 
     def test_certificate_covers_every_eigenprojector(self, seen):

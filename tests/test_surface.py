@@ -104,6 +104,28 @@ def test_no_new_record_types():
     }
 
 
+def _call_sites(name):
+    """(module, enclosing function) of every call of ``name`` in the package."""
+    sites = []
+    for path in Path(triclone.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                sites.extend(
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+                )
+    return sites
+
+
+@pytest.mark.parametrize("name", ["_spectral_mix", "_certify"])
+def test_spectral_route_has_one_path(name):
+    # ``iterate`` and the verification suite both reach the route through
+    # ``spectral_trajectory``; nothing else wires its two halves together.
+    assert _call_sites(name) == [("iteration", "spectral_trajectory")]
+
+
 @pytest.mark.parametrize(
     "module", ["__init__", "linalg", "entanglement", "cloners", "iteration", "cli"]
 )
