@@ -116,7 +116,6 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
     )
 
 
-@lru_cache(maxsize=None)
 def nonlocal_isometry(n: int) -> np.ndarray:
     """Universal symmetric cloner of one n-dimensional system, read-only (n^3, n).
 
@@ -130,6 +129,11 @@ def nonlocal_isometry(n: int) -> np.ndarray:
     n = as_index(n, "cloner dimension")
     if n < 2:
         raise ValueError(f"cloner dimension must be at least 2, got {n}")
+    return _isometry(n)
+
+
+@lru_cache(maxsize=None)
+def _isometry(n: int) -> np.ndarray:
     c = math.sqrt(2.0 / (n + 1))
     d = math.sqrt(1.0 / (2.0 * (n + 1)))
     k = np.arange(n)
@@ -144,6 +148,10 @@ def nonlocal_isometry(n: int) -> np.ndarray:
     # Isometries are shared through the cache; freeze them.
     v.setflags(write=False)
     return v
+
+
+# Keyed on the int ``as_index`` returns, so an np.int64 n hits the entry of n.
+nonlocal_isometry.cache_info = _isometry.cache_info
 
 
 @lru_cache(maxsize=1)

@@ -145,12 +145,15 @@ def measure_stack(rhos: np.ndarray):
 def input_states(alphas) -> np.ndarray:
     """Two-corner states cos(alpha)|000> + sin(alpha)|111> as amplitudes (n, 8).
 
-    One row per alpha, validated by ``check_pure_states``.  Uses
-    ``math.cos``/``math.sin``, not their numpy forms, which may differ in
-    the last bit.  Raises ValueError if an alpha is not finite.
+    One row per alpha, validated by ``check_pure_states``, from ``math.cos``
+    and ``math.sin`` (numpy's may differ in the last bit).  Raises TypeError
+    if an alpha is a bool or no real number, ValueError if it is not finite.
     """
-    if not all(math.isfinite(a) for a in alphas):
-        raise ValueError("alpha must be finite")
+    for a in alphas:
+        if isinstance(a, (bool, np.bool_)):
+            raise TypeError(f"alpha must be a real number, got {a!r}")
+        if not math.isfinite(a):
+            raise ValueError("alpha must be finite")
     amplitudes = np.zeros((len(alphas), 8), dtype=complex)
     amplitudes[:, 0] = [math.cos(a) for a in alphas]
     amplitudes[:, 7] = [math.sin(a) for a in alphas]

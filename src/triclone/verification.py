@@ -73,7 +73,7 @@ def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> fl
 def check_input_closed_forms(grid) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
     _, e3, e2, _ = grid
-    cf = np.array([closed_form_input_measures(a) for a in GRID_ALPHAS])
+    cf = closed_form_input_measures(GRID_ALPHAS)
     err3 = float(np.max(np.abs(e3[0] - cf[:, 0])))
     err2 = float(np.max(np.abs(e2[0] - cf[:, 1:2])))
     _, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
@@ -124,8 +124,8 @@ def check_nonlocal_oracle(grid) -> CheckResult:
 def check_measure_curves(grid) -> CheckResult:
     """Simulated output measures match the analytic curves for both cloners."""
     _, e3, e2, _ = grid
-    cf_l = np.array([closed_form_local_measures(a) for a in GRID_ALPHAS])
-    cf_n = np.array([closed_form_nonlocal_measures(a) for a in GRID_ALPHAS])
+    cf_l = closed_form_local_measures(GRID_ALPHAS)
+    cf_n = closed_form_nonlocal_measures(GRID_ALPHAS)
     err_l = max(
         float(np.max(np.abs(e3[1] - cf_l[:, 0]))),
         float(np.max(np.abs(e2[1] - cf_l[:, 1:2]))),
@@ -145,7 +145,7 @@ def check_measure_curves(grid) -> CheckResult:
 def check_fidelities(grid) -> CheckResult:
     """Simulated fidelities match the analytic values; non-local wins everywhere."""
     f_local, f_nonlocal = grid[3]
-    f1 = np.array([fidelity_local(a) for a in GRID_ALPHAS])
+    f1 = fidelity_local(GRID_ALPHAS)
     err1 = float(np.max(np.abs(f_local - f1)))
     err2 = float(np.max(np.abs(f_nonlocal - fidelity_nonlocal())))
     min_gap = float(np.min(f_nonlocal - f_local))

@@ -26,6 +26,7 @@ from triclone.linalg import (
     kron_all,
 )
 from triclone.reference import (
+    closed_form_input_measures,
     closed_form_local_measures,
     closed_form_local_outputs,
     closed_form_nonlocal_measures,
@@ -33,7 +34,7 @@ from triclone.reference import (
     fidelity_local,
     fidelity_nonlocal,
 )
-from triclone.verification import random_density_matrices
+from triclone.verification import GRID_ALPHAS, random_density_matrices
 
 from partial_trace import partial_trace_matrix
 
@@ -182,7 +183,8 @@ class TestNonlocalIsometry:
         assert nonlocal_isometry.cache_info().currsize == size
 
     def test_accepts_numpy_integers(self):
-        assert np.array_equal(nonlocal_isometry(np.int64(2)), nonlocal_isometry(2))
+        for n in (2, 8):
+            assert nonlocal_isometry(np.int64(n)) is nonlocal_isometry(n)
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_cached_isometry_is_read_only(self, n):
@@ -360,6 +362,25 @@ class TestClosedFormOutputs:
             assert value == pytest.approx(25.0 / 243.0, abs=1e-12)
 
 
+class TestOracleStacks:
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            closed_form_input_measures,
+            closed_form_local_measures,
+            closed_form_nonlocal_measures,
+            fidelity_local,
+            closed_form_local_outputs,
+            closed_form_nonlocal_outputs,
+        ],
+        ids=lambda oracle: oracle.__name__,
+    )
+    def test_stack_equals_stacked_single_calls(self, oracle):
+        # One row per alpha, as a call on that alpha alone gives it.
+        singles = np.stack([oracle([alpha])[0] for alpha in GRID_ALPHAS])
+        assert np.array_equal(oracle(GRID_ALPHAS), singles)
+
+
 class TestMeasureCurves:
     def test_simulated_measures_match_closed_forms(self):
         rhos = _inputs(GRID.tolist())
@@ -368,7 +389,7 @@ class TestMeasureCurves:
             (nonlocal_channel, closed_form_nonlocal_measures),
         ):
             e3, e2, _, _ = measure_stack(_clone(channel, rhos))
-            cf = np.array([closed_form(alpha) for alpha in GRID])
+            cf = np.array([closed_form([alpha])[0] for alpha in GRID])
             assert np.max(np.abs(e3 - cf[:, 0])) <= 1e-12
             assert np.max(np.abs(e2[:, 0] - cf[:, 1])) <= 1e-12
 
@@ -415,15 +436,16 @@ class TestMeasureCurves:
 
 class TestFidelities:
     def test_local_formula_endpoints(self):
-        assert fidelity_local(0.0) == pytest.approx(125.0 / 216.0, abs=1e-14)
-        assert fidelity_local(math.pi / 4) == pytest.approx(95.0 / 216.0, abs=1e-14)
+        assert fidelity_local([0.0])[0] == pytest.approx(125.0 / 216.0, abs=1e-14)
+        f_balanced = fidelity_local([math.pi / 4])[0]
+        assert f_balanced == pytest.approx(95.0 / 216.0, abs=1e-14)
 
     def test_local_matches_simulation(self):
         alphas = GRID[::4].tolist()
         psis = input_states(alphas)
         sim = fidelities(psis, _clone(local_channel, _inputs(alphas)))
         for value, alpha in zip(sim, alphas):
-            assert value == pytest.approx(fidelity_local(alpha), abs=1e-12)
+            assert value == pytest.approx(fidelity_local([alpha])[0], abs=1e-12)
 
     def test_nonlocal_constant(self):
         assert fidelity_nonlocal() == pytest.approx(11.0 / 18.0, abs=1e-15)
@@ -504,7 +526,7 @@ class TestE2Crossings:
     def test_sign_pattern_around_window(self):
         def gap(x):
             alpha = math.acos(x)
-            e3n, e2n = closed_form_nonlocal_measures(alpha)
+            e3n, e2n = closed_form_nonlocal_measures([alpha])[0]
             s2 = math.sin(2 * alpha) ** 2
             return e2n - s2 * s2 / 3.0
 

@@ -146,12 +146,24 @@ class TestInputState:
             (evaluate, ["0.1"]),
             (evaluate, [[0.1, 0.2]]),
             (lambda alphas: iterate(alphas[0], 1), ["0.3"]),
+            (evaluate, [True]),
+            (evaluate, [np.True_]),
+            (lambda alphas: iterate(alphas[0], 1), [True]),
+            (lambda alphas: iterate(alphas[0], 1), [np.True_]),
         ],
-        ids=["evaluate-string", "evaluate-nested", "iterate-string"],
+        ids=[
+            "evaluate-string",
+            "evaluate-nested",
+            "iterate-string",
+            "evaluate-bool",
+            "evaluate-numpy-bool",
+            "iterate-bool",
+            "iterate-numpy-bool",
+        ],
     )
     def test_callers_leave_angles_to_input_states(self, run, alphas):
-        # No caller converts the angles first, so a string or a nested
-        # sequence fails as it does in ``input_states`` itself.
+        # No caller converts the angles first, so a string, a nested
+        # sequence or a bool fails as it does in ``input_states`` itself.
         with pytest.raises(TypeError) as expected:
             input_states(alphas)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
@@ -333,12 +345,12 @@ class TestMeasures:
         alphas = np.linspace(0.0, math.pi / 2, 201)
         psis = input_states(alphas.tolist())
         e3, e2, _, _ = measure_stack(psis[:, :, None] * psis[:, None, :].conj())
-        cf = np.array([closed_form_input_measures(a) for a in alphas])
+        cf = np.array([closed_form_input_measures([a])[0] for a in alphas])
         assert np.max(np.abs(e3 - cf[:, 0])) <= 1e-12
         assert np.max(np.abs(e2 - cf[:, 1:2])) <= 1e-12
 
     def test_closed_form_at_pi_over_8(self):
-        e3, e2 = closed_form_input_measures(math.pi / 8)
+        e3, e2 = closed_form_input_measures([math.pi / 8])[0]
         assert e3 == pytest.approx(0.625, abs=1e-14)
         assert e2 == pytest.approx(1.0 / 12.0, abs=1e-14)
 

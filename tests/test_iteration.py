@@ -172,7 +172,7 @@ class TestIterate:
     def test_step_zero_matches_input_closed_form(self):
         alpha = 0.6
         e3s, e2s, _ = iterate(alpha, 1)
-        e3, e2 = closed_form_input_measures(alpha)
+        e3, e2 = closed_form_input_measures([alpha])[0]
         assert e3s[0] == pytest.approx(e3, abs=1e-12)
         assert e2s[0, 0] == pytest.approx(e2, abs=1e-12)
 
