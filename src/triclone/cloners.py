@@ -16,8 +16,9 @@ positive, and keeps the residuals.  Because the two sides are proven
 equal there, ``CompiledChannel.map`` gives one state per input: the
 reduced state of the copies, which is also that of the originals.
 
-``evaluate`` runs both channels, the measures and the fidelities over a
-stack of two-corner inputs at once; ``find_e2_crossings`` bisects on it.
+``evaluate_states`` runs any channels, the measures and the fidelities over
+a stack of pure inputs at once; ``evaluate`` runs both schemes on two-corner
+inputs, and ``find_e2_crossings`` bisects on the non-local one.
 """
 
 from __future__ import annotations
@@ -177,49 +178,58 @@ def nonlocal_channel() -> CompiledChannel:
     return compile_channel(nonlocal_isometry(8).reshape(8, 8, 8, 8))
 
 
-def evaluate(alphas):
-    """Both channels, the measures and the fidelities at each input angle.
+def evaluate_states(psis, channels):
+    """Measures and fidelities of pure inputs ``psis`` (n, 8) under ``channels``.
 
-    Returns ``(states, e3, e2, f)`` over the n two-corner inputs at
-    ``alphas``: ``states`` (3, n, 8, 8) stacks the input projectors, the
-    local outputs and the non-local outputs; ``e3`` (3, n) and ``e2``
-    (3, n, 3) are their measures in that order; ``f`` (2, n) holds the
-    local and the non-local fidelities.  One batched pass; every input,
-    output and measure is validated, and each point comes out bit for bit
-    as it would in a call on that point alone.  Raises ValueError if
-    ``alphas`` is empty.
+    Returns ``(states, e3, e2, f)``: ``states`` (1 + k, n, 8, 8) holds the
+    input projectors, then one output slab per channel; ``e3`` (1 + k, n) and
+    ``e2`` (1 + k, n, 3) are their measures, ``f`` (k, n) the fidelities.
+    Each slab is validated; each point and slab equals its call alone bit for
+    bit.  Raises ValueError if ``psis`` is not (n, 8) or ``channels`` is empty.
+    """
+    psis = np.asarray(psis, dtype=complex)
+    if psis.ndim != 2 or psis.shape[1] != 8:
+        raise ValueError(f"expected amplitudes of shape (n, 8), got {psis.shape}")
+    if len(channels) == 0:
+        raise ValueError("evaluate_states needs at least one channel")
+    # Validated per slab: over the whole buffer the cost per member grows.
+    states = np.empty((1 + len(channels), len(psis), 8, 8), dtype=complex)
+    rho_in, *outputs = states
+    np.multiply(psis[:, :, None], psis[:, None, :].conj(), out=rho_in)
+    check_density_matrices(rho_in)
+    for channel, out in zip(channels, outputs):
+        out[...] = channel.map(rho_in)
+        check_density_matrices(out)
+    e3, e2, *_ = measure_stack(states)
+    f = np.stack([fidelities(psis, out) for out in outputs])
+    return states, e3, e2, f
+
+
+def evaluate(alphas):
+    """``evaluate_states`` at two-corner ``alphas``, local then non-local channel.
+
+    Shapes (3, n, 8, 8), (3, n), (3, n, 3) and (2, n); ValueError if no alpha.
     """
     psis = input_states(alphas)
     if len(psis) == 0:
         raise ValueError("evaluate needs at least one alpha")
-    # One buffer, one measure_stack call: its matmul runs per member of the
-    # leading axis, so the measures equal three separate calls bit for bit.
-    states = np.empty((3, len(psis), 8, 8), dtype=complex)
-    rho_in, local_out, nonlocal_out = states
-    np.multiply(psis[:, :, None], psis[:, None, :].conj(), out=rho_in)
-    check_density_matrices(rho_in)
-    local_out[...] = local_channel().map(rho_in)
-    check_density_matrices(local_out)
-    nonlocal_out[...] = nonlocal_channel().map(rho_in)
-    check_density_matrices(nonlocal_out)
-    e3, e2, *_ = measure_stack(states)
-    f = np.stack([fidelities(psis, local_out), fidelities(psis, nonlocal_out)])
-    return states, e3, e2, f
+    return evaluate_states(psis, (local_channel(), nonlocal_channel()))
 
 
 def find_e2_crossings() -> tuple[float, float]:
     """Roots of E2_nonlocal(alpha) = E2_input(alpha) in cos(alpha) on (0, 1).
 
     Bisection on the simulated curves, each root bracketed to 1e-6,
-    returned ascending.  Both brackets are halved together, one
-    ``evaluate`` call per step, and each stops once it is no wider than
-    ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
+    returned ascending.  Both brackets are halved together, one non-local
+    ``evaluate_states`` call per step, and each stops once it is no wider
+    than ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
     entanglement outside the returned window and degrades it inside.
     """
 
     def gaps(cos_alphas):
-        _, _, e2, _ = evaluate([math.acos(x) for x in cos_alphas])
-        return e2[2, :, 0] - e2[0, :, 0]
+        psis = input_states([math.acos(x) for x in cos_alphas])
+        _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
+        return e2[1, :, 0] - e2[0, :, 0]
 
     half = math.sqrt(0.5)
     f_ends = gaps([0.0, half, 1.0])

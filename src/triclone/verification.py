@@ -1,8 +1,8 @@
 """Executable verification suite behind ``triclone verify``.
 
 Each check pins one acceptance criterion with its tolerance and reports
-the measured residual; single-state values come from one-point
-``evaluate`` calls, the path the sweep runs.  The same checks back
+the measured residual; single-state values come from one-point calls of
+``evaluate_states``, the path the sweep runs.  The same checks back
 tests/test_acceptance.py, so the CLI and the test suite cannot drift apart.
 
 Each random stack is one generator call laid out (n, 2, d, d), real then
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import evaluate, find_e2_crossings, local_channel, nonlocal_channel
+from .cloners import evaluate, evaluate_states, find_e2_crossings
+from .cloners import local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import iterate, spectral_trajectory
 from .linalg import check_density_matrices, eig_hermitian, kron_all
@@ -166,8 +167,9 @@ def check_amplification_window() -> CheckResult:
     # Sign pattern around the measured roots: amplified outside, degraded
     # inside the window.
     probes = (max(lo - 0.02, 1e-3), 0.5 * (lo + hi), min(hi + 0.02, 1.0 - 1e-3))
-    _, _, e2, _ = evaluate([math.acos(x) for x in probes])
-    gap = e2[2, :, 0] - e2[0, :, 0]
+    psis = input_states([math.acos(x) for x in probes])
+    _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
+    gap = e2[1, :, 0] - e2[0, :, 0]
     signs_ok = bool(gap[0] > 0.0 and gap[1] < 0.0 and gap[2] > 0.0)
     passed = err_lo <= WINDOW_ATOL and err_hi <= WINDOW_ATOL and signs_ok
     return CheckResult(
@@ -327,7 +329,7 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    states, *_ = evaluate([alpha])
+    states, *_ = evaluate_states(input_states([alpha]), (local_channel(),))
     k333 = correlations(states[1])[2][0, 2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from triclone.cloners import (
     OUTPUT_SYMMETRY_ATOL,
     compile_channel,
     evaluate,
+    evaluate_states,
     find_e2_crossings,
     local_channel,
     nonlocal_channel,
@@ -480,6 +482,88 @@ class TestEvaluate:
             assert (e3 == ref_e3).all()
             assert (e2 == ref_e2).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 128, 129, 201])
+    @pytest.mark.parametrize(
+        "names",
+        [("nonlocal",), ("local", "nonlocal"), ("nonlocal", "local", "nonlocal")],
+        ids="-".join,
+    )
+    def test_channel_slabs_equal_one_call_per_channel(self, n, names):
+        by_name = {"local": local_channel(), "nonlocal": nonlocal_channel()}
+        channels = tuple(by_name[name] for name in names)
+        psis = input_states(np.linspace(0.0, math.pi / 2, n))
+        states, e3, e2, f = evaluate_states(psis, channels)
+        assert states.shape == (1 + len(names), n, 8, 8)
+        assert f.shape == (len(names), n)
+        for i, channel in enumerate(channels):
+            one = evaluate_states(psis, (channel,))
+            # The input slab does not depend on the channels.
+            assert np.array_equal(states[0], one[0][0])
+            assert np.array_equal(e3[0], one[1][0])
+            assert np.array_equal(e2[0], one[2][0])
+            assert np.array_equal(states[1 + i], one[0][1])
+            assert np.array_equal(e3[1 + i], one[1][1])
+            assert np.array_equal(e2[1 + i], one[2][1])
+            assert np.array_equal(f[i], one[3][0])
+
+    @pytest.mark.parametrize("n", [1, 2, 128, 129, 201])
+    def test_evaluate_is_evaluate_states_of_both_schemes(self, n):
+        alphas = np.linspace(0.0, math.pi / 2, n)
+        both = (local_channel(), nonlocal_channel())
+        expected = evaluate_states(input_states(alphas), both)
+        for got, want in zip(evaluate(alphas), expected, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 4), (2, 2, 8)], ids=str)
+    def test_evaluate_states_rejects_amplitude_shapes(self, shape):
+        psis = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            evaluate_states(psis, (nonlocal_channel(),))
+
+    def test_evaluate_states_rejects_no_channels(self):
+        with pytest.raises(ValueError, match="at least one channel"):
+            evaluate_states(input_states([0.3]), ())
+
+    @pytest.mark.parametrize(
+        "psi, message",
+        [
+            ([math.nan] + [0.0] * 7, "finite"),
+            ([1.0, 1.0] + [0.0] * 6, "trace"),
+        ],
+        ids=["nan", "unnormalized"],
+    )
+    def test_evaluate_states_rejects_invalid_amplitudes(self, psi, message):
+        psis = np.array([[1.0] + [0.0] * 7, psi], dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            evaluate_states(psis, (local_channel(), nonlocal_channel()))
+
+
+class TestHaarInputs:
+    """Both schemes on seeded Haar-random pure states, off the two-corner family."""
+
+    @pytest.fixture(scope="class")
+    def haar(self):
+        g = np.random.default_rng(7).standard_normal((200, 2, 8))
+        psis = g[:, 0] + 1j * g[:, 1]
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        channels = (local_channel(), nonlocal_channel())
+        return psis, channels, evaluate_states(psis, channels)
+
+    def test_each_member_equals_its_call_alone(self, haar):
+        psis, channels, batch = haar
+        for i in range(len(psis)):
+            one = evaluate_states(psis[i : i + 1], channels)
+            for got, alone in zip(batch, one, strict=True):
+                assert np.array_equal(got[:, i : i + 1], alone)
+
+    def test_nonlocal_fidelity_is_universal(self, haar):
+        _, _, (_, _, _, f) = haar
+        assert np.max(np.abs(f[1] - 11.0 / 18.0)) <= 1e-12
+
+    def test_nonlocal_fidelity_beats_local(self, haar):
+        _, _, (_, _, _, f) = haar
+        assert np.all(f[0] < f[1])
+
 
 class TestE2Crossings:
     def test_roots_match_analytic_values(self):
@@ -512,16 +596,23 @@ class TestE2Crossings:
             expected.append(0.5 * (lo + hi))
 
         sizes = []
+        passed = []
 
-        def counted(alphas):
-            sizes.append(len(alphas))
-            return evaluate(alphas)
+        def counted(psis, channels):
+            sizes.append(len(psis))
+            passed.append(channels)
+            return evaluate_states(psis, channels)
 
-        monkeypatch.setattr(cloners, "evaluate", counted)
+        monkeypatch.setattr(cloners, "evaluate_states", counted)
         assert find_e2_crossings() == tuple(expected)
         # The three bracket ends, then both midpoints per step until the
         # narrower bracket stops after 19 halvings and the wider after 20.
         assert sizes == [3] + [2] * 19 + [1]
+        # Only the non-local slab is read, so only the non-local channel runs.
+        assert all(
+            type(c) is tuple and len(c) == 1 and c[0] is nonlocal_channel()
+            for c in passed
+        )
 
     def test_sign_pattern_around_window(self):
         def gap(x):

@@ -126,6 +126,17 @@ def test_spectral_route_has_one_path(name):
     assert _call_sites(name) == [("iteration", "spectral_trajectory")]
 
 
+def test_one_batched_evaluation_path():
+    # Fidelities are scored only in ``evaluate_states``; besides it, only
+    # ``iterate`` and the measure-property check call the measures.
+    assert _call_sites("fidelities") == [("cloners", "evaluate_states")]
+    assert set(_call_sites("measure_stack")) == {
+        ("cloners", "evaluate_states"),
+        ("iteration", "iterate"),
+        ("verification", "check_measure_properties"),
+    }
+
+
 @pytest.mark.parametrize(
     "module", ["__init__", "linalg", "entanglement", "cloners", "iteration", "cli"]
 )
