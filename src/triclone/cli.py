@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -179,10 +180,19 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         if ns.command == "sweep":
-            return run_sweep(ns.points, ns.output)
-        if ns.command == "iterate":
-            return run_iterate(ns.alpha, ns.steps, ns.output)
-        return run_verify(ns.seed)
+            code = run_sweep(ns.points, ns.output)
+        elif ns.command == "iterate":
+            code = run_iterate(ns.alpha, ns.steps, ns.output)
+        else:
+            code = run_verify(ns.seed)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # Send what is still buffered to devnull, so the flush at exit passes.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

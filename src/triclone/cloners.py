@@ -18,7 +18,7 @@ reduced state of the copies, which is also that of the originals.
 
 ``evaluate_states`` runs any channels, the measures and the fidelities over
 a stack of pure inputs at once; ``evaluate`` runs both schemes on two-corner
-inputs, and ``find_e2_crossings`` bisects on the non-local one.
+inputs, and ``find_e2_crossings`` bisects the non-local E2 gap ``e2_gaps``.
 """
 
 from __future__ import annotations
@@ -216,23 +216,24 @@ def evaluate(alphas):
     return evaluate_states(psis, (local_channel(), nonlocal_channel()))
 
 
+def e2_gaps(cos_alphas):
+    """E2_nonlocal - E2_input at each cos(alpha), one non-local call, shape (n,)."""
+    psis = input_states([math.acos(x) for x in cos_alphas])
+    _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
+    return e2[1, :, 0] - e2[0, :, 0]
+
+
 def find_e2_crossings() -> tuple[float, float]:
     """Roots of E2_nonlocal(alpha) = E2_input(alpha) in cos(alpha) on (0, 1).
 
     Bisection on the simulated curves, each root bracketed to 1e-6,
-    returned ascending.  Both brackets are halved together, one non-local
-    ``evaluate_states`` call per step, and each stops once it is no wider
-    than ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
+    returned ascending.  Both brackets are halved together, one ``e2_gaps``
+    call per step, and each stops once it is no wider than
+    ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
     entanglement outside the returned window and degrades it inside.
     """
-
-    def gaps(cos_alphas):
-        psis = input_states([math.acos(x) for x in cos_alphas])
-        _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
-        return e2[1, :, 0] - e2[0, :, 0]
-
     half = math.sqrt(0.5)
-    f_ends = gaps([0.0, half, 1.0])
+    f_ends = e2_gaps([0.0, half, 1.0])
     brackets = []  # [lo, hi, whether the gap is positive at lo]
     for lo, hi, f_lo, f_hi in ((0.0, half, *f_ends[:2]), (half, 1.0, *f_ends[1:])):
         if f_lo == 0.0:
@@ -245,7 +246,7 @@ def find_e2_crossings() -> tuple[float, float]:
         brackets.append([lo, hi, f_lo > 0.0])
     while active := [b for b in brackets if b[1] - b[0] > CROSSING_BRACKET]:
         mids = [0.5 * (lo + hi) for lo, hi, _ in active]
-        for bracket, mid, f_mid in zip(active, mids, gaps(mids)):
+        for bracket, mid, f_mid in zip(active, mids, e2_gaps(mids)):
             bracket[0 if (f_mid > 0.0) == bracket[2] else 1] = mid
     (lo1, hi1, _), (lo2, hi2, _) = brackets
     return 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)

@@ -1,9 +1,9 @@
 """Executable verification suite behind ``triclone verify``.
 
 Each check pins one acceptance criterion with its tolerance and reports
-the measured residual; single-state values come from one-point calls of
-``evaluate_states``, the path the sweep runs.  The same checks back
-tests/test_acceptance.py, so the CLI and the test suite cannot drift apart.
+the measured residual; the balanced state is grid point ``BALANCED``, and
+the window probes share ``e2_gaps`` with the crossing search.  The same checks
+back tests/test_acceptance.py, so the CLI and the test suite cannot drift.
 
 Each random stack is one generator call laid out (n, 2, d, d), real then
 imaginary part per member, so it reads the stream in the order of a
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import evaluate, evaluate_states, find_e2_crossings
+from .cloners import e2_gaps, evaluate, evaluate_states, find_e2_crossings
 from .cloners import local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import iterate, spectral_trajectory
@@ -35,6 +35,9 @@ from .reference import (
 )
 
 GRID_ALPHAS = np.linspace(0.0, math.pi / 2.0, 201)
+BALANCED = 100
+# linspace lands one ulp above pi/4; the balanced checks need the exact angle.
+GRID_ALPHAS[BALANCED] = math.pi / 4.0
 GRID_ALPHAS.setflags(write=False)
 # States per spectral-route block: 16 full-rank states give 128 projectors
 # per channel map, the size of a sweep block.
@@ -67,8 +70,8 @@ def compute_grid():
 
 
 def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
-    """Largest deviation of one point's E3 (1,) and every E2 (1, 3)."""
-    return max(abs(e3s[0] - e3), max(abs(v - e2) for v in e2s[0]))
+    """Largest deviation of the balanced point's E3 and every E2 in a grid slab."""
+    return max(abs(e3s[BALANCED] - e3), max(abs(v - e2) for v in e2s[BALANCED]))
 
 
 def check_input_closed_forms(grid) -> CheckResult:
@@ -77,8 +80,7 @@ def check_input_closed_forms(grid) -> CheckResult:
     cf = closed_form_input_measures(GRID_ALPHAS)
     err3 = float(np.max(np.abs(e3[0] - cf[:, 0])))
     err2 = float(np.max(np.abs(e2[0] - cf[:, 1:2])))
-    _, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
-    ghz_err = _measure_error(ghz_e3[0], ghz_e2[0], 1.0, 1.0 / 3.0)
+    ghz_err = _measure_error(e3[0], e2[0], 1.0, 1.0 / 3.0)
     passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
     return CheckResult(
         "input-state-closed-forms",
@@ -90,11 +92,10 @@ def check_input_closed_forms(grid) -> CheckResult:
 
 def check_local_oracle(grid) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
-    states, *_ = grid
+    states, e3, e2, _ = grid
     refs = closed_form_local_outputs(GRID_ALPHAS)
     err = float(np.max(np.abs(states[1] - refs)))
-    _, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
-    m_err = _measure_error(ghz_e3[1], ghz_e2[1], 64.0 / 729.0, 16.0 / 243.0)
+    m_err = _measure_error(e3[1], e2[1], 64.0 / 729.0, 16.0 / 243.0)
     passed = err <= 1e-12 and m_err <= 1e-12
     return CheckResult(
         "local-cloning-oracle",
@@ -106,12 +107,11 @@ def check_local_oracle(grid) -> CheckResult:
 
 def check_nonlocal_oracle(grid) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
-    states, *_ = grid
+    states, e3, e2, _ = grid
     refs = closed_form_nonlocal_outputs(GRID_ALPHAS)
     err = float(np.max(np.abs(states[2] - refs)))
-    ghz_states, ghz_e3, ghz_e2, _ = evaluate([math.pi / 4.0])
-    m_err = _measure_error(ghz_e3[2], ghz_e2[2], 25.0 / 81.0, 25.0 / 243.0)
-    values, _ = eig_hermitian(ghz_states[2, 0])
+    m_err = _measure_error(e3[2], e2[2], 25.0 / 81.0, 25.0 / 243.0)
+    values, _ = eig_hermitian(states[2, BALANCED])
     eig_err = float(np.max(np.abs(np.sort(values) - np.array(GHZ_EIGENVALUES))))
     passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
     return CheckResult(
@@ -167,9 +167,7 @@ def check_amplification_window() -> CheckResult:
     # Sign pattern around the measured roots: amplified outside, degraded
     # inside the window.
     probes = (max(lo - 0.02, 1e-3), 0.5 * (lo + hi), min(hi + 0.02, 1.0 - 1e-3))
-    psis = input_states([math.acos(x) for x in probes])
-    _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
-    gap = e2[1, :, 0] - e2[0, :, 0]
+    gap = e2_gaps(probes)
     signs_ok = bool(gap[0] > 0.0 and gap[1] < 0.0 and gap[2] > 0.0)
     passed = err_lo <= WINDOW_ATOL and err_hi <= WINDOW_ATOL and signs_ok
     return CheckResult(

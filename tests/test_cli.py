@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +309,43 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    """A reader that has gone away ends a command with one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [
+            (["sweep", "--points", "2"], False),
+            (["iterate"], False),
+            (["verify"], True),
+        ],
+        ids=["sweep", "iterate", "verify-unbuffered"],
+    )
+    def test_exits_two_with_one_line(self, argv, unbuffered):
+        # The read end is closed before the command starts, so its first write
+        # fails every time: buffered output at the flush in ``main``,
+        # unbuffered output at the first print.  A reader that closes after
+        # one line races the remaining writes, which fit in the pipe buffer.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "triclone.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2
+        assert "Traceback" not in err
+        assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"

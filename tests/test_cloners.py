@@ -10,6 +10,7 @@ from triclone.cloners import (
     CROSSING_BRACKET,
     OUTPUT_SYMMETRY_ATOL,
     compile_channel,
+    e2_gaps,
     evaluate,
     evaluate_states,
     find_e2_crossings,
@@ -613,6 +614,13 @@ class TestE2Crossings:
             type(c) is tuple and len(c) == 1 and c[0] is nonlocal_channel()
             for c in passed
         )
+
+    def test_gaps_of_a_stack_equal_one_point_calls(self):
+        # Corners, the bisection's interior bracket end and the window probes.
+        xs = [0.0, 0.2, 0.6, math.sqrt(0.5), 0.98, 1.0]
+        gaps = e2_gaps(xs)
+        assert gaps.shape == (len(xs),)
+        assert np.array_equal(gaps, np.concatenate([e2_gaps([x]) for x in xs]))
 
     def test_sign_pattern_around_window(self):
         def gap(x):

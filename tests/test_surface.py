@@ -137,6 +137,19 @@ def test_one_batched_evaluation_path():
     }
 
 
+def test_verify_derives_each_quantity_once():
+    # The balanced state is a column of the verification grid, and the window
+    # probes share the crossing search's gap function.
+    assert set(_call_sites("evaluate")) == {
+        ("cli", "sweep_table"),
+        ("verification", "compute_grid"),
+    }
+    assert set(_call_sites("e2_gaps")) == {
+        ("cloners", "find_e2_crossings"),
+        ("verification", "check_amplification_window"),
+    }
+
+
 @pytest.mark.parametrize(
     "module", ["__init__", "linalg", "entanglement", "cloners", "iteration", "cli"]
 )

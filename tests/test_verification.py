@@ -1,8 +1,10 @@
-"""The stacked random draws of ``verification`` equal draw-by-draw loops.
+"""The stacked inputs of ``verification`` equal their one-by-one derivations.
 
 The ``verify`` report rounds its residuals, so it cannot show a changed
 draw; these tests pin every random stack bit for bit against a loop of
 single draws, and check that both leave the generator at the same point.
+The balanced state the oracle checks read off the grid is pinned the same
+way against a call on that angle alone.
 """
 
 import math
@@ -10,8 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from triclone.cloners import evaluate
 from triclone.linalg import kron_all
 from triclone.verification import (
+    BALANCED,
+    GRID_ALPHAS,
     random_density_matrices,
     random_product_states,
     random_unitaries,
@@ -85,3 +90,13 @@ def test_batched_rotations_equal_per_member_products():
     rotated = u @ rhos @ u.conj().swapaxes(1, 2)
     expected = [a @ rho @ a.conj().T for a, rho in zip(u, rhos)]
     assert np.array_equal(rotated, expected)
+
+
+def test_balanced_grid_column_is_the_balanced_state(grid):
+    assert GRID_ALPHAS[BALANCED] == math.pi / 4
+    others = np.arange(len(GRID_ALPHAS)) != BALANCED
+    linspace = np.linspace(0.0, math.pi / 2.0, 201)
+    assert np.array_equal(GRID_ALPHAS[others], linspace[others])
+    assert not GRID_ALPHAS.flags.writeable
+    for column, alone in zip(grid, evaluate([math.pi / 4]), strict=True):
+        assert np.array_equal(column[:, BALANCED : BALANCED + 1], alone)
