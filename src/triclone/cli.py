@@ -9,6 +9,7 @@ numbers, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -80,10 +81,7 @@ def format_iteration_csv(e3: np.ndarray, e2: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_or_print(text: str, path: str | None) -> int:
-    if path is None:
-        sys.stdout.write(text)
-        return 0
+def _write(text: str, path: str) -> int:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -93,36 +91,37 @@ def _write_or_print(text: str, path: str | None) -> int:
     return 0
 
 
-def run_sweep(points: int, output_path: str | None) -> int:
+# Each run_* returns (exit code, text for stdout); main alone writes stdout.
+def run_sweep(points: int, output_path: str | None) -> tuple[int, str]:
     if not 2 <= points <= MAX_POINTS:
         raise ValueError(f"points must be between 2 and {MAX_POINTS}, got {points}")
-    table = sweep_table(points)
-    return _write_or_print(format_sweep_csv(table), output_path)
+    text = format_sweep_csv(sweep_table(points))
+    return (0, text) if output_path is None else (_write(text, output_path), "")
 
 
-def run_iterate(alpha: float, steps: int, output_path: str | None) -> int:
+def run_iterate(alpha: float, steps: int, output_path: str | None) -> tuple[int, str]:
     e3, e2, _ = iterate(alpha, steps)
-    sys.stdout.write(format_iteration_table(e3, e2))
-    if output_path is not None:
-        return _write_or_print(format_iteration_csv(e3, e2), output_path)
-    return 0
+    table = format_iteration_table(e3, e2)
+    if output_path is None:
+        return 0, table
+    return _write(format_iteration_csv(e3, e2), output_path), table
 
 
-def run_verify(seed: int) -> int:
+def run_verify(seed: int) -> tuple[int, str]:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     from .verification import informational_notes, run_all
 
     results = run_all(seed=seed)
     total = len(results)
-    for i, result in enumerate(results, start=1):
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{i:2d}/{total}] {status}  {result.name}: {result.detail}")
-    for note in informational_notes():
-        print(note)
+    lines = [
+        f"[{i:2d}/{total}] {'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
+        for i, r in enumerate(results, start=1)
+    ]
+    lines.extend(informational_notes())
     n_passed = sum(r.passed for r in results)
-    print(f"{n_passed}/{total} checks passed")
-    return 0 if n_passed == total else 1
+    lines.append(f"{n_passed}/{total} checks passed")
+    return (0 if n_passed == total else 1), "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,25 +179,42 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         if ns.command == "sweep":
-            code = run_sweep(ns.points, ns.output)
+            code, text = run_sweep(ns.points, ns.output)
         elif ns.command == "iterate":
-            code = run_iterate(ns.alpha, ns.steps, ns.output)
+            code, text = run_iterate(ns.alpha, ns.steps, ns.output)
         else:
-            code = run_verify(ns.seed)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError as exc:
-        # Send what is still buffered to devnull, so the flush at exit passes.
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-        return 2
+            code, text = run_verify(ns.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
+    if not text:
+        return code
+    stream = sys.stdout
+    try:
+        if stream is None:  # descriptor 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        buffer = getattr(stream, "buffer", None)
+        if buffer is None:
+            stream.write(text)
+        else:
+            # A reader that leaves mid-write can cut a write short without an
+            # error, so resume until everything is written or the error shows.
+            stream.flush()
+            data = memoryview(text.encode(stream.encoding))
+            while data:
+                data = data[buffer.write(data) :]
+        stream.flush()
+    except OSError as exc:
+        if stream is not None:
+            # Send what is still buffered to devnull, so the flush at exit passes.
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), stream.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -234,19 +234,16 @@ def check_channel_properties(seed: int) -> CheckResult:
     p = rng.uniform(0.1, 0.9, 50)[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
-    trace_err = herm_err = eig_floor = lin_err = 0.0
-    for channel in (local_channel(), nonlocal_channel()):
-        out = channel.map(stack)
-        direct = channel.map(mixes)
-        check_density_matrices(out)
-        check_density_matrices(direct)
-        trace = np.trace(out, axis1=1, axis2=2).real
-        trace_err = max(trace_err, float(np.max(np.abs(trace - 1.0))))
-        herm = np.max(np.abs(out - out.conj().swapaxes(1, 2)))
-        herm_err = max(herm_err, float(herm))
-        eig_floor = min(eig_floor, float(np.min(np.linalg.eigvalsh(out)[:, 0])))
-        combined = p * out[0::2] + (1 - p) * out[1::2]
-        lin_err = max(lin_err, float(np.max(np.abs(direct - combined))))
+    channels = (local_channel(), nonlocal_channel())
+    out = np.stack([channel.map(stack) for channel in channels])
+    direct = np.stack([channel.map(mixes) for channel in channels])
+    for slab in (*out, *direct):
+        check_density_matrices(slab)
+    trace_err = float(np.max(np.abs(np.trace(out, axis1=2, axis2=3).real - 1.0)))
+    herm_err = float(np.max(np.abs(out - out.conj().swapaxes(2, 3))))
+    eig_floor = min(0.0, float(np.min(np.linalg.eigvalsh(out)[..., 0])))
+    combined = p * out[:, 0::2] + (1 - p) * out[:, 1::2]
+    lin_err = float(np.max(np.abs(direct - combined)))
     route_err = max(
         spectral_trajectory(stack[start : start + ROUTE_BLOCK], 1)[1]
         for start in range(0, len(stack), ROUTE_BLOCK)
@@ -308,7 +305,7 @@ def check_sweep_determinism() -> CheckResult:
         paths = [os.path.join(tmp, f"sweep{i}.csv") for i in (1, 2)]
         payloads = []
         for path in paths:
-            code = run_sweep(DEFAULT_POINTS, path)
+            code, _ = run_sweep(DEFAULT_POINTS, path)
             if code != 0:
                 return CheckResult(
                     "sweep-determinism", False, f"sweep exited with code {code}"

@@ -1,8 +1,11 @@
+import errno
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -349,3 +352,102 @@ class TestClosedStdout:
         assert proc.returncode == 2
         assert "Traceback" not in err
         assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+def _run_cli(argv, **kwargs):
+    """Exit code and stderr of ``python -m triclone.cli`` with ``src`` importable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        argv, stderr=subprocess.PIPE, env=env, timeout=300, check=False, **kwargs
+    )
+    err = proc.stderr.decode("utf-8")
+    assert "Traceback" not in err
+    return proc.returncode, err
+
+
+# Runs the command with descriptor 1 closed, so the child starts with
+# ``sys.stdout`` set to None.
+CLOSED_STDOUT = ["sh", "-c", 'exec "$0" -m triclone.cli "$@" >&-', sys.executable]
+
+
+class _ShortWriteBuffer:
+    """Takes ten bytes of the first write, then fails as a departed reader does."""
+
+    def __init__(self):
+        self.requested = []
+
+    def write(self, data):
+        self.requested.append(len(data))
+        if len(self.requested) > 1:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return 10
+
+    def flush(self):
+        pass
+
+
+class _ShortWriteStdout:
+    encoding = "utf-8"
+
+    def __init__(self, fd):
+        self.buffer = _ShortWriteBuffer()
+        self.fd = fd
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestStdoutFailures:
+    """Every stdout failure exits 2 with one line; ``--output`` needs no stdout."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--points", "2"], ["iterate"], ["verify"]], ids=" ".join
+    )
+    def test_full_device(self, argv):
+        with open("/dev/full", "wb") as full:
+            code, err = _run_cli(
+                [sys.executable, "-m", "triclone.cli", *argv], stdout=full
+            )
+        assert code == 2
+        assert err == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
+
+    def test_closed_descriptor(self):
+        code, err = _run_cli([*CLOSED_STDOUT, "sweep", "--points", "3"])
+        assert code == 2
+        assert err == "error: cannot write to stdout: [Errno 9] Bad file descriptor\n"
+
+    def test_output_needs_no_stdout(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        argv = ["sweep", "--points", "3", "--output", str(target)]
+        assert _run_cli([*CLOSED_STDOUT, *argv]) == (0, "")
+        assert main(["sweep", "--points", "3"]) == 0
+        assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    def test_short_write_is_resumed_until_it_fails(self, tmp_path, monkeypatch, capsys):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        fake = _ShortWriteStdout(fd)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", fake)
+                code = main(["sweep", "--points", "3"])
+        finally:
+            os.close(fd)
+        size = len(format_sweep_csv(sweep_table(3)))
+        assert code == 2
+        assert fake.buffer.requested == [size, size - 10]
+        err = capsys.readouterr().err
+        assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+    def test_stream_without_buffer_gets_the_text(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["sweep", "--points", "3"]) == 0
+        assert out.getvalue() == format_sweep_csv(sweep_table(3))

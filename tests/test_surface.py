@@ -150,6 +150,39 @@ def test_verify_derives_each_quantity_once():
     }
 
 
+def _stdout_names(node):
+    return sum(
+        isinstance(n, ast.Attribute) and n.attr == "stdout" for n in ast.walk(node)
+    )
+
+
+def test_stdout_has_one_writer():
+    # Commands return their text and ``cli.main`` alone writes it, so one
+    # handler covers every stdout failure; every print goes to stderr.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(triclone.__file__).parent.glob("*.py")
+    }
+    (main,) = [
+        f
+        for f in trees["cli"].body
+        if isinstance(f, ast.FunctionDef) and f.name == "main"
+    ]
+    assert _stdout_names(main) > 0
+    assert sum(map(_stdout_names, trees.values())) == _stdout_names(main)
+    prints = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+    ]
+    assert prints
+    for node in prints:
+        assert [ast.unparse(k.value) for k in node.keywords if k.arg == "file"] == [
+            "sys.stderr"
+        ], ast.unparse(node)
+
+
 @pytest.mark.parametrize(
     "module", ["__init__", "linalg", "entanglement", "cloners", "iteration", "cli"]
 )
