@@ -13,8 +13,6 @@ draw-by-draw loop and gives the same members bit for bit.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +67,11 @@ def compute_grid():
     return evaluate(GRID_ALPHAS)
 
 
+def _max_abs(a) -> float:
+    """Largest absolute entry of ``a`` as a float: the checks' residual norm."""
+    return float(np.max(np.abs(a)))
+
+
 def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
     """Largest deviation of the balanced point's E3 and every E2 in a grid slab."""
     return max(abs(e3s[BALANCED] - e3), max(abs(v - e2) for v in e2s[BALANCED]))
@@ -78,8 +81,8 @@ def check_input_closed_forms(grid) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
     _, e3, e2, _ = grid
     cf = closed_form_input_measures(GRID_ALPHAS)
-    err3 = float(np.max(np.abs(e3[0] - cf[:, 0])))
-    err2 = float(np.max(np.abs(e2[0] - cf[:, 1:2])))
+    err3 = _max_abs(e3[0] - cf[:, 0])
+    err2 = _max_abs(e2[0] - cf[:, 1:2])
     ghz_err = _measure_error(e3[0], e2[0], 1.0, 1.0 / 3.0)
     passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
     return CheckResult(
@@ -94,7 +97,7 @@ def check_local_oracle(grid) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
     states, e3, e2, _ = grid
     refs = closed_form_local_outputs(GRID_ALPHAS)
-    err = float(np.max(np.abs(states[1] - refs)))
+    err = _max_abs(states[1] - refs)
     m_err = _measure_error(e3[1], e2[1], 64.0 / 729.0, 16.0 / 243.0)
     passed = err <= 1e-12 and m_err <= 1e-12
     return CheckResult(
@@ -109,10 +112,10 @@ def check_nonlocal_oracle(grid) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
     states, e3, e2, _ = grid
     refs = closed_form_nonlocal_outputs(GRID_ALPHAS)
-    err = float(np.max(np.abs(states[2] - refs)))
+    err = _max_abs(states[2] - refs)
     m_err = _measure_error(e3[2], e2[2], 25.0 / 81.0, 25.0 / 243.0)
     values, _ = eig_hermitian(states[2, BALANCED])
-    eig_err = float(np.max(np.abs(np.sort(values) - np.array(GHZ_EIGENVALUES))))
+    eig_err = _max_abs(np.sort(values) - np.array(GHZ_EIGENVALUES))
     passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
     return CheckResult(
         "nonlocal-cloning-oracle",
@@ -127,14 +130,8 @@ def check_measure_curves(grid) -> CheckResult:
     _, e3, e2, _ = grid
     cf_l = closed_form_local_measures(GRID_ALPHAS)
     cf_n = closed_form_nonlocal_measures(GRID_ALPHAS)
-    err_l = max(
-        float(np.max(np.abs(e3[1] - cf_l[:, 0]))),
-        float(np.max(np.abs(e2[1] - cf_l[:, 1:2]))),
-    )
-    err_n = max(
-        float(np.max(np.abs(e3[2] - cf_n[:, 0]))),
-        float(np.max(np.abs(e2[2] - cf_n[:, 1:2]))),
-    )
+    err_l = max(_max_abs(e3[1] - cf_l[:, 0]), _max_abs(e2[1] - cf_l[:, 1:2]))
+    err_n = max(_max_abs(e3[2] - cf_n[:, 0]), _max_abs(e2[2] - cf_n[:, 1:2]))
     passed = err_l <= 1e-12 and err_n <= 1e-12
     return CheckResult(
         "closed-form-measure-curves",
@@ -147,8 +144,8 @@ def check_fidelities(grid) -> CheckResult:
     """Simulated fidelities match the analytic values; non-local wins everywhere."""
     f_local, f_nonlocal = grid[3]
     f1 = fidelity_local(GRID_ALPHAS)
-    err1 = float(np.max(np.abs(f_local - f1)))
-    err2 = float(np.max(np.abs(f_nonlocal - fidelity_nonlocal())))
+    err1 = _max_abs(f_local - f1)
+    err2 = _max_abs(f_nonlocal - fidelity_nonlocal())
     min_gap = float(np.min(f_nonlocal - f_local))
     passed = err1 <= 1e-12 and err2 <= 1e-12 and min_gap > 0.0
     return CheckResult(
@@ -235,15 +232,15 @@ def check_channel_properties(seed: int) -> CheckResult:
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
     channels = (local_channel(), nonlocal_channel())
-    out = np.stack([channel.map(stack) for channel in channels])
-    direct = np.stack([channel.map(mixes) for channel in channels])
+    out = [channel.map(stack) for channel in channels]
+    direct = [channel.map(mixes) for channel in channels]
     for slab in (*out, *direct):
         check_density_matrices(slab)
-    trace_err = float(np.max(np.abs(np.trace(out, axis1=2, axis2=3).real - 1.0)))
-    herm_err = float(np.max(np.abs(out - out.conj().swapaxes(2, 3))))
-    eig_floor = min(0.0, float(np.min(np.linalg.eigvalsh(out)[..., 0])))
-    combined = p * out[:, 0::2] + (1 - p) * out[:, 1::2]
-    lin_err = float(np.max(np.abs(direct - combined)))
+    trace_err = max(_max_abs(np.trace(o, axis1=1, axis2=2).real - 1.0) for o in out)
+    herm_err = max(_max_abs(o - o.conj().swapaxes(1, 2)) for o in out)
+    eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
+    combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
+    lin_err = max(_max_abs(d - c) for d, c in zip(direct, combined))
     route_err = max(
         spectral_trajectory(stack[start : start + ROUTE_BLOCK], 1)[1]
         for start in range(0, len(stack), ROUTE_BLOCK)
@@ -275,9 +272,7 @@ def check_measure_properties(seed: int) -> CheckResult:
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
     e3, e2, *_ = measure_stack(rotated)
-    invariance_err = float(
-        max(np.max(np.abs(e3[:, 0] - e3[:, 1])), np.max(np.abs(e2[:, 0] - e2[:, 1])))
-    )
+    invariance_err = max(_max_abs(e3[:, 0] - e3[:, 1]), _max_abs(e2[:, 0] - e2[:, 1]))
     e3, e2, *_ = measure_stack(random_product_states(rng, 25))
     product_err = float(max(0.0, np.max(e3), np.max(e2)))
     e3, e2, *_ = measure_stack(random_density_matrices(rng, 200))
@@ -301,17 +296,8 @@ def check_sweep_determinism() -> CheckResult:
     """Two sweep runs with identical flags emit byte-identical CSV."""
     from .cli import DEFAULT_POINTS, run_sweep
 
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"sweep{i}.csv") for i in (1, 2)]
-        payloads = []
-        for path in paths:
-            code, _ = run_sweep(DEFAULT_POINTS, path)
-            if code != 0:
-                return CheckResult(
-                    "sweep-determinism", False, f"sweep exited with code {code}"
-                )
-            with open(path, "rb") as fh:
-                payloads.append(fh.read())
+    # The bytes ``sweep`` writes, to stdout or to a file.
+    payloads = [run_sweep(DEFAULT_POINTS, None)[1].encode("utf-8") for _ in (1, 2)]
     identical = payloads[0] == payloads[1]
     return CheckResult(
         "sweep-determinism",

@@ -183,6 +183,38 @@ def test_stdout_has_one_writer():
         ], ast.unparse(node)
 
 
+def _open_calls():
+    """(module, enclosing function, first argument) of every ``*open`` call."""
+    found = set()
+    for path in Path(triclone.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # Walk order visits outer functions first, so nested ones win.
+        scopes = {
+            node: func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        found.update(
+            (path.stem, scopes.get(node, "<module>"), ast.unparse(node.args[0]))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "open"
+        )
+    return found
+
+
+def test_only_cli_opens_files():
+    # ``--output`` is written by ``cli._write`` alone; the other open is the
+    # devnull redirect after a failed stdout write.  ``verify`` needs no
+    # writable directory, so no module reaches for temporary files.
+    assert _open_calls() == {("cli", "_write", "path"), ("cli", "main", "os.devnull")}
+    modules = [path.stem for path in Path(triclone.__file__).parent.glob("*.py")]
+    assert "verification" in modules
+    for module in modules:
+        assert "tempfile" not in _imported_modules(module), module
+
+
 @pytest.mark.parametrize(
     "module", ["__init__", "linalg", "entanglement", "cloners", "iteration", "cli"]
 )

@@ -4,19 +4,23 @@ The ``verify`` report rounds its residuals, so it cannot show a changed
 draw; these tests pin every random stack bit for bit against a loop of
 single draws, and check that both leave the generator at the same point.
 The balanced state the oracle checks read off the grid is pinned the same
-way against a call on that angle alone.
+way against a call on that angle alone.  The determinism check compares
+its two sweeps in memory, so it needs no temporary directory.
 """
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
 
+from triclone.cli import main
 from triclone.cloners import evaluate
 from triclone.linalg import kron_all
 from triclone.verification import (
     BALANCED,
     GRID_ALPHAS,
+    check_sweep_determinism,
     random_density_matrices,
     random_product_states,
     random_unitaries,
@@ -100,3 +104,30 @@ def test_balanced_grid_column_is_the_balanced_state(grid):
     assert not GRID_ALPHAS.flags.writeable
     for column, alone in zip(grid, evaluate([math.pi / 4]), strict=True):
         assert np.array_equal(column[:, BALANCED : BALANCED + 1], alone)
+
+
+@pytest.fixture
+def missing_tempdir(tmp_path, monkeypatch):
+    """A temporary-file directory that does not exist."""
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    return missing
+
+
+def test_determinism_check_needs_no_temp_directory(missing_tempdir, capsysbinary):
+    assert main(["sweep"]) == 0
+    stdout = capsysbinary.readouterr().out
+    result = check_sweep_determinism()
+    assert result.passed
+    assert result.detail == f"two runs, {len(stdout)} bytes each, identical"
+    assert not missing_tempdir.exists()
+
+
+def test_verify_needs_no_temp_directory(missing_tempdir, capsys):
+    assert main(["verify"]) == 1
+    assert not missing_tempdir.exists()
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert out.endswith("9/10 checks passed\n")
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and "e2-amplification-window" in fails[0]
