@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--points",
         type=int,
         default=DEFAULT_POINTS,
-        help=f"grid size (default 201, at most {MAX_POINTS})",
+        help=f"grid size (default {DEFAULT_POINTS}, at most {MAX_POINTS})",
     )
     p_sweep.add_argument(
         "--output", default=None, help="CSV path (default: stdout)"
@@ -159,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="input-state angle in radians (default pi/4)",
     )
     p_iter.add_argument(
-        "--steps", type=int, default=DEFAULT_STEPS, help="cloning steps (default 6)"
+        "--steps",
+        type=int,
+        default=DEFAULT_STEPS,
+        help=f"cloning steps (default {DEFAULT_STEPS})",
     )
     p_iter.add_argument(
         "--output", default=None, help="also write a full-precision CSV here"
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="seed for the randomized property checks (default 12345)",
+        help=f"seed for the randomized property checks (default {DEFAULT_SEED})",
     )
     return parser
 

@@ -67,14 +67,24 @@ def compute_grid():
     return evaluate(GRID_ALPHAS)
 
 
-def _max_abs(a) -> float:
-    """Largest absolute entry of ``a`` as a float: the checks' residual norm."""
-    return float(np.max(np.abs(a)))
+def _max_abs(*arrays) -> float:
+    """Largest absolute entry over ``arrays``, NaN if any is: the residual norm."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
     """Largest deviation of the balanced point's E3 and every E2 in a grid slab."""
-    return max(abs(e3s[BALANCED] - e3), max(abs(v - e2) for v in e2s[BALANCED]))
+    return _max_abs(e3s[BALANCED] - e3, e2s[BALANCED] - e2)
+
+
+def _within(tol: float, *residuals: tuple[str, float]) -> tuple[bool, str]:
+    """Pass iff every ``(label, value)`` residual is <= ``tol``, so NaN fails.
+
+    The text lists the residuals and ends with the tolerance applied.
+    """
+    passed = all(value <= tol for _, value in residuals)
+    text = ", ".join(f"{label}={value:.2e}" for label, value in residuals)
+    return passed, f"{text} (tol {tol})"
 
 
 def check_input_closed_forms(grid) -> CheckResult:
@@ -84,13 +94,13 @@ def check_input_closed_forms(grid) -> CheckResult:
     err3 = _max_abs(e3[0] - cf[:, 0])
     err2 = _max_abs(e2[0] - cf[:, 1:2])
     ghz_err = _measure_error(e3[0], e2[0], 1.0, 1.0 / 3.0)
-    passed = err3 <= 1e-12 and err2 <= 1e-12 and ghz_err <= 1e-12
-    return CheckResult(
-        "input-state-closed-forms",
-        passed,
-        f"max|E3 err|={err3:.2e}, max|E2 err|={err2:.2e}, "
-        f"balanced-state err={ghz_err:.2e} (tol 1e-12)",
+    passed, detail = _within(
+        1e-12,
+        ("max|E3 err|", err3),
+        ("max|E2 err|", err2),
+        ("balanced-state err", ghz_err),
     )
+    return CheckResult("input-state-closed-forms", passed, detail)
 
 
 def check_local_oracle(grid) -> CheckResult:
@@ -99,13 +109,10 @@ def check_local_oracle(grid) -> CheckResult:
     refs = closed_form_local_outputs(GRID_ALPHAS)
     err = _max_abs(states[1] - refs)
     m_err = _measure_error(e3[1], e2[1], 64.0 / 729.0, 16.0 / 243.0)
-    passed = err <= 1e-12 and m_err <= 1e-12
-    return CheckResult(
-        "local-cloning-oracle",
-        passed,
-        f"max entrywise err={err:.2e}, balanced-state measure err={m_err:.2e} "
-        f"(tol 1e-12)",
+    passed, detail = _within(
+        1e-12, ("max entrywise err", err), ("balanced-state measure err", m_err)
     )
+    return CheckResult("local-cloning-oracle", passed, detail)
 
 
 def check_nonlocal_oracle(grid) -> CheckResult:
@@ -116,13 +123,13 @@ def check_nonlocal_oracle(grid) -> CheckResult:
     m_err = _measure_error(e3[2], e2[2], 25.0 / 81.0, 25.0 / 243.0)
     values, _ = eig_hermitian(states[2, BALANCED])
     eig_err = _max_abs(np.sort(values) - np.array(GHZ_EIGENVALUES))
-    passed = err <= 1e-12 and m_err <= 1e-12 and eig_err <= 1e-12
-    return CheckResult(
-        "nonlocal-cloning-oracle",
-        passed,
-        f"max entrywise err={err:.2e}, measure err={m_err:.2e}, "
-        f"spectrum err={eig_err:.2e} (tol 1e-12)",
+    passed, detail = _within(
+        1e-12,
+        ("max entrywise err", err),
+        ("measure err", m_err),
+        ("spectrum err", eig_err),
     )
+    return CheckResult("nonlocal-cloning-oracle", passed, detail)
 
 
 def check_measure_curves(grid) -> CheckResult:
@@ -130,14 +137,10 @@ def check_measure_curves(grid) -> CheckResult:
     _, e3, e2, _ = grid
     cf_l = closed_form_local_measures(GRID_ALPHAS)
     cf_n = closed_form_nonlocal_measures(GRID_ALPHAS)
-    err_l = max(_max_abs(e3[1] - cf_l[:, 0]), _max_abs(e2[1] - cf_l[:, 1:2]))
-    err_n = max(_max_abs(e3[2] - cf_n[:, 0]), _max_abs(e2[2] - cf_n[:, 1:2]))
-    passed = err_l <= 1e-12 and err_n <= 1e-12
-    return CheckResult(
-        "closed-form-measure-curves",
-        passed,
-        f"local err={err_l:.2e}, non-local err={err_n:.2e} (tol 1e-12)",
-    )
+    err_l = _max_abs(e3[1] - cf_l[:, 0], e2[1] - cf_l[:, 1:2])
+    err_n = _max_abs(e3[2] - cf_n[:, 0], e2[2] - cf_n[:, 1:2])
+    passed, detail = _within(1e-12, ("local err", err_l), ("non-local err", err_n))
+    return CheckResult("closed-form-measure-curves", passed, detail)
 
 
 def check_fidelities(grid) -> CheckResult:
@@ -147,12 +150,11 @@ def check_fidelities(grid) -> CheckResult:
     err1 = _max_abs(f_local - f1)
     err2 = _max_abs(f_nonlocal - fidelity_nonlocal())
     min_gap = float(np.min(f_nonlocal - f_local))
-    passed = err1 <= 1e-12 and err2 <= 1e-12 and min_gap > 0.0
+    passed, detail = _within(1e-12, ("local err", err1), ("non-local err", err2))
     return CheckResult(
         "fidelities",
-        passed,
-        f"local err={err1:.2e}, non-local err={err2:.2e} (tol 1e-12), "
-        f"min F2-F1 gap={min_gap:.4f}",
+        passed and min_gap > 0.0,
+        f"{detail}, min F2-F1 gap={min_gap:.4f}",
     )
 
 
@@ -182,14 +184,14 @@ def check_iteration_decay() -> CheckResult:
     """Repeated non-local cloning of the balanced state matches the decay table."""
     e3, e2, _ = iterate(math.pi / 4.0, 6)
     e3, e2 = e3.tolist(), e2[:, 0].tolist()
-    err = max(abs(v - ref) for v, ref in zip(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
-    passed = err <= TABLE_ATOL and max(e3[6], e2[6]) < STEP6_CEILING
+    err = _max_abs(np.subtract(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
+    passed, detail = _within(TABLE_ATOL, ("steps 0-5 max err", err))
     return CheckResult(
         "iterated-cloning-decay",
-        passed,
-        f"steps 0-5 max err={err:.2e} (tol {TABLE_ATOL}); step 6 computes to "
-        f"E3={e3[6]:.6f}, E2={e2[6]:.6f} (reference table prints 0.0000; the "
-        f"substituted property is decay below {STEP6_CEILING})",
+        passed and e3[6] < STEP6_CEILING and e2[6] < STEP6_CEILING,
+        f"{detail}; step 6 computes to E3={e3[6]:.6f}, E2={e2[6]:.6f} (reference "
+        f"table prints 0.0000; the substituted property is decay below "
+        f"{STEP6_CEILING})",
     )
 
 
@@ -236,15 +238,13 @@ def check_channel_properties(seed: int) -> CheckResult:
     direct = [channel.map(mixes) for channel in channels]
     for slab in (*out, *direct):
         check_density_matrices(slab)
-    trace_err = max(_max_abs(np.trace(o, axis1=1, axis2=2).real - 1.0) for o in out)
-    herm_err = max(_max_abs(o - o.conj().swapaxes(1, 2)) for o in out)
+    trace_err = _max_abs(*(np.trace(o, axis1=1, axis2=2).real - 1.0 for o in out))
+    herm_err = _max_abs(*(o - o.conj().swapaxes(1, 2) for o in out))
     eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
     combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
-    lin_err = max(_max_abs(d - c) for d, c in zip(direct, combined))
-    route_err = max(
-        spectral_trajectory(stack[start : start + ROUTE_BLOCK], 1)[1]
-        for start in range(0, len(stack), ROUTE_BLOCK)
-    )
+    lin_err = _max_abs(*(d - c for d, c in zip(direct, combined)))
+    blocks = (stack[s : s + ROUTE_BLOCK] for s in range(0, len(stack), ROUTE_BLOCK))
+    route_err = _max_abs([spectral_trajectory(block, 1)[1] for block in blocks])
     passed = (
         trace_err <= 1e-12
         and herm_err <= 1e-12
@@ -272,23 +272,18 @@ def check_measure_properties(seed: int) -> CheckResult:
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
     e3, e2, *_ = measure_stack(rotated)
-    invariance_err = max(_max_abs(e3[:, 0] - e3[:, 1]), _max_abs(e2[:, 0] - e2[:, 1]))
+    invariance_err = _max_abs(e3[:, 0] - e3[:, 1], e2[:, 0] - e2[:, 1])
     e3, e2, *_ = measure_stack(random_product_states(rng, 25))
-    product_err = float(max(0.0, np.max(e3), np.max(e2)))
+    product_err = _max_abs(e3, e2)
     e3, e2, *_ = measure_stack(random_density_matrices(rng, 200))
     top = float(max(0.0, np.max(e3), np.max(e2)))
     bottom = float(min(0.0, np.min(e3), np.min(e2)))
-    passed = (
-        invariance_err <= 1e-10
-        and product_err <= 1e-12
-        and bottom >= 0.0
-        and top <= 1.0 + 1e-10
-    )
+    shift_ok, shift = _within(1e-10, ("local-unitary shift", invariance_err))
+    product_ok, product = _within(1e-12, ("product-state max", product_err))
     return CheckResult(
         "measure-properties",
-        passed,
-        f"local-unitary shift={invariance_err:.2e} (tol 1e-10), product-state "
-        f"max={product_err:.2e} (tol 1e-12), range=[{bottom:.2e}, {top:.4f}]",
+        shift_ok and product_ok and bottom >= 0.0 and top <= 1.0 + 1e-10,
+        f"{shift}, {product}, range=[{bottom:.2e}, {top:.4f}]",
     )
 
 

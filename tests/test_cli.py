@@ -273,6 +273,25 @@ class TestParser:
         assert cli.build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize(
+    "command, name, value",
+    [
+        ("sweep", "DEFAULT_POINTS", 203),
+        ("iterate", "DEFAULT_STEPS", 5),
+        ("verify", "DEFAULT_SEED", 54321),
+    ],
+)
+def test_help_states_the_default_constant(monkeypatch, capsys, command, name, value):
+    # The help is formatted from the constant, so it cannot state another
+    # default: a parser built with the constant changed prints the new value.
+    for default in (getattr(cli, name), value):
+        monkeypatch.setattr(cli, name, default)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert f"(default {default}" in " ".join(capsys.readouterr().out.split())
+
+
 class TestVerify:
     def test_exit_code_matches_reported_status(self, capsys):
         code = main(["verify"])

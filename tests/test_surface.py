@@ -242,3 +242,23 @@ def test_readme_sketch_runs_on_the_public_names(capsys):
     assert e2 == pytest.approx(25.0 / 243.0, abs=1e-12)
     assert float(lines[1]) == pytest.approx(5.0 / 9.0, abs=1e-12)
     assert float(lines[2]) == pytest.approx(11.0 / 18.0, abs=1e-12)
+
+
+def test_verify_prints_no_literal_tolerance():
+    # Every printed tolerance is a formatted value, so the text cannot state
+    # a tolerance other than the one the verdict applies.
+    path = Path(triclone.__file__).parent / "verification.py"
+    fstrings = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.JoinedStr)
+    ]
+    parts = [
+        part.value
+        for node in fstrings
+        for part in node.values
+        if isinstance(part, ast.Constant)
+    ]
+    # Keeps the scan from passing because it finds no tolerance text at all.
+    assert any("tol " in part for part in parts)
+    assert [part for part in parts if re.search(r"tol \d", part)] == []

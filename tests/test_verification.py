@@ -14,6 +14,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from triclone import verification
 from triclone.cli import main
 from triclone.cloners import evaluate
 from triclone.linalg import kron_all
@@ -131,3 +132,59 @@ def test_verify_needs_no_temp_directory(missing_tempdir, capsys):
     assert out.endswith("9/10 checks passed\n")
     fails = [line for line in out.splitlines() if "FAIL" in line]
     assert len(fails) == 1 and "e2-amplification-window" in fails[0]
+
+
+def test_within_passes_at_the_tolerance_and_fails_above_it():
+    assert verification._within(1e-12, ("a", 1e-12))[0]
+    assert not verification._within(1e-12, ("a", np.nextafter(1e-12, 1.0)))[0]
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_within_fails_on_a_nan_in_any_position(position):
+    values = [0.0, 0.0, 0.0]
+    values[position] = math.nan
+    passed, _ = verification._within(1.0, *zip("abc", values))
+    assert not passed
+
+
+@pytest.mark.parametrize("arrays", [([0.0], [math.nan]), ([math.nan], [0.0, 1.0])])
+def test_residual_norm_keeps_a_nan_from_any_array(arrays):
+    assert math.isnan(verification._max_abs(*arrays))
+
+
+def test_within_text_lists_residuals_then_the_tolerance():
+    passed, text = verification._within(1e-12, ("a", 1e-13), ("b", 2e-14))
+    assert passed
+    assert text == "a=1.00e-13, b=2.00e-14 (tol 1e-12)"
+
+
+def test_check_verdict_applies_the_printed_tolerance(grid, monkeypatch):
+    # A residual one ulp above the tolerance fails the check, and the detail
+    # still prints that tolerance.
+    monkeypatch.setattr(
+        verification, "_max_abs", lambda *arrays: np.nextafter(1e-12, 1.0)
+    )
+    result = verification.check_input_closed_forms(grid)
+    assert not result.passed
+    assert result.detail.endswith("(tol 1e-12)")
+
+
+def test_nan_product_state_measure_fails_its_check(monkeypatch):
+    # The product-state residual is a norm over both measures, so a NaN in
+    # either reaches the verdict and fails the check.
+    real = verification.measure_stack
+    calls = []
+
+    def nan_on_products(stack):
+        e3, e2, *rest = real(stack)
+        calls.append(len(stack))
+        if len(calls) == 2:  # the 25 random product states
+            e2 = e2.copy()
+            e2.flat[4] = np.nan
+        return (e3, e2, *rest)
+
+    monkeypatch.setattr(verification, "measure_stack", nan_on_products)
+    result = verification.check_measure_properties(12345)
+    assert calls[1] == 25
+    assert not result.passed
+    assert "product-state max=nan (tol 1e-12)" in result.detail
