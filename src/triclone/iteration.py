@@ -7,15 +7,15 @@ applying the channel to the mixed state, which is enforced as a hard
 cross-check (it also proves the result does not depend on the basis chosen
 inside degenerate eigenspaces).
 
-``spectral_trajectory`` is the one path through the route, for any stack
-(m, 8, 8) of states and any number of steps.  Each step is one
-``_spectral_mix`` over the whole stack, which is unvalidated: one
+``spectral_trajectory`` is the one path through the route, for any
+validated stack (m, 8, 8) of states and any number of steps.  Each step is
+one ``_spectral_mix`` over the whole stack, which is unvalidated: one
 ``eig_hermitian`` call, one channel ``map`` over all 8m eigenprojectors
 and one reduction that remixes them, weights descending and zero where
-negligible.  After the last step, one ``_certify`` validates every
-projector and its clone, checks the spectral route against the direct
-channel outputs, validates those, and returns the residual; one
-validation then covers the whole trajectory.  ``iterate`` runs it on the
+negligible.  After the last step the route validates what it created,
+each state once: every projector, then every clone, then, once the
+spectral route has been checked against the direct channel outputs, the
+later steps and those outputs as one stack.  ``iterate`` runs it on the
 two-corner input at one angle, and the verification suite on blocks of
 random states.  Each state comes out bit for bit as it would alone.
 """
@@ -34,25 +34,39 @@ MAX_STEPS = 12
 
 
 def spectral_trajectory(rhos: np.ndarray, n_steps: int):
-    """Validated spectral-route trajectory of a stack of states (m, 8, 8).
+    """Spectral-route trajectory of a validated stack of states (m, 8, 8).
 
-    Step 0 is ``rhos``; each of the ``n_steps`` later steps clones the
-    previous one.  Eigenvectors with weight not above ``EIGENVALUE_CUTOFF``
-    get weight zero, not skipped; the cutoff is immaterial because every
-    step is checked against the direct channel application to
-    ``ROUTE_AGREEMENT_ATOL``.  Returns the trajectory
-    (n_steps + 1, m, 8, 8), every state validated, and the largest
-    entrywise deviation of the spectral route from the direct one.
+    Step 0 is ``rhos``, which the caller validates, as callers of
+    ``CompiledChannel.map`` do; each of the ``n_steps`` later steps clones
+    the previous one.  Eigenvectors with weight not above
+    ``EIGENVALUE_CUTOFF`` get weight zero, not skipped; the cutoff is
+    immaterial because every step is checked against the direct channel
+    output of the step before it.  Validates every projector and its clone,
+    raises RuntimeError if any step deviates from its direct output by more
+    than ``ROUTE_AGREEMENT_ATOL``, then validates steps 1..n and the direct
+    outputs as one stack; the check comes first so that a faulty route is
+    reported as such even when it has fed an invalid state to a later step.
+    Returns the trajectory (n_steps + 1, m, 8, 8) and the direct outputs
+    (n_steps, m, 8, 8) of its steps 0..n-1.
     """
-    trajectory = np.empty((n_steps + 1,) + rhos.shape, dtype=complex)
+    states = np.empty((2 * n_steps + 1,) + rhos.shape, dtype=complex)
+    trajectory, direct = states[: n_steps + 1], states[n_steps + 1 :]
     trajectory[0] = rhos
     projectors = np.empty((n_steps,) + rhos.shape + (8,), dtype=complex)
     clones = np.empty_like(projectors)
     for k in range(n_steps):
         trajectory[k + 1], projectors[k], clones[k] = _spectral_mix(trajectory[k])
-    residual = _certify(trajectory[:-1], trajectory[1:], projectors, clones)
-    check_density_matrices(trajectory)
-    return trajectory, residual
+    check_density_matrices(projectors)
+    check_density_matrices(clones)
+    direct[:] = nonlocal_channel().map(trajectory[:-1])
+    residual = float(np.max(np.abs(trajectory[1:] - direct), initial=0.0))
+    if residual > ROUTE_AGREEMENT_ATOL:
+        raise RuntimeError(
+            f"spectral-mixture route deviates from direct channel "
+            f"application by {residual:.3e}"
+        )
+    check_density_matrices(states[1:])
+    return trajectory, direct
 
 
 def _spectral_mix(rhos: np.ndarray):
@@ -74,38 +88,13 @@ def _spectral_mix(rhos: np.ndarray):
     return mixed, projectors, outputs
 
 
-def _certify(
-    rhos: np.ndarray, mixed: np.ndarray, projectors: np.ndarray, clones: np.ndarray
-) -> float:
-    """Hard checks of the spectral route of ``rhos`` against the direct one.
-
-    Validates the projectors and their clones, then raises RuntimeError if
-    any mixture deviates from the direct channel output by more than
-    ``ROUTE_AGREEMENT_ATOL``, then validates the direct outputs and returns
-    the deviation.  The residual comes before the direct outputs so that a
-    faulty route is reported as such even when it has already fed an
-    invalid state to a later step of a trajectory.
-    """
-    check_density_matrices(projectors)
-    check_density_matrices(clones)
-    direct = nonlocal_channel().map(rhos)
-    residual = float(np.max(np.abs(mixed - direct), initial=0.0))
-    if residual > ROUTE_AGREEMENT_ATOL:
-        raise RuntimeError(
-            f"spectral-mixture route deviates from direct channel "
-            f"application by {residual:.3e}"
-        )
-    check_density_matrices(direct)
-    return residual
-
-
 def iterate(alpha: float, n_steps: int):
     """Measures and states over ``n_steps`` repeated non-local cloning steps.
 
     Step 0 is the pure two-corner input at ``alpha``; each later step
     clones the previous output through the spectral route.  ``n_steps``
-    is an integer from 1 to ``MAX_STEPS``.  The whole trajectory is
-    certified and measured once, after the last step.  Returns the
+    is an integer from 1 to ``MAX_STEPS``.  Step 0 is validated here, the
+    later steps by the route, and the trajectory measured once.  Returns the
     read-only ``(e3, e2, states)``: ``measure_stack``'s E3 (n+1,) and E2
     (n+1, 3) of the validated trajectory ``states`` (n+1, 8, 8), n =
     ``n_steps``, step 0 first; the three E2 columns coincide for the
@@ -116,6 +105,7 @@ def iterate(alpha: float, n_steps: int):
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
     psi = input_states([alpha])
     rho = psi[:, :, None] * psi[:, None, :].conj()
+    check_density_matrices(rho)
     states = spectral_trajectory(rho, n_steps)[0][:, 0]
     e3, e2, _, _ = measure_stack(states)
     for array in (e3, e2, states):

@@ -96,8 +96,11 @@ def check_density_matrices(matrices: np.ndarray) -> None:
     because the backward error of the factorization of a unit-trace matrix
     with d <= 8 is at most about 1e-14, so the eigenvalue test would pass
     too.  If any member fails to factor, the eigenvalue test runs as the
-    only judge, and its verdict and message are final.
+    only judge, and its verdict and message are final.  Raises ValueError
+    if the last two axes are not a square matrix, whatever the stack size.
     """
+    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {matrices.shape}")
     if math.prod(matrices.shape[:-2]) == 0:
         return
     if not np.isfinite(matrices).all():
@@ -141,11 +144,13 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fidelities(psis: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Overlaps <psi|rho|psi> of amplitudes (n, d) with matrices (n, d, d), pairwise.
 
-    Raises ValueError if the shapes do not pair up or an overlap has an
-    imaginary part above 1e-12.  A value is clamped onto [0, 1] only when it
-    lies within 1e-12 of a boundary; anything further out signals invalid
-    input and is returned as computed.
+    Raises ValueError if the amplitudes are not (n, d), if the shapes do not
+    pair up or if an overlap has an imaginary part above 1e-12.  A value is
+    clamped onto [0, 1] only when it lies within 1e-12 of a boundary;
+    anything further out signals invalid input and is returned as computed.
     """
+    if psis.ndim != 2:
+        raise ValueError(f"expected amplitudes (n, d), got shape {psis.shape}")
     if rhos.shape != psis.shape + psis.shape[-1:]:
         raise ValueError(
             f"dimension mismatch: amplitudes {psis.shape}, matrices {rhos.shape}"

@@ -233,18 +233,18 @@ def check_channel_properties(seed: int) -> CheckResult:
     p = rng.uniform(0.1, 0.9, 50)[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
-    channels = (local_channel(), nonlocal_channel())
-    out = [channel.map(stack) for channel in channels]
-    direct = [channel.map(mixes) for channel in channels]
-    for slab in (*out, *direct):
+    blocks = (stack[s : s + ROUTE_BLOCK] for s in range(0, len(stack), ROUTE_BLOCK))
+    routes = [spectral_trajectory(b, 1) for b in blocks]  # validates its outputs
+    out = [local_channel().map(stack), np.concatenate([d[0] for _, d in routes])]
+    direct = [channel.map(mixes) for channel in (local_channel(), nonlocal_channel())]
+    for slab in (out[0], *direct):
         check_density_matrices(slab)
     trace_err = _max_abs(*(np.trace(o, axis1=1, axis2=2).real - 1.0 for o in out))
     herm_err = _max_abs(*(o - o.conj().swapaxes(1, 2) for o in out))
     eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
     combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
     lin_err = _max_abs(*(d - c for d, c in zip(direct, combined)))
-    blocks = (stack[s : s + ROUTE_BLOCK] for s in range(0, len(stack), ROUTE_BLOCK))
-    route_err = _max_abs([spectral_trajectory(block, 1)[1] for block in blocks])
+    route_err = _max_abs(*(t[1:] - d for t, d in routes))
     passed = (
         trace_err <= 1e-12
         and herm_err <= 1e-12

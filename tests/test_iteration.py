@@ -118,11 +118,12 @@ class TestCloneMixedStack:
 
 def test_stacked_trajectory_equals_single_angle_iterations():
     alphas = [0.3, 0.7, math.pi / 4]
-    trajectory, residual = spectral_trajectory(_inputs(alphas), 12)
+    trajectory, direct = spectral_trajectory(_inputs(alphas), 12)
     assert trajectory.shape == (13, 3, 8, 8)
     for k, alpha in enumerate(alphas):
         assert np.array_equal(trajectory[:, k], iterate(alpha, 12)[2])
-    assert 0.0 <= residual <= ROUTE_AGREEMENT_ATOL
+    assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1]))
+    assert np.max(np.abs(trajectory[1:] - direct)) <= ROUTE_AGREEMENT_ATOL
 
 
 class TestIterate:
@@ -216,7 +217,7 @@ class TestIterate:
 
 
 class TestTrajectoryCertificate:
-    """``iterate`` certifies the whole trajectory once, after the last step."""
+    """``iterate`` validates step 0, then the route certifies what it creates."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -232,23 +233,24 @@ class TestTrajectoryCertificate:
         return seen
 
     def test_checks_run_per_trace_not_per_step(self, seen):
-        iterate(0.7, 1)
-        one_step = len(seen)
-        seen.clear()
-        _, _, trajectory = iterate(0.7, 12)
-        assert len(seen) == one_step
-        # The last two checks are the direct outputs and the whole trajectory,
-        # step 0 included.
-        direct, states = seen[-2:]
-        assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1, None]))
-        assert np.array_equal(states, trajectory[:, None])
-        assert len(direct) == 12 and len(states) == 13
+        for n in range(1, 13):
+            seen.clear()
+            _, _, trajectory = iterate(0.7, n)
+            assert len(seen) == 4
+        # In the last run (12 steps) the first check is the step-0 projector;
+        # the last is the later steps followed by the direct outputs, one stack.
+        step0, later = seen[0], seen[-1]
+        assert np.array_equal(step0, trajectory[:1])
+        assert later.shape == (24, 1, 8, 8)
+        assert np.array_equal(later[:12], trajectory[1:, None])
+        direct = nonlocal_channel().map(trajectory[:-1, None])
+        assert np.array_equal(later[12:], direct)
 
     def test_certificate_covers_every_eigenprojector(self, seen):
         # Step 0 is pure, so a certificate of the kept projectors alone would
         # hold 1 + 11 * 8 = 89 of them.
         iterate(0.7, 12)
-        projectors, clones = (m.reshape(-1, 8, 8) for m in seen[:2])
+        projectors, clones = (m.reshape(-1, 8, 8) for m in seen[1:3])
         assert len(projectors) == len(clones) == 96
         # The eight projectors of each step resolve the identity.
         completeness = projectors.reshape(12, 8, 8, 8).sum(axis=1) - np.eye(8)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,12 @@ class TestDensityMatrix:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="semidefinite"):
             check_density_matrices(m)
+
+    @pytest.mark.parametrize("shape", [(8, 7), (8,), (), (0, 8, 7), (2, 1, 8)])
+    def test_rejects_non_square_shapes_of_any_stack_size(self, shape):
+        message = re.escape(f"expected a square matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            check_density_matrices(np.zeros(shape, dtype=complex))
 
 
 def _skew(m, size):
@@ -392,6 +399,14 @@ class TestFidelityPure:
             fidelities(psi, rho)
         with pytest.raises(ValueError, match="mismatch"):
             fidelities(np.eye(4, dtype=complex)[:1], np.stack([rho[0]] * 3))
+
+    def test_rejects_amplitudes_without_one_stack_axis(self):
+        psi = input_states([0.3])
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        for psis, rhos in [(psi[0], rho[0]), (psi[None], rho[None])]:
+            message = re.escape(f"expected amplitudes (n, d), got shape {psis.shape}")
+            with pytest.raises(ValueError, match=message):
+                fidelities(psis, rhos)
 
     def test_rejects_nan_input(self):
         # NaN compares false with the tolerance, so the guard is written to

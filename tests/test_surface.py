@@ -119,10 +119,10 @@ def _call_sites(name):
     return sites
 
 
-@pytest.mark.parametrize("name", ["_spectral_mix", "_certify"])
+@pytest.mark.parametrize("name", ["_spectral_mix"])
 def test_spectral_route_has_one_path(name):
     # ``iterate`` and the verification suite both reach the route through
-    # ``spectral_trajectory``; nothing else wires its two halves together.
+    # ``spectral_trajectory``; nothing else runs its steps.
     assert _call_sites(name) == [("iteration", "spectral_trajectory")]
 
 

@@ -5,18 +5,22 @@ draw; these tests pin every random stack bit for bit against a loop of
 single draws, and check that both leave the generator at the same point.
 The balanced state the oracle checks read off the grid is pinned the same
 way against a call on that angle alone.  The determinism check compares
-its two sweeps in memory, so it needs no temporary directory.
+its two sweeps in memory, so it needs no temporary directory.  The
+channel check validates each state it handles once, and ``iterate`` its
+step-0 projector.
 """
 
 import math
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from triclone import verification
+from triclone import cloners, iteration, verification
 from triclone.cli import main
-from triclone.cloners import evaluate
+from triclone.cloners import evaluate, nonlocal_channel
+from triclone.iteration import iterate
 from triclone.linalg import kron_all
 from triclone.verification import (
     BALANCED,
@@ -188,3 +192,46 @@ def test_nan_product_state_measure_fails_its_check(monkeypatch):
     assert calls[1] == 25
     assert not result.passed
     assert "product-state max=nan (tol 1e-12)" in result.detail
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Bytes of every 8x8 member the package validates, in call order."""
+    members = []
+    check = verification.check_density_matrices
+
+    def recording(matrices):
+        members.extend(m.tobytes() for m in matrices.reshape(-1, 8, 8))
+        check(matrices)
+
+    for module in (cloners, iteration, verification):
+        monkeypatch.setattr(module, "check_density_matrices", recording)
+    return members
+
+
+def test_channel_check_validates_each_state_once(validated, monkeypatch):
+    rng = np.random.default_rng(12345)
+    stack = random_density_matrices(rng, 100)
+    p = rng.uniform(0.1, 0.9, 50)[:, None, None]
+    mixes = p * stack[0::2] + (1 - p) * stack[1::2]
+    outputs = nonlocal_channel().map(stack)
+    validated.clear()
+    # The check maps only the mixtures through the non-local channel itself;
+    # it reads the outputs of the states off the spectral route.
+    mapped = []
+
+    def recording_map(rhos):
+        mapped.append(rhos)
+        return nonlocal_channel().map(rhos)
+
+    channel = SimpleNamespace(map=recording_map)
+    monkeypatch.setattr(verification, "nonlocal_channel", lambda: channel)
+    assert verification.check_channel_properties(12345).passed
+    assert len(mapped) == 1 and np.array_equal(mapped[0], mixes)
+    assert len(set(validated)) == len(validated)
+    assert {m.tobytes() for m in (*stack, *outputs)} <= set(validated)
+
+
+def test_iterate_validates_its_step_zero_projector_once(validated):
+    _, _, states = iterate(0.7, 12)
+    assert validated.count(states[0].tobytes()) == 1
