@@ -38,6 +38,7 @@ from .linalg import (
     check_density_matrices,
     fidelities,
     kron_all,
+    max_abs,
 )
 
 ISOMETRY_ATOL = 1e-12
@@ -85,24 +86,24 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
     _, n_copy, _, n_in = v.shape
     copies = np.einsum("ocmi,odmj->cdij", v, v.conj())
     originals = np.einsum("acmi,bcmj->abij", v, v.conj())
-    gap = float(np.max(np.abs(originals - copies)))
-    if gap > OUTPUT_SYMMETRY_ATOL:
+    gap = max_abs(originals - copies)
+    if not gap <= OUTPUT_SYMMETRY_ATOL:
         raise RuntimeError(
             f"original and copy maps differ by {gap:.3e}; "
             "the cloner output should be symmetric"
         )
     trace_map = np.einsum("ccij->ij", copies)
-    trace_residual = float(np.max(np.abs(trace_map - np.eye(n_in))))
-    if trace_residual > TRACE_ATOL:
+    trace_residual = max_abs(trace_map - np.eye(n_in))
+    if not trace_residual <= TRACE_ATOL:
         raise RuntimeError(
             f"map does not preserve trace (residual {trace_residual:.3e})"
         )
     choi = copies.transpose(0, 2, 1, 3).reshape(n_copy * n_in, n_copy * n_in)
-    herm = float(np.max(np.abs(choi - choi.conj().T)))
-    if herm > HERMITIAN_ATOL:
+    herm = max_abs(choi - choi.conj().T)
+    if not herm <= HERMITIAN_ATOL:
         raise RuntimeError(f"Choi matrix is not Hermitian (residual {herm:.3e})")
     smallest = float(np.linalg.eigvalsh(choi)[0])
-    if smallest < EIGENVALUE_FLOOR:
+    if not smallest >= EIGENVALUE_FLOOR:
         raise RuntimeError(
             f"Choi matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
         )
@@ -143,8 +144,8 @@ def _isometry(n: int) -> np.ndarray:
     v[k, k, k, k] = c
     v[i, j, j, i] = v[j, i, j, i] = d
     v = v.reshape(n**3, n)
-    residual = float(np.max(np.abs(v.conj().T @ v - np.eye(n))))
-    if residual > ISOMETRY_ATOL:
+    residual = max_abs(v.conj().T @ v - np.eye(n))
+    if not residual <= ISOMETRY_ATOL:
         raise ValueError(f"map is not an isometry (V+V residual {residual:.3e})")
     # Isometries are shared through the cache; freeze them.
     v.setflags(write=False)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_pure_states, kron_all
+from .linalg import check_pure_states, kron_all, max_abs
 
 QUBITS = (1, 2, 3)
 PAIRS = ((1, 2), (2, 3), (1, 3))
@@ -109,7 +109,7 @@ def correlations(rhos: np.ndarray):
     """
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
-    top = float(np.maximum(np.abs(k2).max(initial=0.0), np.abs(k3).max(initial=0.0)))
+    top = max_abs(k2, k3)
     if not top <= COMPONENT_CEILING:
         raise ValueError(f"correlation entry {top} exceeds 1")
     return lam, k2, k3

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cloners import nonlocal_channel
 from .entanglement import input_states, measure_stack
-from .linalg import as_index, check_density_matrices, eig_hermitian
+from .linalg import as_index, check_density_matrices, eig_hermitian, max_abs
 
 EIGENVALUE_CUTOFF = 1e-12
 ROUTE_AGREEMENT_ATOL = 1e-12
@@ -59,8 +59,8 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     check_density_matrices(projectors)
     check_density_matrices(clones)
     direct[:] = nonlocal_channel().map(trajectory[:-1])
-    residual = float(np.max(np.abs(trajectory[1:] - direct), initial=0.0))
-    if residual > ROUTE_AGREEMENT_ATOL:
+    residual = max_abs(trajectory[1:] - direct)
+    if not residual <= ROUTE_AGREEMENT_ATOL:
         raise RuntimeError(
             f"spectral-mixture route deviates from direct channel "
             f"application by {residual:.3e}"

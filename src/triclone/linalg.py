@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +43,11 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def max_abs(*arrays) -> float:
+    """Residual norm: largest |entry| over ``arrays``, 0.0 if empty, NaN if any is."""
+    return float(reduce(np.maximum, (np.abs(a).max(initial=0.0) for a in arrays)))
+
+
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of stacks (..., r, c), the first factor most significant.
 
@@ -68,15 +74,18 @@ def check_pure_states(amplitudes: np.ndarray) -> None:
 
     Each member must be finite and have unit norm within ``NORM_ATOL``;
     otherwise ValueError names the norm furthest from 1.  An empty stack
-    has no invalid member and passes.
+    passes; input with no amplitude axis raises ValueError, even a scalar.
     """
+    if np.ndim(amplitudes) < 1:
+        shape = np.shape(amplitudes)
+        raise ValueError(f"expected amplitudes (..., d), got shape {shape}")
     if math.prod(amplitudes.shape[:-1]) == 0:
         return
     if not np.isfinite(amplitudes).all():
         raise ValueError("amplitudes must be finite")
     norms = np.linalg.norm(amplitudes, axis=-1).ravel()
     off = np.abs(norms - 1.0)
-    if off.max() > NORM_ATOL:
+    if not off.max() <= NORM_ATOL:
         raise ValueError(
             f"state norm {norms[off.argmax()]} is not 1 within {NORM_ATOL}"
         )
@@ -105,19 +114,19 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         return
     if not np.isfinite(matrices).all():
         raise ValueError("matrix entries must be finite")
-    herm = np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max()
-    if herm > HERMITIAN_ATOL:
+    herm = max_abs(matrices - matrices.conj().swapaxes(-1, -2))
+    if not herm <= HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
     tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
     off = np.abs(tr - 1.0)
-    if off.max() > TRACE_ATOL:
+    if not off.max() <= TRACE_ATOL:
         raise ValueError(f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}")
     shift = (-EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN) * np.eye(matrices.shape[-1])
     try:
         np.linalg.cholesky(matrices + shift)
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
-        if smallest < EIGENVALUE_FLOOR:
+        if not smallest >= EIGENVALUE_FLOOR:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
             ) from None
@@ -134,7 +143,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    residual = float(np.max(np.abs(h - h.conj().swapaxes(-1, -2)), initial=0.0))
+    residual = max_abs(h - h.conj().swapaxes(-1, -2))
     if not residual <= HERMITIAN_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
     values, vectors = np.linalg.eigh(h)

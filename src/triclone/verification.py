@@ -21,7 +21,7 @@ from .cloners import e2_gaps, evaluate, evaluate_states, find_e2_crossings
 from .cloners import local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import iterate, spectral_trajectory
-from .linalg import check_density_matrices, eig_hermitian, kron_all
+from .linalg import check_density_matrices, eig_hermitian, kron_all, max_abs
 from .reference import (
     closed_form_input_measures,
     closed_form_local_measures,
@@ -67,14 +67,9 @@ def compute_grid():
     return evaluate(GRID_ALPHAS)
 
 
-def _max_abs(*arrays) -> float:
-    """Largest absolute entry over ``arrays``, NaN if any is: the residual norm."""
-    return float(np.max([np.max(np.abs(a)) for a in arrays]))
-
-
 def _measure_error(e3s: np.ndarray, e2s: np.ndarray, e3: float, e2: float) -> float:
     """Largest deviation of the balanced point's E3 and every E2 in a grid slab."""
-    return _max_abs(e3s[BALANCED] - e3, e2s[BALANCED] - e2)
+    return max_abs(e3s[BALANCED] - e3, e2s[BALANCED] - e2)
 
 
 def _within(tol: float, *residuals: tuple[str, float]) -> tuple[bool, str]:
@@ -91,8 +86,8 @@ def check_input_closed_forms(grid) -> CheckResult:
     """Trace-based input measures match the analytic curves to 1e-12."""
     _, e3, e2, _ = grid
     cf = closed_form_input_measures(GRID_ALPHAS)
-    err3 = _max_abs(e3[0] - cf[:, 0])
-    err2 = _max_abs(e2[0] - cf[:, 1:2])
+    err3 = max_abs(e3[0] - cf[:, 0])
+    err2 = max_abs(e2[0] - cf[:, 1:2])
     ghz_err = _measure_error(e3[0], e2[0], 1.0, 1.0 / 3.0)
     passed, detail = _within(
         1e-12,
@@ -107,7 +102,7 @@ def check_local_oracle(grid) -> CheckResult:
     """Simulated local channel equals its analytic output entrywise."""
     states, e3, e2, _ = grid
     refs = closed_form_local_outputs(GRID_ALPHAS)
-    err = _max_abs(states[1] - refs)
+    err = max_abs(states[1] - refs)
     m_err = _measure_error(e3[1], e2[1], 64.0 / 729.0, 16.0 / 243.0)
     passed, detail = _within(
         1e-12, ("max entrywise err", err), ("balanced-state measure err", m_err)
@@ -119,10 +114,10 @@ def check_nonlocal_oracle(grid) -> CheckResult:
     """Simulated non-local channel equals its analytic output; spectrum pinned."""
     states, e3, e2, _ = grid
     refs = closed_form_nonlocal_outputs(GRID_ALPHAS)
-    err = _max_abs(states[2] - refs)
+    err = max_abs(states[2] - refs)
     m_err = _measure_error(e3[2], e2[2], 25.0 / 81.0, 25.0 / 243.0)
     values, _ = eig_hermitian(states[2, BALANCED])
-    eig_err = _max_abs(np.sort(values) - np.array(GHZ_EIGENVALUES))
+    eig_err = max_abs(np.sort(values) - np.array(GHZ_EIGENVALUES))
     passed, detail = _within(
         1e-12,
         ("max entrywise err", err),
@@ -137,8 +132,8 @@ def check_measure_curves(grid) -> CheckResult:
     _, e3, e2, _ = grid
     cf_l = closed_form_local_measures(GRID_ALPHAS)
     cf_n = closed_form_nonlocal_measures(GRID_ALPHAS)
-    err_l = _max_abs(e3[1] - cf_l[:, 0], e2[1] - cf_l[:, 1:2])
-    err_n = _max_abs(e3[2] - cf_n[:, 0], e2[2] - cf_n[:, 1:2])
+    err_l = max_abs(e3[1] - cf_l[:, 0], e2[1] - cf_l[:, 1:2])
+    err_n = max_abs(e3[2] - cf_n[:, 0], e2[2] - cf_n[:, 1:2])
     passed, detail = _within(1e-12, ("local err", err_l), ("non-local err", err_n))
     return CheckResult("closed-form-measure-curves", passed, detail)
 
@@ -147,8 +142,8 @@ def check_fidelities(grid) -> CheckResult:
     """Simulated fidelities match the analytic values; non-local wins everywhere."""
     f_local, f_nonlocal = grid[3]
     f1 = fidelity_local(GRID_ALPHAS)
-    err1 = _max_abs(f_local - f1)
-    err2 = _max_abs(f_nonlocal - fidelity_nonlocal())
+    err1 = max_abs(f_local - f1)
+    err2 = max_abs(f_nonlocal - fidelity_nonlocal())
     min_gap = float(np.min(f_nonlocal - f_local))
     passed, detail = _within(1e-12, ("local err", err1), ("non-local err", err2))
     return CheckResult(
@@ -184,7 +179,7 @@ def check_iteration_decay() -> CheckResult:
     """Repeated non-local cloning of the balanced state matches the decay table."""
     e3, e2, _ = iterate(math.pi / 4.0, 6)
     e3, e2 = e3.tolist(), e2[:, 0].tolist()
-    err = _max_abs(np.subtract(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
+    err = max_abs(np.subtract(e3[:6] + e2[:6], TABLE_E3 + TABLE_E2))
     passed, detail = _within(TABLE_ATOL, ("steps 0-5 max err", err))
     return CheckResult(
         "iterated-cloning-decay",
@@ -239,22 +234,16 @@ def check_channel_properties(seed: int) -> CheckResult:
     direct = [channel.map(mixes) for channel in (local_channel(), nonlocal_channel())]
     for slab in (out[0], *direct):
         check_density_matrices(slab)
-    trace_err = _max_abs(*(np.trace(o, axis1=1, axis2=2).real - 1.0 for o in out))
-    herm_err = _max_abs(*(o - o.conj().swapaxes(1, 2) for o in out))
+    trace_err = max_abs(*(np.trace(o, axis1=1, axis2=2).real - 1.0 for o in out))
+    herm_err = max_abs(*(o - o.conj().swapaxes(1, 2) for o in out))
     eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
     combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
-    lin_err = _max_abs(*(d - c for d, c in zip(direct, combined)))
-    route_err = _max_abs(*(t[1:] - d for t, d in routes))
-    passed = (
-        trace_err <= 1e-12
-        and herm_err <= 1e-12
-        and eig_floor >= -1e-10
-        and lin_err <= 1e-12
-        and route_err <= 1e-12
-    )
+    lin_err = max_abs(*(d - c for d, c in zip(direct, combined)))
+    route_err = max_abs(*(t[1:] - d for t, d in routes))
     return CheckResult(
         "channel-properties",
-        passed,
+        max_abs(trace_err, herm_err, lin_err, route_err) <= 1e-12
+        and eig_floor >= -1e-10,
         f"100 random states: trace err={trace_err:.2e}, herm err={herm_err:.2e}, "
         f"min eig={eig_floor:.2e}, linearity err={lin_err:.2e}, "
         f"spectral-route err={route_err:.2e}",
@@ -272,9 +261,9 @@ def check_measure_properties(seed: int) -> CheckResult:
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
     check_density_matrices(rotated[:, 1])
     e3, e2, *_ = measure_stack(rotated)
-    invariance_err = _max_abs(e3[:, 0] - e3[:, 1], e2[:, 0] - e2[:, 1])
+    invariance_err = max_abs(e3[:, 0] - e3[:, 1], e2[:, 0] - e2[:, 1])
     e3, e2, *_ = measure_stack(random_product_states(rng, 25))
-    product_err = _max_abs(e3, e2)
+    product_err = max_abs(e3, e2)
     e3, e2, *_ = measure_stack(random_density_matrices(rng, 200))
     top = float(max(0.0, np.max(e3), np.max(e2)))
     bottom = float(min(0.0, np.min(e3), np.min(e2)))

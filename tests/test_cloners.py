@@ -324,6 +324,10 @@ class TestCompiledChannels:
         data = build().superoperator.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_rejects_nan_tensor_at_the_symmetry_check(self):
+        with pytest.raises(RuntimeError, match="differ by nan"):
+            compile_channel(np.full((2, 2, 2, 2), np.nan, dtype=complex))
+
     def test_rejects_non_trace_preserving_tensor(self):
         tensor = 1.1 * nonlocal_isometry(8).reshape(8, 8, 8, 8)
         with pytest.raises(RuntimeError, match="trace"):

@@ -269,3 +269,25 @@ class TestTrajectoryCertificate:
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed:")
         assert "spectral-mixture route" in err
+
+    @pytest.fixture
+    def nan_route(self, monkeypatch):
+        # A route whose mixtures are NaN while its projectors and clones are
+        # valid: only the agreement check can catch it.
+        real = iteration._spectral_mix
+
+        def nan_mix(rhos):
+            mixed, projectors, clones = real(rhos)
+            return np.full_like(mixed, np.nan), projectors, clones
+
+        monkeypatch.setattr(iteration, "_spectral_mix", nan_mix)
+
+    def test_nan_route_fails_the_route_check(self, nan_route):
+        with pytest.raises(RuntimeError, match="deviates .* by nan"):
+            iterate(0.7, 1)
+
+    def test_nan_route_is_a_failed_internal_check(self, nan_route, capsys):
+        assert main(["iterate", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed:")
+        assert "by nan" in err

@@ -14,6 +14,7 @@ from triclone.linalg import (
     eig_hermitian,
     fidelities,
     kron_all,
+    max_abs,
 )
 from triclone.cloners import nonlocal_isometry
 from triclone.entanglement import input_states
@@ -273,6 +274,32 @@ class TestCheckPureStates:
             check_pure_states(stack)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             check_pure_states(stack[2])
+
+    @pytest.mark.parametrize(
+        "amplitudes", [np.array(1.0 + 0j), 1.0], ids=["0-d", "float"]
+    )
+    def test_rejects_input_without_an_amplitude_axis(self, amplitudes):
+        message = re.escape("expected amplitudes (..., d), got shape ()")
+        with pytest.raises(ValueError, match=message):
+            check_pure_states(amplitudes)
+
+
+class TestMaxAbs:
+    def test_largest_absolute_entry_over_all_arrays(self):
+        arrays = (np.array([1.0, -3.0]), np.array([[2j, 0.5]]), [-2.5])
+        assert max_abs(*arrays) == 3.0
+        assert max_abs(3 - 4j) == 5.0
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_a_nan_in_any_array_gives_nan(self, position):
+        arrays = [np.zeros(2), np.full((2, 2), -4.0 + 0j), np.ones(3)]
+        arrays[position][-1] = np.nan
+        assert math.isnan(max_abs(*arrays))
+
+    @pytest.mark.parametrize("shapes", [[(0,)], [(0, 8, 8), (3, 0)]])
+    def test_empty_stacks_give_zero(self, shapes):
+        value = max_abs(*(np.zeros(shape, dtype=complex) for shape in shapes))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestPartialTrace:

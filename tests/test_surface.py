@@ -262,3 +262,79 @@ def test_verify_prints_no_literal_tolerance():
     # Keeps the scan from passing because it finds no tolerance text at all.
     assert any("tol " in part for part in parts)
     assert [part for part in parts if re.search(r"tol \d", part)] == []
+
+
+def _package_trees():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(triclone.__file__).parent.glob("*.py")
+    }
+
+
+def _is_abs_max_chain(node):
+    """``np.max(np.abs(...))`` or ``np.abs(...).max(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if ast.unparse(func) == "np.max":
+        inner = node.args[0] if node.args else None
+    elif isinstance(func, ast.Attribute) and func.attr == "max":
+        inner = func.value
+    else:
+        return False
+    return isinstance(inner, ast.Call) and ast.unparse(inner.func) == "np.abs"
+
+
+def test_residual_norm_has_one_definition():
+    # Every residual goes through ``linalg.max_abs``, which holds the only
+    # abs-then-max chain in the package.
+    chains = [
+        (module, ast.unparse(node))
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if _is_abs_max_chain(node)
+    ]
+    assert [module for module, _ in chains] == ["linalg"], chains
+
+
+def _bound_name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+
+# The comparison of a value against a bound that a NaN value passes, by the
+# suffix of the bound's name: ``x > TOL`` and ``x < FLOOR`` are False for NaN.
+NAN_PASSING = {"_ATOL": ast.Gt, "_CEILING": ast.Gt, "_FLOOR": ast.Lt}
+
+
+def _bound_comparisons():
+    """(module, comparison, bound name) of each comparison with a named bound.
+
+    ``BOUND < x`` is recorded as ``x > BOUND``, the bound always on the right.
+    """
+    mirrored = {ast.Gt: ast.Lt, ast.Lt: ast.Gt}
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                if _bound_name(right).endswith(tuple(NAN_PASSING)):
+                    yield module, type(op), _bound_name(right)
+                elif _bound_name(left).endswith(tuple(NAN_PASSING)):
+                    yield module, mirrored.get(type(op)), _bound_name(left)
+
+
+def test_no_check_lets_a_nan_residual_pass():
+    # Every failure test is ``not residual <= TOL``, and ``not value >= FLOOR``
+    # for the eigenvalue floors, so a NaN fails each check.
+    found = list(_bound_comparisons())
+    nan_passing = [
+        (module, name)
+        for module, op, name in found
+        for suffix, bad in NAN_PASSING.items()
+        if name.endswith(suffix) and op is bad
+    ]
+    assert nan_passing == []
+    # Keeps the scan from passing because it finds no bound at all.
+    names = {name for _, _, name in found}
+    assert {"HERMITIAN_ATOL", "ROUTE_AGREEMENT_ATOL", "EIGENVALUE_FLOOR"} <= names

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from triclone import cloners, iteration, verification
+from triclone import cloners, iteration, linalg, verification
 from triclone.cli import main
 from triclone.cloners import evaluate, nonlocal_channel
 from triclone.iteration import iterate
@@ -153,7 +153,36 @@ def test_within_fails_on_a_nan_in_any_position(position):
 
 @pytest.mark.parametrize("arrays", [([0.0], [math.nan]), ([math.nan], [0.0, 1.0])])
 def test_residual_norm_keeps_a_nan_from_any_array(arrays):
-    assert math.isnan(verification._max_abs(*arrays))
+    assert math.isnan(linalg.max_abs(*arrays))
+
+
+def test_residual_norm_equals_the_list_form_on_verify_residuals(grid, monkeypatch):
+    # ``max_abs`` folds per-array maxima with np.maximum; on every residual
+    # the checks compute it gives the bits of the list form np.max([...]).
+    seen = []
+
+    def recording(*arrays):
+        seen.append(arrays)
+        return linalg.max_abs(*arrays)
+
+    monkeypatch.setattr(verification, "max_abs", recording)
+    for check in (
+        verification.check_input_closed_forms,
+        verification.check_local_oracle,
+        verification.check_nonlocal_oracle,
+        verification.check_measure_curves,
+        verification.check_fidelities,
+    ):
+        check(grid)
+    verification.check_iteration_decay()
+    verification.check_channel_properties(12345)
+    verification.check_measure_properties(12345)
+    assert len(seen) == 20
+    for arrays in seen:
+        listed = float(np.max([np.max(np.abs(a)) for a in arrays]))
+        assert np.float64(linalg.max_abs(*arrays)).tobytes() == (
+            np.float64(listed).tobytes()
+        )
 
 
 def test_within_text_lists_residuals_then_the_tolerance():
@@ -166,7 +195,7 @@ def test_check_verdict_applies_the_printed_tolerance(grid, monkeypatch):
     # A residual one ulp above the tolerance fails the check, and the detail
     # still prints that tolerance.
     monkeypatch.setattr(
-        verification, "_max_abs", lambda *arrays: np.nextafter(1e-12, 1.0)
+        verification, "max_abs", lambda *arrays: np.nextafter(1e-12, 1.0)
     )
     result = verification.check_input_closed_forms(grid)
     assert not result.passed
