@@ -49,7 +49,9 @@ def sweep_table(points: int) -> np.ndarray:
     table = np.empty((points, len(SWEEP_COLUMNS)))
     for start in range(0, points, SWEEP_BLOCK):
         x = xs[start : start + SWEEP_BLOCK]
-        _, e3, e2, f = evaluate([math.acos(float(v)) for v in x])
+        # Keep only measures and fidelities, so that this block's states are
+        # freed before the next block is evaluated.
+        e3, e2, f = evaluate([math.acos(float(v)) for v in x])[1:]
         table[start : start + len(x)] = np.column_stack((x, *e3, *e2[..., 0], *f))
     return table
 

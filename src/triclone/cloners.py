@@ -44,6 +44,9 @@ from .linalg import (
 ISOMETRY_ATOL = 1e-12
 OUTPUT_SYMMETRY_ATOL = 1e-12
 CROSSING_BRACKET = 1e-6
+# Largest cloner dimension n: the (n, n, n, n) build takes 1 MiB at 16 and
+# grows as n**4, so a large n is refused before anything is allocated.
+MAX_CLONER_DIMENSION = 16
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,14 @@ def nonlocal_isometry(n: int) -> np.ndarray:
     c |i,i,i> + d * sum_{j != i} (|i,j> + |j,i>) |j>
     over original x copy x machine, with c^2 = 2/(n+1) and
     d^2 = 1/(2(n+1)); the machine basis is the computational one.  Raises
-    ValueError if n is not an integer of at least 2 or if V+V deviates from
-    the identity by more than ``ISOMETRY_ATOL``.
+    ValueError if n is not an integer from 2 to ``MAX_CLONER_DIMENSION`` or
+    if V+V deviates from the identity by more than ``ISOMETRY_ATOL``.
     """
     n = as_index(n, "cloner dimension")
-    if n < 2:
-        raise ValueError(f"cloner dimension must be at least 2, got {n}")
+    if not 2 <= n <= MAX_CLONER_DIMENSION:
+        raise ValueError(
+            f"cloner dimension must be between 2 and {MAX_CLONER_DIMENSION}, got {n}"
+        )
     return _isometry(n)
 
 

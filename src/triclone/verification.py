@@ -314,14 +314,20 @@ def informational_notes() -> list[str]:
 
 
 def run_all(seed: int) -> list[CheckResult]:
-    """Run every verification check once, sharing one grid computation."""
+    """Run every verification check once, sharing one grid computation.
+
+    Only checks 01-05 read the grid, so it is freed before check 06 runs.
+    """
     grid = compute_grid()
-    return [
+    results = [
         check_input_closed_forms(grid),
         check_local_oracle(grid),
         check_nonlocal_oracle(grid),
         check_measure_curves(grid),
         check_fidelities(grid),
+    ]
+    del grid
+    return results + [
         check_amplification_window(),
         check_iteration_decay(),
         check_channel_properties(seed),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -180,6 +181,20 @@ class TestSweep:
         assert main(["sweep", "--points", str(MAX_POINTS)]) == 0
         assert requested == [MAX_POINTS]
 
+    def test_each_block_frees_its_states_before_the_next(self, monkeypatch):
+        # At each evaluate() call, how many earlier blocks' states are alive.
+        states, live = [], []
+
+        def recording(alphas):
+            live.append(sum(ref() is not None for ref in states))
+            result = evaluate(alphas)
+            states.append(weakref.ref(result[0]))
+            return result
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        sweep_table(400)
+        assert live == [0, 0, 0, 0]
+
 
 class TestIterate:
     def test_table_output(self, capsys):
@@ -323,6 +338,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be non-negative, got -5\n"
+
+    def test_unbracketed_crossing_exits_one(self, monkeypatch, capsys):
+        # A gap of one sign everywhere leaves no root to bracket.
+        monkeypatch.setattr("triclone.cloners.e2_gaps", lambda xs: np.ones(len(xs)))
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: internal check failed: E2 crossing not bracketed"
+        )
 
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:

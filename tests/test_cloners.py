@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from triclone import cloners
 from triclone.cloners import (
     CROSSING_BRACKET,
+    MAX_CLONER_DIMENSION,
     OUTPUT_SYMMETRY_ATOL,
     compile_channel,
     e2_gaps,
@@ -188,6 +190,27 @@ class TestNonlocalIsometry:
     def test_accepts_numpy_integers(self):
         for n in (2, 8):
             assert nonlocal_isometry(np.int64(n)) is nonlocal_isometry(n)
+
+    @pytest.mark.parametrize("n", [MAX_CLONER_DIMENSION + 1, 10**6])
+    def test_rejects_large_dimension_before_allocating(self, n):
+        # The (n, n, n, n) build is never started and the cache learns no key.
+        size = nonlocal_isometry.cache_info().currsize
+        message = f"between 2 and {MAX_CLONER_DIMENSION}, got {n}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                nonlocal_isometry(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert nonlocal_isometry.cache_info().currsize == size
+
+    def test_builds_at_the_dimension_bound(self):
+        n = MAX_CLONER_DIMENSION
+        v = nonlocal_isometry(n)
+        assert v.shape == (n**3, n)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_cached_isometry_is_read_only(self, n):
@@ -618,6 +641,24 @@ class TestE2Crossings:
             type(c) is tuple and len(c) == 1 and c[0] is nonlocal_channel()
             for c in passed
         )
+
+    @pytest.mark.parametrize(
+        "roots, exact",
+        [
+            # The gap vanishes at the bracket end 0.0: the first root is exact.
+            ((0.0, 0.8), 0),
+            # It vanishes at the shared end sqrt(1/2): the second root is exact.
+            ((0.3, math.sqrt(0.5)), 1),
+        ],
+    )
+    def test_root_at_a_bracket_end_is_returned_exactly(self, monkeypatch, roots, exact):
+        a, b = roots
+        monkeypatch.setattr(
+            cloners, "e2_gaps", lambda xs: np.array([(x - a) * (x - b) for x in xs])
+        )
+        found = find_e2_crossings()
+        assert found[exact] == roots[exact]
+        assert found == pytest.approx(roots, abs=CROSSING_BRACKET)
 
     def test_gaps_of_a_stack_equal_one_point_calls(self):
         # Corners, the bisection's interior bracket end and the window probes.

@@ -360,6 +360,10 @@ class TestEigHermitian:
         values, _ = eig_hermitian(_random_density(rng, 8))
         assert abs(values.sum() - 1.0) <= 1e-10
 
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match=re.escape("got shape (8, 7)")):
+            eig_hermitian(np.zeros((8, 7), dtype=complex))
+
     def test_rejects_non_hermitian(self, rng):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="Hermitian"):

@@ -2,6 +2,9 @@
 
 import ast
 import dataclasses
+import functools
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -12,6 +15,18 @@ import triclone
 from triclone.cloners import CompiledChannel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+# Traced layers the package has deleted; the benchmark still lists them.
+STALE_LAYERS = {
+    ("linalg", "DensityMatrix.__post_init__"),
+    ("linalg", "partial_trace_matrix"),
+    ("linalg", "fidelity_pure"),
+    ("cloners", "apply_local_cloning"),
+    ("cloners", "apply_nonlocal_cloning"),
+    ("entanglement", "measures"),
+    ("entanglement", "input_state"),
+    ("cli", "compute_sweep_rows"),
+}
 
 PUBLIC_NAMES = (
     "check_density_matrices",
@@ -338,3 +353,31 @@ def test_no_check_lets_a_nan_residual_pass():
     # Keeps the scan from passing because it finds no bound at all.
     names = {name for _, _, name in found}
     assert {"HERMITIAN_ATOL", "ROUTE_AGREEMENT_ATOL", "EIGENVALUE_FLOOR"} <= names
+
+
+def _benchmark_tracing():
+    """``benchmarks/tracing.py`` loaded as a module, without running it as a script."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(module, attr):
+    owner = importlib.import_module(f"triclone.{module}")
+    try:
+        functools.reduce(getattr, attr.split("."), owner)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_live_traced_layer_resolves():
+    # A deletion that leaves a traced layer unresolved shows up here, instead
+    # of as an absent layer in the next benchmark run.
+    tracing = _benchmark_tracing()
+    unresolved = {layer for layer in tracing.LAYERS if not _resolves(*layer)}
+    assert unresolved <= STALE_LAYERS
+    assert len(tracing.LAYERS) - len(unresolved) >= 16
+    assert "nonlocal_isometry" in tracing.CACHED
+    assert callable(triclone.cloners.nonlocal_isometry.cache_info)

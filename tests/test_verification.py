@@ -7,11 +7,12 @@ The balanced state the oracle checks read off the grid is pinned the same
 way against a call on that angle alone.  The determinism check compares
 its two sweeps in memory, so it needs no temporary directory.  The
 channel check validates each state it handles once, and ``iterate`` its
-step-0 projector.
+step-0 projector.  The grid is freed once the checks that read it are done.
 """
 
 import math
 import tempfile
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,3 +265,25 @@ def test_channel_check_validates_each_state_once(validated, monkeypatch):
 def test_iterate_validates_its_step_zero_projector_once(validated):
     _, _, states = iterate(0.7, 12)
     assert validated.count(states[0].tobytes()) == 1
+
+
+def test_grid_is_freed_before_the_grid_free_checks(monkeypatch):
+    # Only checks 01-05 read the grid; its states are dead when check 06 starts.
+    grid_states = []
+    alive_at_check_06 = []
+    compute_grid = verification.compute_grid
+    check_06 = verification.check_amplification_window
+
+    def recording_grid():
+        grid = compute_grid()
+        grid_states.append(weakref.ref(grid[0]))
+        return grid
+
+    def recording_check_06():
+        alive_at_check_06.append(grid_states[0]() is not None)
+        return check_06()
+
+    monkeypatch.setattr(verification, "compute_grid", recording_grid)
+    monkeypatch.setattr(verification, "check_amplification_window", recording_check_06)
+    assert len(verification.run_all(12345)) == 10
+    assert alive_at_check_06 == [False]
