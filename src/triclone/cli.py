@@ -17,15 +17,12 @@ import sys
 
 import numpy as np
 
-from .cloners import evaluate
+from .cloners import MAP_BLOCK, evaluate
 from .iteration import iterate
 
 DEFAULT_POINTS = 201
 # Upper bound on sweep --points, so a typo cannot allocate without limit.
 MAX_POINTS = 100_000
-# Sweep points per evaluate() call: bounds the stacked 8 x 8 outputs held
-# at once, so memory does not grow with --points.
-SWEEP_BLOCK = 128
 DEFAULT_STEPS = 6
 DEFAULT_ALPHA = math.pi / 4.0
 DEFAULT_SEED = 12345
@@ -47,8 +44,8 @@ def sweep_table(points: int) -> np.ndarray:
     """(points, 9) array in ``SWEEP_COLUMNS`` order over a cos(alpha) grid."""
     xs = np.linspace(0.0, 1.0, points)
     table = np.empty((points, len(SWEEP_COLUMNS)))
-    for start in range(0, points, SWEEP_BLOCK):
-        x = xs[start : start + SWEEP_BLOCK]
+    for start in range(0, points, MAP_BLOCK):
+        x = xs[start : start + MAP_BLOCK]
         # Keep only measures and fidelities, so that this block's states are
         # freed before the next block is evaluated.
         e3, e2, f = evaluate([math.acos(float(v)) for v in x])[1:]
@@ -56,11 +53,15 @@ def sweep_table(points: int) -> np.ndarray:
     return table
 
 
-def format_sweep_csv(table: np.ndarray) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
+def _csv_rows(rows) -> str:
     # repr of a Python float is the shortest decimal that round-trips.
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    return "\n".join([*(",".join(map(repr, row)) for row in rows), ""])
+
+
+def format_sweep_csv(table: np.ndarray) -> str:
+    starts = range(0, len(table), MAP_BLOCK)  # bounds the Python floats held at once
+    lines = (_csv_rows(table[s : s + MAP_BLOCK].tolist()) for s in starts)
+    return "".join([",".join(SWEEP_COLUMNS) + "\n", *lines])
 
 
 def format_iteration_table(e3: np.ndarray, e2: np.ndarray) -> str:
@@ -76,11 +77,8 @@ def format_iteration_table(e3: np.ndarray, e2: np.ndarray) -> str:
 
 
 def format_iteration_csv(e3: np.ndarray, e2: np.ndarray) -> str:
-    lines = ["step,e3,e2"]
-    for k, (v3, v2) in enumerate(zip(e3.tolist(), e2[:, 0].tolist())):
-        # repr of a Python float is the shortest decimal that round-trips.
-        lines.append(f"{k},{v3!r},{v2!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(range(len(e3)), e3.tolist(), e2[:, 0].tolist())
+    return "step,e3,e2\n" + _csv_rows(rows)  # repr of an int is its str
 
 
 def _write(text: str, path: str) -> int:

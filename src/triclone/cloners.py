@@ -47,6 +47,10 @@ CROSSING_BRACKET = 1e-6
 # Largest cloner dimension n: the (n, n, n, n) build takes 1 MiB at 16 and
 # grows as n**4, so a large n is refused before anything is allocated.
 MAX_CLONER_DIMENSION = 16
+# Matrices per ``CompiledChannel.map`` call where callers split a stack: 128
+# complex 8 x 8 matrices are 128 KiB, glibc's initial mmap threshold, above which
+# temporaries can page-fault anew on each call.  Larger blocks measured no faster.
+MAP_BLOCK = 128
 
 
 @dataclass(frozen=True)

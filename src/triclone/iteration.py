@@ -44,8 +44,9 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     output of the step before it.  Validates every projector and its clone,
     raises RuntimeError if any step deviates from its direct output by more
     than ``ROUTE_AGREEMENT_ATOL``, then validates steps 1..n and the direct
-    outputs as one stack; the check comes first so that a faulty route is
-    reported as such even when it has fed an invalid state to a later step.
+    outputs as one stack.  A faulty route raises RuntimeError at any step:
+    the agreement check precedes that validation, and a ValueError from
+    decomposing a state the route made (step 0 is the caller's) becomes one.
     Returns the trajectory (n_steps + 1, m, 8, 8) and the direct outputs
     (n_steps, m, 8, 8) of its steps 0..n-1.
     """
@@ -55,7 +56,10 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     projectors = np.empty((n_steps,) + rhos.shape + (8,), dtype=complex)
     clones = np.empty_like(projectors)
     for k in range(n_steps):
-        trajectory[k + 1], projectors[k], clones[k] = _spectral_mix(trajectory[k])
+        try:
+            trajectory[k + 1], projectors[k], clones[k] = _spectral_mix(trajectory[k])
+        except ValueError as exc:
+            raise RuntimeError(f"spectral-mixture route, step {k}: {exc}") from exc
     check_density_matrices(projectors)
     check_density_matrices(clones)
     direct[:] = nonlocal_channel().map(trajectory[:-1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import e2_gaps, evaluate, evaluate_states, find_e2_crossings
-from .cloners import local_channel, nonlocal_channel
+from .cloners import MAP_BLOCK, local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import iterate, spectral_trajectory
 from .linalg import check_density_matrices, eig_hermitian, kron_all, max_abs
@@ -37,9 +37,6 @@ BALANCED = 100
 # linspace lands one ulp above pi/4; the balanced checks need the exact angle.
 GRID_ALPHAS[BALANCED] = math.pi / 4.0
 GRID_ALPHAS.setflags(write=False)
-# States per spectral-route block: 16 full-rank states give 128 projectors
-# per channel map, the size of a sweep block.
-ROUTE_BLOCK = 16
 
 # Reference decay table for the balanced (GHZ) input, four printed decimals.
 TABLE_E3 = (1.0000, 0.3086, 0.0953, 0.0294, 0.0091, 0.0028)
@@ -228,7 +225,8 @@ def check_channel_properties(seed: int) -> CheckResult:
     p = rng.uniform(0.1, 0.9, 50)[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
-    blocks = (stack[s : s + ROUTE_BLOCK] for s in range(0, len(stack), ROUTE_BLOCK))
+    block = MAP_BLOCK // stack.shape[-1]  # each state has 8 eigenprojectors
+    blocks = (stack[s : s + block] for s in range(0, len(stack), block))
     routes = [spectral_trajectory(b, 1) for b in blocks]  # validates its outputs
     out = [local_channel().map(stack), np.concatenate([d[0] for _, d in routes])]
     direct = [channel.map(mixes) for channel in (local_channel(), nonlocal_channel())]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -27,8 +28,8 @@ from triclone.linalg import check_density_matrices, fidelities
 
 # SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
 SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
-# The same at 2 points and at 1000 points (seven full SWEEP_BLOCKs of 128
-# points and one partial block).
+# The same at 2 points and at 1000 points (seven full blocks of
+# ``cloners.MAP_BLOCK`` = 128 points and one partial block).
 SWEEP_SHA256 = {
     2: "160d1cd94611f82074e048c77953d61afcd62a0da9955db74ec5f4fc3998c7f2",
     1000: "758f5650f06d4ce784c1518ecb41c7d519cd6cebb6f2bad67645d0733d5855e7",
@@ -40,6 +41,9 @@ SWEEP_SHA256 = {
 VERIFY_STDOUT_SHA256 = {
     12345: "33ab7765facc811f39cf40670ffa79591c72908a2bdb5c91cbbd6740a3afb143",
     301: "96ab08c05f08c4f4cccc7419a16b22b3ffa35b013be365418991b06f82cc748e",
+    0: "e634dede321de958a3089fed5a9cc99017ad6e11d64877facf2c9dcb7ee3355c",
+    1: "4089541059b9366fa42fb53d363562bfb4eed1c71d86e38e5330ffdcb5189c29",
+    7: "ee92abd00b6ff1b0ec34d922cc43ba3ca367d2bec39db926dc2d093616429b79",
 }
 ITERATE_07_CSV_SHA256 = (
     "86d0da2116b5d25f7f7e832e491f3b7ba7e34f9cc33da548dab00cca1a8f918a"
@@ -182,11 +186,13 @@ class TestSweep:
         assert requested == [MAX_POINTS]
 
     def test_each_block_frees_its_states_before_the_next(self, monkeypatch):
-        # At each evaluate() call, how many earlier blocks' states are alive.
-        states, live = [], []
+        # At each evaluate() call, how many earlier blocks' states are alive,
+        # and how many points the call gets: one MAP_BLOCK, then the rest.
+        states, live, sizes = [], [], []
 
         def recording(alphas):
             live.append(sum(ref() is not None for ref in states))
+            sizes.append(len(alphas))
             result = evaluate(alphas)
             states.append(weakref.ref(result[0]))
             return result
@@ -194,6 +200,19 @@ class TestSweep:
         monkeypatch.setattr(cli, "evaluate", recording)
         sweep_table(400)
         assert live == [0, 0, 0, 0]
+        assert sizes == [128, 128, 128, 16]
+
+    def test_csv_formatting_memory_is_bounded(self):
+        # The rows are formatted one block at a time, so the Python floats and
+        # strings held at once stay small next to the text returned.
+        table = sweep_table(20000)
+        tracemalloc.start()
+        try:
+            text = format_sweep_csv(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
 
 class TestIterate:

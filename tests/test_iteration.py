@@ -291,3 +291,29 @@ class TestTrajectoryCertificate:
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed:")
         assert "by nan" in err
+
+    @pytest.fixture(params=["nan", "skew"])
+    def faulty_route(self, request, monkeypatch):
+        # Mixtures the next step cannot decompose: NaN, or 1e-6 off Hermitian.
+        real = iteration._spectral_mix
+
+        def faulty_mix(rhos):
+            mixed, projectors, clones = real(rhos)
+            if request.param == "nan":
+                mixed = np.full_like(mixed, np.nan)
+            else:
+                mixed[..., 0, 1] += 1e-6
+            return mixed, projectors, clones
+
+        monkeypatch.setattr(iteration, "_spectral_mix", faulty_mix)
+
+    def test_faulty_route_fails_at_a_later_step(self, faulty_route):
+        # Step 2 decomposes step 1's faulty mixture before the agreement check.
+        with pytest.raises(RuntimeError, match="spectral-mixture route"):
+            iterate(0.7, 2)
+
+    @pytest.mark.parametrize("steps", ["1", "2", "12"])
+    def test_faulty_route_is_a_failed_internal_check(self, faulty_route, capsys, steps):
+        assert main(["iterate", "--steps", steps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed: spectral-mixture route")

@@ -119,6 +119,20 @@ def test_no_new_record_types():
     }
 
 
+def test_one_module_owns_the_block_size():
+    # How many states go through one channel map is one decision, made in
+    # ``cloners``; every block-wise caller derives its block from it.
+    blocks = [
+        (path.stem, target.id)
+        for path in Path(triclone.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_BLOCK")
+    ]
+    assert blocks == [("cloners", "MAP_BLOCK")]
+
+
 def _call_sites(name):
     """(module, enclosing function) of every call of ``name`` in the package."""
     sites = []

@@ -157,6 +157,19 @@ def test_residual_norm_keeps_a_nan_from_any_array(arrays):
     assert math.isnan(linalg.max_abs(*arrays))
 
 
+def test_spectral_route_runs_in_map_blocks(monkeypatch):
+    # 16 full-rank states give 128 eigenprojectors, one MAP_BLOCK per map.
+    sizes = []
+
+    def recording(rhos, n_steps):
+        sizes.append(len(rhos))
+        return iteration.spectral_trajectory(rhos, n_steps)
+
+    monkeypatch.setattr(verification, "spectral_trajectory", recording)
+    assert verification.check_channel_properties(12345).passed
+    assert sizes == [16] * 6 + [4]
+
+
 def test_residual_norm_equals_the_list_form_on_verify_residuals(grid, monkeypatch):
     # ``max_abs`` folds per-array maxima with np.maximum; on every residual
     # the checks compute it gives the bits of the list form np.max([...]).
