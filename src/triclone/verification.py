@@ -228,7 +228,7 @@ def check_channel_properties(seed: int) -> CheckResult:
     block = MAP_BLOCK // stack.shape[-1]  # each state has 8 eigenprojectors
     blocks = (stack[s : s + block] for s in range(0, len(stack), block))
     routes = [spectral_trajectory(b, 1) for b in blocks]  # validates its outputs
-    out = [local_channel().map(stack), np.concatenate([d[0] for _, d in routes])]
+    out = [local_channel().map(stack), np.concatenate([t[1] for t, _ in routes])]
     direct = [channel.map(mixes) for channel in (local_channel(), nonlocal_channel())]
     for slab in (out[0], *direct):
         check_density_matrices(slab)
@@ -237,7 +237,7 @@ def check_channel_properties(seed: int) -> CheckResult:
     eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
     combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
     lin_err = max_abs(*(d - c for d, c in zip(direct, combined)))
-    route_err = max_abs(*(t[1:] - d for t, d in routes))
+    route_err = max_abs(*(r - t[1:] for t, r in routes))
     return CheckResult(
         "channel-properties",
         max_abs(trace_err, herm_err, lin_err, route_err) <= 1e-12

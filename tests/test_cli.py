@@ -37,7 +37,8 @@ SWEEP_SHA256 = {
 
 # SHA-256 of ``verify --seed <seed>`` stdout (exit code 1: criterion 06
 # fails by design) and of the ``iterate --alpha 0.7 --steps 12`` CSV, pinned
-# with numpy 2.4.6.
+# with numpy 2.4.6.  The CSV is the same under the SkylakeX and Haswell
+# OpenBLAS kernels.
 VERIFY_STDOUT_SHA256 = {
     12345: "33ab7765facc811f39cf40670ffa79591c72908a2bdb5c91cbbd6740a3afb143",
     301: "96ab08c05f08c4f4cccc7419a16b22b3ffa35b013be365418991b06f82cc748e",
@@ -46,7 +47,7 @@ VERIFY_STDOUT_SHA256 = {
     7: "ee92abd00b6ff1b0ec34d922cc43ba3ca367d2bec39db926dc2d093616429b79",
 }
 ITERATE_07_CSV_SHA256 = (
-    "86d0da2116b5d25f7f7e832e491f3b7ba7e34f9cc33da548dab00cca1a8f918a"
+    "e08e9d6919a8406f2e84b0931d92c68a4a80bc2c7eb9fe5788de1e7f42c756f4"
 )
 # SHA-256 of the ``iterate`` stdout table and CSV, keyed by the extra argv:
 # the default (alpha pi/4, 6 steps), a generic angle, and the near-product
@@ -55,7 +56,7 @@ ITERATE_07_CSV_SHA256 = (
 ITERATE_SHA256 = {
     (): (
         "bccdf272662889efbbf35de786597d0cdad870d45d2855c870497c7785664f7c",
-        "c07b914ef173aaeb3a8ae1c9b8bacf6c93cf5745458e20c1ec2cf1a22f709f87",
+        "daa949026b58b3f3bf2170453b75357b5dd6314f66bfba63f516ea458f89bfee",
     ),
     ("--alpha", "0.7", "--steps", "12"): (
         "3b9b9fd7cdb3766ad0a9b8226b715987a7bb46811b81976f98bbafc5ad47abb4",
@@ -63,7 +64,7 @@ ITERATE_SHA256 = {
     ),
     ("--alpha", "1e-9", "--steps", "12"): (
         "e1199fc0ee51852688afcce73e422c268bc3f6e7bff620912e8f2296772b8881",
-        "e6cf77545aa73b6ea6866cb7a80d8c5c6206a7f1f7f7ef220e0e6b873d5f8eed",
+        "f37b7357031e6fc7b67f868a0a24bd5791db86e3006b3c2c8a24670f15d423d6",
     ),
 }
 
@@ -278,6 +279,24 @@ class TestIterate:
         assert hashlib.sha256(stdout).hexdigest() == table_sha
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
+    @pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell"])
+    def test_csv_digest_under_each_blas_kernel(self, tmp_path, kernel):
+        # The trajectory is a chain of channel maps, whose bits do not depend
+        # on the OpenBLAS kernel; ``measure_stack`` still does under
+        # Sandybridge and Prescott.
+        out = tmp_path / "decay.csv"
+        argv = ["--alpha", "0.7", "--steps", "12", "--output", str(out)]
+        code, err = _run_cli(
+            [sys.executable, "-c", KERNEL_SCRIPT, *argv],
+            stdout=subprocess.DEVNULL,
+            extra_env={"OPENBLAS_CORETYPE": kernel},
+        )
+        assert code == 0
+        if not err:
+            pytest.skip("numpy's OpenBLAS does not report its kernel")
+        assert err == f"{kernel}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_07_CSV_SHA256
+
     def test_format_iteration_csv_round_trip(self):
         from triclone.iteration import iterate
 
@@ -417,17 +436,34 @@ class TestClosedStdout:
         assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
-def _run_cli(argv, **kwargs):
+def _run_cli(argv, extra_env=(), **kwargs):
     """Exit code and stderr of ``python -m triclone.cli`` with ``src`` importable."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra_env)
     proc = subprocess.run(
         argv, stderr=subprocess.PIPE, env=env, timeout=300, check=False, **kwargs
     )
     err = proc.stderr.decode("utf-8")
     assert "Traceback" not in err
     return proc.returncode, err
+
+
+# Writes the name of the kernel that numpy's bundled OpenBLAS runs, if it
+# reports one, to stderr, then runs ``triclone iterate`` with the arguments.
+KERNEL_SCRIPT = """\
+import ctypes, glob, os, sys
+import numpy
+from triclone.cli import main
+libs = glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*")
+name = "scipy_openblas_get_corename64_"
+get = getattr(ctypes.CDLL(libs[0]), name, None) if libs else None
+if get is not None:
+    get.restype = ctypes.c_char_p
+    print(get().decode(), file=sys.stderr)
+sys.exit(main(["iterate", *sys.argv[1:]]))
+"""
 
 
 # Runs the command with descriptor 1 closed, so the child starts with

@@ -5,7 +5,7 @@ import pytest
 
 from triclone import iteration
 from triclone.cli import main
-from triclone.cloners import nonlocal_channel
+from triclone.cloners import CompiledChannel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
 from triclone.iteration import (
     EIGENVALUE_CUTOFF,
@@ -31,7 +31,7 @@ def _inputs(alphas):
 
 def _clone_mixed(rhos):
     """Validated spectral-route clones of a stack (n, 8, 8)."""
-    return spectral_trajectory(rhos, 1)[0][1]
+    return spectral_trajectory(rhos, 1)[1][0]
 
 
 class TestCloneMixed:
@@ -118,12 +118,15 @@ class TestCloneMixedStack:
 
 def test_stacked_trajectory_equals_single_angle_iterations():
     alphas = [0.3, 0.7, math.pi / 4]
-    trajectory, direct = spectral_trajectory(_inputs(alphas), 12)
-    assert trajectory.shape == (13, 3, 8, 8)
+    trajectory, route = spectral_trajectory(_inputs(alphas), 12)
+    assert trajectory.shape == (13, 3, 8, 8) and route.shape == (12, 3, 8, 8)
     for k, alpha in enumerate(alphas):
         assert np.array_equal(trajectory[:, k], iterate(alpha, 12)[2])
-    assert np.array_equal(direct, nonlocal_channel().map(trajectory[:-1]))
-    assert np.max(np.abs(trajectory[1:] - direct)) <= ROUTE_AGREEMENT_ATOL
+    assert np.array_equal(trajectory[1:], nonlocal_channel().map(trajectory[:-1]))
+    # The one batched route call gives each step's bits of a call per step.
+    for k in range(12):
+        assert np.array_equal(route[k], iteration._spectral_mix(trajectory[k])[0])
+    assert np.max(np.abs(route - trajectory[1:])) <= ROUTE_AGREEMENT_ATOL
 
 
 class TestIterate:
@@ -201,7 +204,7 @@ class TestIterate:
         rho = _inputs([0.7])
         assert np.array_equal(states[0], rho[0])
         for k in range(1, 13):
-            rho = _clone_mixed(rho)
+            rho = nonlocal_channel().map(rho)
             assert np.array_equal(states[k], rho[0])
 
     def test_measures_come_from_the_states(self):
@@ -238,13 +241,34 @@ class TestTrajectoryCertificate:
             _, _, trajectory = iterate(0.7, n)
             assert len(seen) == 4
         # In the last run (12 steps) the first check is the step-0 projector;
-        # the last is the later steps followed by the direct outputs, one stack.
+        # the last is the later steps followed by the route outputs, one stack.
         step0, later = seen[0], seen[-1]
         assert np.array_equal(step0, trajectory[:1])
         assert later.shape == (24, 1, 8, 8)
         assert np.array_equal(later[:12], trajectory[1:, None])
-        direct = nonlocal_channel().map(trajectory[:-1, None])
-        assert np.array_equal(later[12:], direct)
+        route = iteration._spectral_mix(trajectory[:-1])[0]
+        assert np.array_equal(later[12:], route[:, None])
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 12])
+    def test_one_route_call_certifies_every_step(self, monkeypatch, n_steps):
+        # The chain takes one map per step; the route one map and one
+        # ``_spectral_mix`` over all steps, not one per step.
+        mixed, maps = [], []
+        real_mix, real_map = iteration._spectral_mix, CompiledChannel.map
+
+        def counting_mix(rhos):
+            mixed.append(rhos.shape)
+            return real_mix(rhos)
+
+        def counting_map(channel, rhos):
+            maps.append(rhos.shape)
+            return real_map(channel, rhos)
+
+        monkeypatch.setattr(iteration, "_spectral_mix", counting_mix)
+        monkeypatch.setattr(CompiledChannel, "map", counting_map)
+        iterate(0.7, n_steps)
+        assert mixed == [(n_steps, 8, 8)]
+        assert len(maps) == n_steps + 1
 
     def test_certificate_covers_every_eigenprojector(self, seen):
         # Step 0 is pure, so a certificate of the kept projectors alone would
@@ -308,12 +332,39 @@ class TestTrajectoryCertificate:
         monkeypatch.setattr(iteration, "_spectral_mix", faulty_mix)
 
     def test_faulty_route_fails_at_a_later_step(self, faulty_route):
-        # Step 2 decomposes step 1's faulty mixture before the agreement check.
+        # No step decomposes a mixture of the route, so the agreement check
+        # meets the faulty mixtures of both steps.
         with pytest.raises(RuntimeError, match="spectral-mixture route"):
             iterate(0.7, 2)
 
     @pytest.mark.parametrize("steps", ["1", "2", "12"])
     def test_faulty_route_is_a_failed_internal_check(self, faulty_route, capsys, steps):
+        assert main(["iterate", "--steps", steps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal check failed: spectral-mixture route")
+
+    @pytest.fixture(params=["nan-clone", "skew-projector"])
+    def faulty_certificate(self, request, monkeypatch):
+        # A NaN clone, or a projector 1e-6 off Hermitian: the checks on what
+        # the route made refuse them before the agreement check runs.
+        real = iteration._spectral_mix
+
+        def faulty_mix(rhos):
+            mixed, projectors, clones = real(rhos)
+            if request.param == "nan-clone":
+                clones[-1, -1, 0, 0] = np.nan
+            else:
+                projectors[..., 0, 1] += 1e-6
+            return mixed, projectors, clones
+
+        monkeypatch.setattr(iteration, "_spectral_mix", faulty_mix)
+
+    @pytest.mark.parametrize("steps", ["1", "3", "12"])
+    def test_faulty_certificate_is_a_failed_internal_check(
+        self, faulty_certificate, capsys, steps
+    ):
+        with pytest.raises(RuntimeError, match="^spectral-mixture route: matrix"):
+            iterate(0.7, int(steps))
         assert main(["iterate", "--steps", steps]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed: spectral-mixture route")
