@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .cloners import MAP_BLOCK, evaluate
-from .iteration import iterate
+from .iteration import MAX_STEPS, iterate
 
 DEFAULT_POINTS = 201
 # Upper bound on sweep --points, so a typo cannot allocate without limit.
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=int,
         default=DEFAULT_STEPS,
-        help=f"cloning steps (default {DEFAULT_STEPS})",
+        help=f"cloning steps, 1 to {MAX_STEPS} (default {DEFAULT_STEPS})",
     )
     p_iter.add_argument(
         "--output", default=None, help="also write a full-precision CSV here"

@@ -9,14 +9,16 @@ does not depend on the basis chosen inside degenerate eigenspaces).
 
 ``spectral_trajectory`` is the one path through the route, for any
 validated stack (m, 8, 8) of states and any number of steps.  It chains
-channel ``map`` calls over the stack, then runs steps 0..n-1 through one
-unvalidated ``_spectral_mix``: one ``eig_hermitian`` call, one channel
-``map`` over all 8mn eigenprojectors and one reduction that remixes them,
-weights descending and zero where negligible.  The route then validates
-what it created, each state once: every projector, then every clone, then,
-once the route outputs have been checked against the trajectory, the later
-steps and those outputs as one stack.  ``iterate`` runs it on the
-two-corner input at one angle, and the verification suite on blocks of
+channel ``map`` calls over the stack, then runs the states of steps 0..n-1
+through the unvalidated ``_spectral_mix`` in blocks of ``MAP_BLOCK // 8``
+states, so that one channel ``map`` takes at most ``MAP_BLOCK``
+eigenprojectors.  Per block, ``_spectral_mix`` makes one ``eig_hermitian``
+call, one ``map`` over the eigenprojectors and one reduction that remixes
+them, weights descending.  The route then validates what the block
+created, each state once: every projector, then every clone, then, once
+the route outputs have been checked against the trajectory, that slice of
+the later steps and those outputs as one stack.  ``iterate`` runs it on
+the two-corner input at one angle, and the verification suite on 100
 random states.  Each state comes out bit for bit as it would alone.
 """
 
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloners import nonlocal_channel
+from .cloners import MAP_BLOCK, nonlocal_channel
 from .entanglement import input_states, measure_stack
 from .linalg import as_index, check_density_matrices, eig_hermitian, max_abs
 
-EIGENVALUE_CUTOFF = 1e-12
 ROUTE_AGREEMENT_ATOL = 1e-12
 MAX_STEPS = 12
 
@@ -38,35 +39,38 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
 
     Step 0 is ``rhos``, which the caller validates, as callers of
     ``CompiledChannel.map`` do; each of the ``n_steps`` later steps is the
-    channel output of the one before.  The spectral route then clones every
-    state of steps 0..n-1 in one ``_spectral_mix`` call.  Eigenvectors with
-    weight not above ``EIGENVALUE_CUTOFF`` get weight zero, not skipped; the
-    cutoff is immaterial because every route output is checked against the
-    trajectory.  Validates every projector and its clone, raises
+    channel output of the one before.  The spectral route then clones the
+    states of steps 0..n-1, ``MAP_BLOCK // 8`` per ``_spectral_mix`` call.
+    For each block it validates every projector and its clone, raises
     RuntimeError if a route output deviates from its step by more than
-    ``ROUTE_AGREEMENT_ATOL``, then validates steps 1..n and the route
-    outputs as one stack.  A fault anywhere raises RuntimeError, a
+    ``ROUTE_AGREEMENT_ATOL``, then validates the block's later steps and
+    route outputs as one stack.  A fault anywhere raises RuntimeError, a
     ValueError from any of these checks included.  Returns the trajectory
     (n_steps + 1, m, 8, 8) and the route outputs (n_steps, m, 8, 8) of its
     steps 0..n-1.
     """
-    states = np.empty((2 * n_steps + 1,) + rhos.shape, dtype=complex)
-    trajectory, route = states[: n_steps + 1], states[n_steps + 1 :]
+    trajectory = np.empty((n_steps + 1,) + rhos.shape, dtype=complex)
     trajectory[0] = rhos
     for k in range(n_steps):
         trajectory[k + 1] = nonlocal_channel().map(trajectory[k])
+    route = np.empty_like(trajectory[1:])
+    chain, later, mixed = (
+        a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:], route)
+    )
+    block = MAP_BLOCK // 8  # each state has 8 eigenprojectors
     try:
-        mixed, projectors, clones = _spectral_mix(trajectory[:-1].reshape(-1, 8, 8))
-        check_density_matrices(projectors)
-        check_density_matrices(clones)
-        route[:] = mixed.reshape(route.shape)
-        residual = max_abs(route - trajectory[1:])
-        if not residual <= ROUTE_AGREEMENT_ATOL:
-            raise RuntimeError(
-                f"spectral-mixture route deviates from direct channel "
-                f"application by {residual:.3e}"
-            )
-        check_density_matrices(states[1:])
+        for s in range(0, len(chain), block):
+            part = slice(s, s + block)
+            mixed[part], projectors, clones = _spectral_mix(chain[part])
+            check_density_matrices(projectors)
+            check_density_matrices(clones)
+            residual = max_abs(mixed[part] - later[part])
+            if not residual <= ROUTE_AGREEMENT_ATOL:
+                raise RuntimeError(
+                    f"spectral-mixture route deviates from direct channel "
+                    f"application by {residual:.3e}"
+                )
+            check_density_matrices(np.concatenate([later[part], mixed[part]]))
     except ValueError as exc:
         raise RuntimeError(f"spectral-mixture route: {exc}") from exc
     return trajectory, route
@@ -82,12 +86,9 @@ def _spectral_mix(rhos: np.ndarray):
     columns = vectors.swapaxes(-1, -2)
     projectors = columns[..., :, None] * columns[..., None, :].conj()
     outputs = nonlocal_channel().map(projectors)
-    # Weights not above the cutoff become 0; their terms add +-0.0 to a sum
-    # that starts at +0.0, which a sum of non-zero terms never rounds to -0.0.
-    w = np.where(weights > EIGENVALUE_CUTOFF, weights, 0.0)
     # Reducing a non-inner axis adds the terms one by one, in descending-weight
     # order; a tensordot over the weights sums in another order.
-    mixed = np.add.reduce(w[..., None, None] * outputs, axis=1, initial=0.0)
+    mixed = np.add.reduce(weights[..., None, None] * outputs, axis=1, initial=0.0)
     return mixed, projectors, outputs
 
 

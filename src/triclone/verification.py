@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import e2_gaps, evaluate, evaluate_states, find_e2_crossings
-from .cloners import MAP_BLOCK, local_channel, nonlocal_channel
+from .cloners import local_channel, nonlocal_channel
 from .entanglement import correlations, input_states, measure_stack
 from .iteration import iterate, spectral_trajectory
 from .linalg import check_density_matrices, eig_hermitian, kron_all, max_abs
@@ -225,10 +225,8 @@ def check_channel_properties(seed: int) -> CheckResult:
     p = rng.uniform(0.1, 0.9, 50)[:, None, None]
     mixes = p * stack[0::2] + (1 - p) * stack[1::2]
     check_density_matrices(mixes)
-    block = MAP_BLOCK // stack.shape[-1]  # each state has 8 eigenprojectors
-    blocks = (stack[s : s + block] for s in range(0, len(stack), block))
-    routes = [spectral_trajectory(b, 1) for b in blocks]  # validates its outputs
-    out = [local_channel().map(stack), np.concatenate([t[1] for t, _ in routes])]
+    trajectory, route = spectral_trajectory(stack, 1)  # validates its outputs
+    out = [local_channel().map(stack), trajectory[1]]
     direct = [channel.map(mixes) for channel in (local_channel(), nonlocal_channel())]
     for slab in (out[0], *direct):
         check_density_matrices(slab)
@@ -237,7 +235,7 @@ def check_channel_properties(seed: int) -> CheckResult:
     eig_floor = min(0.0, *(float(np.linalg.eigvalsh(o)[:, 0].min()) for o in out))
     combined = [p * o[0::2] + (1 - p) * o[1::2] for o in out]
     lin_err = max_abs(*(d - c for d, c in zip(direct, combined)))
-    route_err = max_abs(*(r - t[1:] for t, r in routes))
+    route_err = max_abs(route - trajectory[1:])
     return CheckResult(
         "channel-properties",
         max_abs(trace_err, herm_err, lin_err, route_err) <= 1e-12

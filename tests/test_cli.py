@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triclone import cli
+from triclone import cli, iteration
 from triclone.cli import (
     MAX_POINTS,
     SWEEP_COLUMNS,
@@ -51,8 +51,8 @@ ITERATE_07_CSV_SHA256 = (
 )
 # SHA-256 of the ``iterate`` stdout table and CSV, keyed by the extra argv:
 # the default (alpha pi/4, 6 steps), a generic angle, and the near-product
-# corner where most eigenvectors fall under ``EIGENVALUE_CUTOFF``.  Pinned
-# with numpy 2.4.6.
+# corner, whose pure step 0 gives the route seven eigenvectors of weight at
+# rounding level.  Pinned with numpy 2.4.6.
 ITERATE_SHA256 = {
     (): (
         "bccdf272662889efbbf35de786597d0cdad870d45d2855c870497c7785664f7c",
@@ -343,6 +343,19 @@ def test_help_states_the_default_constant(monkeypatch, capsys, command, name, va
             cli.build_parser.__wrapped__().parse_args([command, "--help"])
         assert exc.value.code == 0
         assert f"(default {default}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_iterate_help_states_the_step_bound(monkeypatch, capsys):
+    # The bound is the limit ``iterate`` enforces, and the help is formatted
+    # from it: a parser built with the bound changed prints the new value.
+    assert cli.MAX_STEPS is iteration.MAX_STEPS
+    for bound in (iteration.MAX_STEPS, 9):
+        monkeypatch.setattr(cli, "MAX_STEPS", bound)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args(["iterate", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"cloning steps, 1 to {bound} (default {cli.DEFAULT_STEPS})" in help_text
 
 
 class TestVerify:

@@ -309,6 +309,22 @@ class TestCompiledChannels:
             out = _clone(local_channel, rho)
             assert np.max(np.abs(out - expected)) <= 1e-12
 
+    def test_local_cloning_scales_e2_and_e3_by_powers_of_the_shrink(self):
+        # Each qubit's shrink 2/3 scales a pair correlation by (2/3)^2 and a
+        # three-qubit one by (2/3)^3; E2 and E3 are quadratic in them.  So
+        # local cloning keeps 16/81 of E2 but only 64/729 of E3, on any state.
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((2, 300, 8))
+        psis = g[0] + 1j * g[1]
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        pure = psis[:, :, None] * psis[:, None, :].conj()
+        mixed = random_density_matrices(np.random.default_rng(7), 300)
+        for rhos in (mixed, pure):
+            e3, e2, _, _ = measure_stack(rhos)
+            out_e3, out_e2, _, _ = measure_stack(_clone(local_channel, rhos))
+            assert np.max(np.abs(out_e2 - (16.0 / 81.0) * e2)) <= 1e-15
+            assert np.max(np.abs(out_e3 - (64.0 / 729.0) * e3)) <= 1e-15
+
     @pytest.mark.parametrize("build", [local_channel, nonlocal_channel])
     def test_build_time_residuals_are_kept(self, build):
         compiled = build()

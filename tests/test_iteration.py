@@ -7,12 +7,7 @@ from triclone import iteration
 from triclone.cli import main
 from triclone.cloners import CompiledChannel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
-from triclone.iteration import (
-    EIGENVALUE_CUTOFF,
-    ROUTE_AGREEMENT_ATOL,
-    iterate,
-    spectral_trajectory,
-)
+from triclone.iteration import ROUTE_AGREEMENT_ATOL, iterate, spectral_trajectory
 from triclone.linalg import eig_hermitian
 from triclone.reference import closed_form_input_measures
 from triclone.verification import random_density_matrices
@@ -63,18 +58,16 @@ class TestCloneMixed:
 def _per_state_route(rho):
     """The spectral route one state at a time, as a reference for the kernel."""
     values, vectors = np.linalg.eigh(rho)
-    weights, vectors = values[::-1], vectors[:, ::-1]
-    kept = weights > EIGENVALUE_CUTOFF
-    columns = vectors[:, kept].T
+    weights, columns = values[::-1], vectors[:, ::-1].T
     outputs = nonlocal_channel().map(columns[:, :, None] * columns[:, None, :].conj())
     mixed = np.zeros_like(rho)
-    for weight, output in zip(weights[kept], outputs):
+    for weight, output in zip(weights, outputs):
         mixed = mixed + weight * output
     return mixed
 
 
 def _mixed_rank_stack(rng):
-    """16 states of rank 8, 1 and 2, so rows keep different eigenvector counts."""
+    """16 states of rank 8, 1 and 2, so rows differ in how many weights are zero."""
     full = random_density_matrices(rng, 6)
     pure = list(_inputs([0.0, 0.3, 0.7, 1.2]))
     rank_two = []
@@ -92,14 +85,14 @@ def _mixed_rank_stack(rng):
 class TestCloneMixedStack:
     def test_equals_per_state_route_bit_for_bit(self, rng):
         stack = _mixed_rank_stack(rng)
-        kept = np.sum(np.linalg.eigvalsh(stack) > EIGENVALUE_CUTOFF, axis=-1)
-        assert set(kept.tolist()) == {1, 2, 8}
+        rank = np.sum(np.linalg.eigvalsh(stack) > 1e-12, axis=-1)
+        assert set(rank.tolist()) == {1, 2, 8}
         mixed = _clone_mixed(stack)
         for k, rho in enumerate(stack):
             assert np.array_equal(mixed[k], _per_state_route(rho))
             assert np.array_equal(mixed[k], _clone_mixed(stack[k : k + 1])[0])
 
-    def test_pure_stack_keeps_one_eigenvector(self):
+    def test_pure_stack_weights_all_eight_eigenvectors(self):
         stack = _inputs([0.1, 0.5, 0.9])
         mixed = _clone_mixed(stack)
         for k, rho in enumerate(stack):
@@ -114,6 +107,26 @@ class TestCloneMixedStack:
     def test_empty_stack(self):
         mixed = _clone_mixed(np.empty((0, 8, 8), dtype=complex))
         assert mixed.shape == (0, 8, 8)
+
+
+def test_route_splits_any_stack_into_map_blocks(rng, monkeypatch):
+    # 40 states over 3 steps are 120 route states: 16 per ``_spectral_mix``
+    # call, so that one channel map takes at most MAP_BLOCK eigenprojectors.
+    sizes = []
+    real = iteration._spectral_mix
+
+    def recording(rhos):
+        sizes.append(len(rhos))
+        return real(rhos)
+
+    monkeypatch.setattr(iteration, "_spectral_mix", recording)
+    stack = random_density_matrices(rng, 40)
+    trajectory, route = spectral_trajectory(stack, 3)
+    assert sizes == [16] * 7 + [8]
+    for k in range(len(stack)):
+        alone_trajectory, alone_route = spectral_trajectory(stack[k : k + 1], 3)
+        assert np.array_equal(trajectory[:, k], alone_trajectory[:, 0])
+        assert np.array_equal(route[:, k], alone_route[:, 0])
 
 
 def test_stacked_trajectory_equals_single_angle_iterations():
@@ -244,10 +257,10 @@ class TestTrajectoryCertificate:
         # the last is the later steps followed by the route outputs, one stack.
         step0, later = seen[0], seen[-1]
         assert np.array_equal(step0, trajectory[:1])
-        assert later.shape == (24, 1, 8, 8)
-        assert np.array_equal(later[:12], trajectory[1:, None])
+        assert later.shape == (24, 8, 8)
+        assert np.array_equal(later[:12], trajectory[1:])
         route = iteration._spectral_mix(trajectory[:-1])[0]
-        assert np.array_equal(later[12:], route[:, None])
+        assert np.array_equal(later[12:], route)
 
     @pytest.mark.parametrize("n_steps", [1, 3, 12])
     def test_one_route_call_certifies_every_step(self, monkeypatch, n_steps):
@@ -284,7 +297,13 @@ class TestTrajectoryCertificate:
     def test_dropped_eigenvectors_fail_the_route_check(self, monkeypatch, capsys):
         # Step 1 clones a pure state; step 2 would give the 1/18 eigenvectors
         # of its output weight zero, so its mixture misses 7/18 of the trace.
-        monkeypatch.setattr(iteration, "EIGENVALUE_CUTOFF", 0.5)
+        real = iteration.eig_hermitian
+
+        def dropping(rhos):
+            weights, vectors = real(rhos)
+            return np.where(weights < 0.5, 0.0, weights), vectors
+
+        monkeypatch.setattr(iteration, "eig_hermitian", dropping)
         with pytest.raises(RuntimeError, match="spectral-mixture route"):
             iterate(math.pi / 4, 2)
         with pytest.raises(RuntimeError, match="spectral-mixture route"):

@@ -133,6 +133,20 @@ def test_one_module_owns_the_block_size():
     assert blocks == [("cloners", "MAP_BLOCK")]
 
 
+def test_only_block_wise_modules_read_the_block_size():
+    # ``sweep`` and the spectral route split their own stacks; the
+    # verification suite hands whole stacks to them.
+    readers = {
+        path.stem
+        for path in Path(triclone.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "MAP_BLOCK"
+        or isinstance(node, ast.Attribute) and node.attr == "MAP_BLOCK"
+        or isinstance(node, ast.alias) and node.name == "MAP_BLOCK"
+    }
+    assert readers == {"cloners", "cli", "iteration"}
+
+
 def _call_sites(name):
     """(module, enclosing function) of every call of ``name`` in the package."""
     sites = []

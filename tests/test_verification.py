@@ -158,15 +158,23 @@ def test_residual_norm_keeps_a_nan_from_any_array(arrays):
 
 
 def test_spectral_route_runs_in_map_blocks(monkeypatch):
-    # 16 full-rank states give 128 eigenprojectors, one MAP_BLOCK per map.
-    sizes = []
+    # Check 08 hands the route all 100 states at once; the route splits them
+    # into blocks of 16, whose 128 eigenprojectors are one MAP_BLOCK per map.
+    calls, sizes = [], []
+    trajectory, mix = iteration.spectral_trajectory, iteration._spectral_mix
 
-    def recording(rhos, n_steps):
+    def recording_trajectory(rhos, n_steps):
+        calls.append((len(rhos), n_steps))
+        return trajectory(rhos, n_steps)
+
+    def recording_mix(rhos):
         sizes.append(len(rhos))
-        return iteration.spectral_trajectory(rhos, n_steps)
+        return mix(rhos)
 
-    monkeypatch.setattr(verification, "spectral_trajectory", recording)
+    monkeypatch.setattr(verification, "spectral_trajectory", recording_trajectory)
+    monkeypatch.setattr(iteration, "_spectral_mix", recording_mix)
     assert verification.check_channel_properties(12345).passed
+    assert calls == [(100, 1)]
     assert sizes == [16] * 6 + [4]
 
 
