@@ -47,9 +47,9 @@ CROSSING_BRACKET = 1e-6
 # Largest cloner dimension n: the (n, n, n, n) build takes 1 MiB at 16 and
 # grows as n**4, so a large n is refused before anything is allocated.
 MAX_CLONER_DIMENSION = 16
-# Matrices per ``CompiledChannel.map`` call where callers split a stack: 128
-# complex 8 x 8 matrices are 128 KiB, glibc's initial mmap threshold, above which
-# temporaries can page-fault anew on each call.  Larger blocks measured no faster.
+# Matrices per ``CompiledChannel.map`` call where callers split a stack.  A
+# 128-point sweep block's temporaries (384 KiB and up) stay under the 1 MiB mmap
+# threshold ``cli.main`` sets; 512 passes it, and 256 trades peak RSS for speed.
 MAP_BLOCK = 128
 
 

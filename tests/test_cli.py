@@ -1,8 +1,10 @@
+import ctypes
 import errno
 import hashlib
 import io
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -563,3 +565,79 @@ class TestStdoutFailures:
         with redirect_stdout(out):
             assert main(["sweep", "--points", "3"]) == 0
         assert out.getvalue() == format_sweep_csv(sweep_table(3))
+
+
+# After a warm-up, prints to stderr the minor page faults per 400-point sweep
+# over five more, then writes the default sweep to stdout.
+FAULT_SCRIPT = """\
+import os, resource, sys
+from triclone.cli import main
+argv = ["sweep", "--points", "400", "--output", os.devnull]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    main(argv)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print((after - before) / 5, file=sys.stderr)
+sys.exit(main(["sweep"]))
+"""
+
+
+class _Mallopt:
+    """Stands in for glibc's ``mallopt`` and records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class _Recorder:
+    def __init__(self):
+        self.mallopt = _Mallopt()
+
+
+def _no_library():
+    raise OSError("cannot open the C library")
+
+
+class TestMallocThresholds:
+    """``main`` keeps freed block-sized temporaries in glibc's heap, once."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_warm_sweep_reuses_its_pages(self, tmp_path):
+        out = tmp_path / "stdout"
+        with open(out, "wb") as fh:
+            code, err = _run_cli([sys.executable, "-c", FAULT_SCRIPT], stdout=fh)
+        assert code == 0
+        # About 620 per call when each block's memory goes back to the kernel.
+        assert float(err) <= 8
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_201_SHA256
+
+    @pytest.mark.parametrize(
+        "library",
+        [_Recorder, object, _no_library],
+        ids=["mallopt", "no-mallopt", "no-library"],
+    )
+    def test_set_once_and_optional(self, monkeypatch, request, capsys, library):
+        names, libs = [], []
+
+        def cdll(name):
+            names.append(name)
+            libs.append(library())
+            return libs[-1]
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_blocks.cache_clear()
+        request.addfinalizer(cli._keep_freed_blocks.cache_clear)
+        for _ in range(2):
+            assert main(["sweep", "--points", "2"]) == 0
+            csv = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(csv).hexdigest() == SWEEP_SHA256[2]
+        assert names == [None]
+        if library is _Recorder:
+            mallopt = libs[0].mallopt
+            assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+            assert mallopt.calls == [(-3, 1 << 20), (-1, 2 << 20)]
