@@ -48,9 +48,10 @@ CROSSING_BRACKET = 1e-6
 # grows as n**4, so a large n is refused before anything is allocated.
 MAX_CLONER_DIMENSION = 16
 # Matrices per ``CompiledChannel.map`` call where callers split a stack.  A
-# 128-point sweep block's temporaries (384 KiB and up) stay under the 1 MiB mmap
-# threshold ``cli.main`` sets; 512 passes it, and 256 trades peak RSS for speed.
-MAP_BLOCK = 128
+# 256-point sweep block's largest temporary, its 768 KiB states, stays under
+# the 1 MiB mmap threshold ``cli.main`` sets, and its traced heap peak (about
+# 1.9 MiB) under half the 4 MiB trim threshold; 512 passes the mmap threshold.
+MAP_BLOCK = 256
 
 
 @dataclass(frozen=True)

@@ -127,15 +127,30 @@ def measure_stack(rhos: np.ndarray):
     """
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
-    m2 = k2 - lam[..., [0, 1, 0], :, None] * lam[..., [1, 2, 2], None, :]
-    l1, l2, l3 = np.moveaxis(lam, -2, 0)
-    m3 = (
-        k3
-        - np.einsum("...i,...jk->...ijk", l1, m2[..., 1, :, :])
-        - np.einsum("...j,...ik->...ijk", l2, m2[..., 2, :, :])
-        - np.einsum("...k,...ij->...ijk", l3, m2[..., 0, :, :])
-        - np.einsum("...i,...j,...k->...ijk", l1, l2, l3)
-    )
+    # Stack-last copies, so that each product below runs one inner loop over
+    # the whole stack per tensor entry rather than one per member over three
+    # entries; every entry is the same product or difference either way.
+    lam_t = np.moveaxis(lam, (-2, -1), (0, 1)).copy()
+    m2, m3 = (np.moveaxis(k, (-3, -2, -1), (0, 1, 2)).copy() for k in (k2, k3))
+    del lam, k2, k3  # the expectations, freed before the products allocate
+    m2 -= lam_t[[0, 1, 0], :, None] * lam_t[[1, 2, 2], None, :]
+    # M3 = K3 - l1 M2_23 - l2 M2_13 - l3 M2_12 - (l1 l2) l3, subtracted in
+    # this order, each term a broadcast product into one buffer.
+    l1, l2, l3 = lam_t
+    term = np.empty_like(m3)
+    np.multiply(l1[:, None, None], m2[1][None], out=term)
+    m3 -= term
+    np.multiply(l2[None, :, None], m2[2][:, None, :], out=term)
+    m3 -= term
+    np.multiply(l3[None, None, :], m2[0][:, :, None], out=term)
+    m3 -= term
+    np.multiply(l1[:, None, None], l2[None, :, None], out=term)
+    term *= l3[None, None, :]
+    m3 -= term
+    # Member-first again, so that the sums below reduce each member's
+    # contiguous entries in the order they always have.
+    m2 = np.moveaxis(m2, (0, 1, 2), (-3, -2, -1)).copy()
+    m3 = np.moveaxis(m3, (0, 1, 2), (-3, -2, -1)).copy()
     e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
     e2 = (m2 * m2).sum(axis=(-2, -1)) / 3.0
     _check_measures(e3, e2)

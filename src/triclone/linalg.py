@@ -114,16 +114,26 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         return
     if not np.isfinite(matrices).all():
         raise ValueError("matrix entries must be finite")
-    herm = max_abs(matrices - matrices.conj().swapaxes(-1, -2))
-    if not herm <= HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+    # One work buffer holds the Hermitian residual, then the shifted matrices.
+    work = np.empty(matrices.shape, np.result_type(matrices, np.float64))
+    np.conjugate(matrices.swapaxes(-1, -2), out=work)
+    np.subtract(matrices, work, out=work)
+    # |z| <= sqrt(2) max(|Re z|, |Im z|) < 1.5 max(...), so the largest real or
+    # imaginary part bounds the residual; only a near miss pays for |z|.
+    if not 1.5 * max_abs(work.view(np.float64)) <= HERMITIAN_ATOL:
+        herm = max_abs(work)
+        if not herm <= HERMITIAN_ATOL:
+            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
     tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
     off = np.abs(tr - 1.0)
     if not off.max() <= TRACE_ATOL:
         raise ValueError(f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}")
-    shift = (-EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN) * np.eye(matrices.shape[-1])
+    d = matrices.shape[-1]
+    np.copyto(work, matrices)
+    diagonal = work.reshape(-1, d * d)[:, :: d + 1]
+    diagonal += -EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN
     try:
-        np.linalg.cholesky(matrices + shift)
+        np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
         if not smallest >= EIGENVALUE_FLOOR:

@@ -24,14 +24,14 @@ from triclone.cli import (
     main,
     sweep_table,
 )
-from triclone.cloners import evaluate, local_channel, nonlocal_channel
+from triclone.cloners import MAP_BLOCK, evaluate, local_channel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
 from triclone.linalg import check_density_matrices, fidelities
 
 # SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
 SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
-# The same at 2 points and at 1000 points (seven full blocks of
-# ``cloners.MAP_BLOCK`` = 128 points and one partial block).
+# The same at 2 points and at 1000 points (three full blocks of
+# ``cloners.MAP_BLOCK`` = 256 points and one partial block).
 SWEEP_SHA256 = {
     2: "160d1cd94611f82074e048c77953d61afcd62a0da9955db74ec5f4fc3998c7f2",
     1000: "758f5650f06d4ce784c1518ecb41c7d519cd6cebb6f2bad67645d0733d5855e7",
@@ -202,8 +202,9 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "evaluate", recording)
         sweep_table(400)
-        assert live == [0, 0, 0, 0]
-        assert sizes == [128, 128, 128, 16]
+        full, rest = divmod(400, MAP_BLOCK)
+        assert sizes == [MAP_BLOCK] * full + [rest] * (rest > 0)
+        assert live == [0] * len(sizes)
 
     def test_csv_formatting_memory_is_bounded(self):
         # The rows are formatted one block at a time, so the Python floats and
@@ -616,6 +617,23 @@ class TestMallocThresholds:
         assert float(err) <= 8
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_201_SHA256
 
+    def test_a_block_stays_in_the_heap(self):
+        # A block's largest temporary, its states buffer, is served from the
+        # heap, and the block's traced peak leaves half the trim threshold free,
+        # so freeing the block hands no page back to the kernel.  With 256-point
+        # blocks and a 2 MiB threshold a warm 400-point sweep made about 450
+        # minor faults.
+        alphas = [math.acos(float(x)) for x in np.linspace(0.0, 1.0, MAP_BLOCK)]
+        evaluate(alphas)
+        tracemalloc.start()
+        try:
+            states = evaluate(alphas)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.nbytes < cli._MMAP_THRESHOLD
+        assert peak <= cli._TRIM_THRESHOLD // 2
+
     @pytest.mark.parametrize(
         "library",
         [_Recorder, object, _no_library],
@@ -640,4 +658,7 @@ class TestMallocThresholds:
         if library is _Recorder:
             mallopt = libs[0].mallopt
             assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
-            assert mallopt.calls == [(-3, 1 << 20), (-1, 2 << 20)]
+            assert mallopt.calls == [
+                (-3, cli._MMAP_THRESHOLD),
+                (-1, cli._TRIM_THRESHOLD),
+            ]

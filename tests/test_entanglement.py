@@ -119,6 +119,45 @@ class TestExpectationKernel:
             _EXPECTATION_MATRIX[0, 0] = 0.0
 
 
+def _einsum_measures(rhos):
+    """Reference E3, E2, M2 and M3 of matrices (..., 8, 8), from einsum products."""
+    lam, k2, k3 = _correlation_stack(rhos)
+    m2 = k2 - np.einsum(
+        "...m,...n->...mn", lam[..., [0, 1, 0], :], lam[..., [1, 2, 2], :]
+    )
+    l1, l2, l3 = np.moveaxis(lam, -2, 0)
+    m3 = (
+        k3
+        - np.einsum("...i,...jk->...ijk", l1, m2[..., 1, :, :])
+        - np.einsum("...j,...ik->...ijk", l2, m2[..., 2, :, :])
+        - np.einsum("...k,...ij->...ijk", l3, m2[..., 0, :, :])
+        - np.einsum("...i,...j,...k->...ijk", l1, l2, l3)
+    )
+    e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
+    e2 = (m2 * m2).sum(axis=(-2, -1)) / 3.0
+    return e3, e2, m2, m3
+
+
+class TestMeasureKernel:
+    # M3 is built in place from broadcast products; these tests hold it and
+    # everything after it to the bits of the einsum formulas.
+    def _assert_equal_bits(self, rhos):
+        for got, want in zip(measure_stack(rhos), _einsum_measures(rhos)):
+            assert got.shape == want.shape
+            assert (got == want).all()
+
+    def test_equals_the_einsums_on_random_states(self):
+        rng = np.random.default_rng(2026)
+        self._assert_equal_bits(random_density_matrices(rng, 200))
+
+    def test_equals_the_einsums_on_a_sweep_block(self):
+        alphas = [math.acos(x) for x in np.linspace(0.0, 1.0, 256).tolist()]
+        states = evaluate(alphas)[0]
+        self._assert_equal_bits(states)
+        for slab in states:
+            self._assert_equal_bits(slab)
+
+
 class TestInputState:
     def test_alpha_zero_is_first_corner(self):
         psis = input_states([0.0])

@@ -5,7 +5,7 @@ import pytest
 
 from triclone import iteration
 from triclone.cli import main
-from triclone.cloners import CompiledChannel, nonlocal_channel
+from triclone.cloners import MAP_BLOCK, CompiledChannel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
 from triclone.iteration import ROUTE_AGREEMENT_ATOL, iterate, spectral_trajectory
 from triclone.linalg import eig_hermitian
@@ -110,8 +110,9 @@ class TestCloneMixedStack:
 
 
 def test_route_splits_any_stack_into_map_blocks(rng, monkeypatch):
-    # 40 states over 3 steps are 120 route states: 16 per ``_spectral_mix``
-    # call, so that one channel map takes at most MAP_BLOCK eigenprojectors.
+    # 40 states over 3 steps are 120 route states: MAP_BLOCK // 8 per
+    # ``_spectral_mix`` call, so that one channel map takes at most MAP_BLOCK
+    # eigenprojectors.
     sizes = []
     real = iteration._spectral_mix
 
@@ -122,7 +123,9 @@ def test_route_splits_any_stack_into_map_blocks(rng, monkeypatch):
     monkeypatch.setattr(iteration, "_spectral_mix", recording)
     stack = random_density_matrices(rng, 40)
     trajectory, route = spectral_trajectory(stack, 3)
-    assert sizes == [16] * 7 + [8]
+    block = MAP_BLOCK // 8
+    full, rest = divmod(120, block)
+    assert sizes == [block] * full + [rest] * (rest > 0)
     for k in range(len(stack)):
         alone_trajectory, alone_route = spectral_trajectory(stack[k : k + 1], 3)
         assert np.array_equal(trajectory[:, k], alone_trajectory[:, 0])

@@ -8,6 +8,7 @@ from triclone.linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
     NORM_ATOL,
+    PSD_CERTIFICATE_MARGIN,
     TRACE_ATOL,
     check_density_matrices,
     check_pure_states,
@@ -241,6 +242,70 @@ class TestPsdCertificate:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         check_density_matrices(stack)
+
+
+def _previous_verdict(matrices):
+    """Verdict of the validator as it was before it used one work buffer."""
+    herm = max_abs(matrices - matrices.conj().swapaxes(-1, -2))
+    if not herm <= HERMITIAN_ATOL:
+        return f"matrix is not Hermitian (residual {herm:.3e})"
+    tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
+    off = np.abs(tr - 1.0)
+    if not off.max() <= TRACE_ATOL:
+        return f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}"
+    shift = (-EIGENVALUE_FLOOR - PSD_CERTIFICATE_MARGIN) * np.eye(matrices.shape[-1])
+    try:
+        np.linalg.cholesky(matrices + shift)
+    except np.linalg.LinAlgError:
+        return _eigvalsh_verdict(matrices)
+    return None
+
+
+class TestHermitianResidual:
+    """The bound by real and imaginary parts decides as the modulus, message and all."""
+
+    @pytest.mark.parametrize("part, passes", [(0.8e-12, False), (0.7e-12, True)])
+    def test_near_miss_uses_the_complex_modulus(self, rng, part, passes):
+        # |Re| = |Im| = part, so |z| = sqrt(2) part: 1.13e-12 fails, 0.99e-12
+        # passes, and 1.5 part is above the tolerance in both cases.
+        stack = np.stack([_random_density(rng, 8) for _ in range(4)])
+        stack[2, 0, 1] += part * (1 + 1j)
+        expected = _previous_verdict(stack)
+        assert (expected is None) == passes
+        assert _verdict(stack) == expected
+        if not passes:
+            assert expected == "matrix is not Hermitian (residual 1.131e-12)"
+
+    def test_random_perturbations_match_the_previous_form(self, rng):
+        verdicts = set()
+        for _ in range(200):
+            stack = np.stack([_random_density(rng, 8) for _ in range(3)])
+            k, i, j = rng.integers(3), rng.integers(8), rng.integers(8)
+            size = rng.uniform(0.3, 1.7) * HERMITIAN_ATOL
+            stack[k, i, j] += size * np.exp(2j * np.pi * rng.uniform())
+            if rng.uniform() < 0.25:
+                stack[rng.integers(3)] = _with_min_eigenvalue(
+                    rng, rng.uniform(0.5, 1.5) * EIGENVALUE_FLOOR, rotate=True
+                )
+            expected = _previous_verdict(stack)
+            assert _verdict(stack) == expected
+            verdicts.add(expected and expected.split(" (")[0])
+        # Both sides of the Hermitian test and the positivity test are reached.
+        assert {
+            None,
+            "matrix is not Hermitian",
+            "matrix is not positive semidefinite",
+        } <= verdicts
+
+    @pytest.mark.parametrize("dtype", [float, int])
+    def test_real_input(self, dtype):
+        for diagonal in ([1, 0], [2, -1]):
+            m = np.diag(diagonal).astype(dtype)
+            assert _verdict(m) == _previous_verdict(m)
+        m = np.array([[1, 1], [0, 0]], dtype=dtype)
+        assert _verdict(m) == _previous_verdict(m) == (
+            "matrix is not Hermitian (residual 1.000e+00)"
+        )
 
 
 def _random_amplitudes(rng):

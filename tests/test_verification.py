@@ -159,7 +159,8 @@ def test_residual_norm_keeps_a_nan_from_any_array(arrays):
 
 def test_spectral_route_runs_in_map_blocks(monkeypatch):
     # Check 08 hands the route all 100 states at once; the route splits them
-    # into blocks of 16, whose 128 eigenprojectors are one MAP_BLOCK per map.
+    # into blocks of MAP_BLOCK // 8, whose eigenprojectors are one MAP_BLOCK
+    # per map.
     calls, sizes = [], []
     trajectory, mix = iteration.spectral_trajectory, iteration._spectral_mix
 
@@ -175,7 +176,9 @@ def test_spectral_route_runs_in_map_blocks(monkeypatch):
     monkeypatch.setattr(iteration, "_spectral_mix", recording_mix)
     assert verification.check_channel_properties(12345).passed
     assert calls == [(100, 1)]
-    assert sizes == [16] * 6 + [4]
+    block = cloners.MAP_BLOCK // 8
+    full, rest = divmod(100, block)
+    assert sizes == [block] * full + [rest] * (rest > 0)
 
 
 def test_residual_norm_equals_the_list_form_on_verify_residuals(grid, monkeypatch):
