@@ -118,12 +118,9 @@ def check_density_matrices(matrices: np.ndarray) -> None:
     work = np.empty(matrices.shape, np.result_type(matrices, np.float64))
     np.conjugate(matrices.swapaxes(-1, -2), out=work)
     np.subtract(matrices, work, out=work)
-    # |z| <= sqrt(2) max(|Re z|, |Im z|) < 1.5 max(...), so the largest real or
-    # imaginary part bounds the residual; only a near miss pays for |z|.
-    if not 1.5 * max_abs(work.view(np.float64)) <= HERMITIAN_ATOL:
-        herm = max_abs(work)
-        if not herm <= HERMITIAN_ATOL:
-            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+    herm = max_abs(work)
+    if not herm <= HERMITIAN_ATOL:
+        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
     tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
     off = np.abs(tr - 1.0)
     if not off.max() <= TRACE_ATOL:

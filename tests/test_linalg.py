@@ -262,12 +262,12 @@ def _previous_verdict(matrices):
 
 
 class TestHermitianResidual:
-    """The bound by real and imaginary parts decides as the modulus, message and all."""
+    """The one-buffer residual decides as the previous form, message and all."""
 
     @pytest.mark.parametrize("part, passes", [(0.8e-12, False), (0.7e-12, True)])
     def test_near_miss_uses_the_complex_modulus(self, rng, part, passes):
-        # |Re| = |Im| = part, so |z| = sqrt(2) part: 1.13e-12 fails, 0.99e-12
-        # passes, and 1.5 part is above the tolerance in both cases.
+        # |Re| = |Im| = part, so |z| = sqrt(2) part: 1.13e-12 fails and
+        # 0.99e-12 passes, though each part alone is under the tolerance.
         stack = np.stack([_random_density(rng, 8) for _ in range(4)])
         stack[2, 0, 1] += part * (1 + 1j)
         expected = _previous_verdict(stack)
@@ -306,6 +306,20 @@ class TestHermitianResidual:
         assert _verdict(m) == _previous_verdict(m) == (
             "matrix is not Hermitian (residual 1.000e+00)"
         )
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+    def test_wide_input_reports_its_residual(self, dtype):
+        # The residual keeps the input's wide dtype; its modulus is read as
+        # such, not as pairs of 8-byte floats.
+        m = np.array([[0.5, 1], [0, 0.5]], dtype=dtype)
+        assert _verdict(m) == _previous_verdict(m) == (
+            "matrix is not Hermitian (residual 1.000e+00)"
+        )
+        if dtype is np.clongdouble:
+            m[0, 1] = m[1, 0] = 0.5j
+            assert _verdict(m) == _previous_verdict(m) == (
+                "matrix is not Hermitian (residual 1.000e+00)"
+            )
 
 
 def _random_amplitudes(rng):
