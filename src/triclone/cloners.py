@@ -44,6 +44,7 @@ from .linalg import (
 ISOMETRY_ATOL = 1e-12
 OUTPUT_SYMMETRY_ATOL = 1e-12
 CROSSING_BRACKET = 1e-6
+_BISECTION_LEVELS = 4  # halvings of each crossing bracket per ``e2_gaps`` call
 # Largest cloner dimension n: the (n, n, n, n) build takes 1 MiB at 16 and
 # grows as n**4, so a large n is refused before anything is allocated.
 MAX_CLONER_DIMENSION = 16
@@ -234,19 +235,27 @@ def e2_gaps(cos_alphas):
     return e2[1, :, 0] - e2[0, :, 0]
 
 
+def _finite_gaps(gaps, xs):
+    """``gaps``, the E2 gaps at ``xs``; RuntimeError if one is not finite."""
+    if not np.isfinite(gaps).all():
+        k = int(np.argmin(np.isfinite(gaps)))
+        raise RuntimeError(f"E2 gap {gaps[k]} at cos(alpha)={xs[k]} is not finite")
+    return gaps
+
+
 def find_e2_crossings() -> tuple[float, float]:
     """Roots of E2_nonlocal(alpha) = E2_input(alpha) in cos(alpha) on (0, 1).
 
-    Bisection on the simulated curves, each root bracketed to 1e-6,
-    returned ascending.  Both brackets are halved together, one ``e2_gaps``
-    call per step, and each stops once it is no wider than
-    ``CROSSING_BRACKET``.  The non-local channel amplifies pairwise
-    entanglement outside the returned window and degrades it inside.
+    Bisection on the simulated curves, each root bracketed to 1e-6, returned
+    ascending; RuntimeError on a gap that is not finite.  One ``e2_gaps`` call
+    takes both brackets' next ``_BISECTION_LEVELS`` halvings, each stopping once
+    no wider than ``CROSSING_BRACKET``.  The non-local channel amplifies
+    pairwise entanglement outside the returned window and degrades it inside.
     """
-    half = math.sqrt(0.5)
-    f_ends = e2_gaps([0.0, half, 1.0])
+    ends = [0.0, math.sqrt(0.5), 1.0]
+    f_ends = _finite_gaps(e2_gaps(ends), ends)
     brackets = []  # [lo, hi, whether the gap is positive at lo]
-    for lo, hi, f_lo, f_hi in ((0.0, half, *f_ends[:2]), (half, 1.0, *f_ends[1:])):
+    for lo, hi, f_lo, f_hi in zip(ends, ends[1:], f_ends, f_ends[1:]):
         if f_lo == 0.0:
             hi = lo
         elif f_lo * f_hi > 0.0:
@@ -255,9 +264,20 @@ def find_e2_crossings() -> tuple[float, float]:
                 f"gap endpoints {f_lo:.3e}, {f_hi:.3e}"
             )
         brackets.append([lo, hi, f_lo > 0.0])
+    nodes = 2**_BISECTION_LEVELS - 1
     while active := [b for b in brackets if b[1] - b[0] > CROSSING_BRACKET]:
-        mids = [0.5 * (lo + hi) for lo, hi, _ in active]
-        for bracket, mid, f_mid in zip(active, mids, e2_gaps(mids)):
-            bracket[0 if (f_mid > 0.0) == bracket[2] else 1] = mid
+        # Per bracket, a heap of the spans its next halvings can reach, each
+        # halved as one halving per call would: span k into 2k + 1 and 2k + 2.
+        heaps = [[(lo, hi)] for lo, hi, _ in active]
+        for heap in heaps:
+            for lo, hi in (heap[k] for k in range(nodes)):
+                heap += [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+        xs = [0.5 * (lo + hi) for heap in heaps for lo, hi in heap[:nodes]]
+        f_xs = _finite_gaps(e2_gaps(xs), xs).reshape(len(heaps), nodes)
+        for bracket, heap, f_mids in zip(active, heaps, f_xs):
+            k = 0
+            while k < nodes and bracket[1] - bracket[0] > CROSSING_BRACKET:
+                k = 2 * k + (2 if (f_mids[k] > 0.0) == bracket[2] else 1)
+                bracket[:2] = heap[k]
     (lo1, hi1, _), (lo2, hi2, _) = brackets
     return 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)

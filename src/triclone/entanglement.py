@@ -90,7 +90,7 @@ def _check_norms(lams: np.ndarray) -> None:
 
 def _check_measures(e3: np.ndarray, e2: np.ndarray) -> None:
     """Range check of E3 (...,) and of E2 (..., 3), columns in ``PAIRS`` order."""
-    values = np.concatenate([e3[None], np.moveaxis(e2, -1, 0)])
+    values = np.concatenate([e3[None], e2.transpose(-1, *range(e3.ndim))])
     ok = (0.0 <= values) & (values <= MEASURE_CEILING)
     if not ok.all():
         first = tuple(np.argwhere(~ok)[0])
@@ -130,8 +130,9 @@ def measure_stack(rhos: np.ndarray):
     # Stack-last copies, so that each product below runs one inner loop over
     # the whole stack per tensor entry rather than one per member over three
     # entries; every entry is the same product or difference either way.
-    lam_t = np.moveaxis(lam, (-2, -1), (0, 1)).copy()
-    m2, m3 = (np.moveaxis(k, (-3, -2, -1), (0, 1, 2)).copy() for k in (k2, k3))
+    n = lam.ndim - 2  # stack axes; transpose skips np.moveaxis's Python overhead
+    lam_t = lam.transpose(n, n + 1, *range(n)).copy()
+    m2, m3 = (k.transpose(n, n + 1, n + 2, *range(n)).copy() for k in (k2, k3))
     del lam, k2, k3  # the expectations, freed before the products allocate
     m2 -= lam_t[[0, 1, 0], :, None] * lam_t[[1, 2, 2], None, :]
     # M3 = K3 - l1 M2_23 - l2 M2_13 - l3 M2_12 - (l1 l2) l3, subtracted in
@@ -149,8 +150,7 @@ def measure_stack(rhos: np.ndarray):
     m3 -= term
     # Member-first again, so that the sums below reduce each member's
     # contiguous entries in the order they always have.
-    m2 = np.moveaxis(m2, (0, 1, 2), (-3, -2, -1)).copy()
-    m3 = np.moveaxis(m3, (0, 1, 2), (-3, -2, -1)).copy()
+    m2, m3 = (m.transpose(*range(3, 3 + n), 0, 1, 2).copy() for m in (m2, m3))
     e3 = 0.25 * (m3 * m3).sum(axis=(-3, -2, -1))
     e2 = (m2 * m2).sum(axis=(-2, -1)) / 3.0
     _check_measures(e3, e2)

@@ -403,6 +403,18 @@ class TestVerify:
             "error: internal check failed: E2 crossing not bracketed"
         )
 
+    def test_non_finite_gap_exits_one(self, monkeypatch, capsys):
+        # A NaN gap is a failed internal check, not a side of a bracket.
+        monkeypatch.setattr(
+            "triclone.cloners.e2_gaps", lambda xs: np.full(len(xs), np.nan)
+        )
+        assert main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: E2 gap nan at cos(alpha)=0.0 is not finite\n"
+        )
+
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["dance"])

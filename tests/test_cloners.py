@@ -629,33 +629,76 @@ class TestE2Crossings:
             return e2[2, 0, 0] - e2[0, 0, 0]
 
         expected = []
+        visited = []
+        halvings = []
         for lo, hi in ((0.0, math.sqrt(0.5)), (math.sqrt(0.5), 1.0)):
             positive_at_lo = gap(lo) > 0.0
             while hi - lo > CROSSING_BRACKET:
                 mid = 0.5 * (lo + hi)
+                visited.append(mid)
                 if (gap(mid) > 0.0) == positive_at_lo:
                     lo = mid
                 else:
                     hi = mid
             expected.append(0.5 * (lo + hi))
+            halvings.append(len(visited) - sum(halvings))
 
         sizes = []
         passed = []
+        evaluated = []
 
         def counted(psis, channels):
             sizes.append(len(psis))
             passed.append(channels)
             return evaluate_states(psis, channels)
 
+        def recorded(xs):
+            evaluated.extend(xs)
+            return e2_gaps(xs)
+
         monkeypatch.setattr(cloners, "evaluate_states", counted)
+        monkeypatch.setattr(cloners, "e2_gaps", recorded)
         assert find_e2_crossings() == tuple(expected)
-        # The three bracket ends, then both midpoints per step until the
-        # narrower bracket stops after 19 halvings and the wider after 20.
-        assert sizes == [3] + [2] * 19 + [1]
+        # The wider bracket takes 20 halvings, the narrower 19.
+        assert halvings == [20, 19]
+        # The three bracket ends, then per call every midpoint the next
+        # ``_BISECTION_LEVELS`` halvings of each unfinished bracket can visit.
+        levels = cloners._BISECTION_LEVELS
+        calls = [math.ceil(h / levels) for h in halvings]
+        tree = 2**levels - 1
+        assert sizes == [3] + [
+            tree * sum(c > i for c in calls) for i in range(max(calls))
+        ]
+        assert set(visited) <= set(evaluated)
         # Only the non-local slab is read, so only the non-local channel runs.
         assert all(
             type(c) is tuple and len(c) == 1 and c[0] is nonlocal_channel()
             for c in passed
+        )
+
+    @pytest.mark.parametrize(
+        "call, point",
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 15), (5, 15)],
+        ids=["end-0", "end-half", "end-1", "first-mid", "second-tree", "last-call"],
+    )
+    def test_non_finite_gap_fails_the_search(self, monkeypatch, call, point):
+        # Unchecked, a NaN passes the bracket test at an end and picks a side
+        # at a midpoint; the search raises at the call that returned it.
+        calls = []
+
+        def poisoned(xs):
+            gaps = e2_gaps(xs)
+            if len(calls) == call:
+                gaps[point] = np.nan
+            calls.append(xs)
+            return gaps
+
+        monkeypatch.setattr(cloners, "e2_gaps", poisoned)
+        with pytest.raises(RuntimeError) as failure:
+            find_e2_crossings()
+        assert len(calls) == call + 1
+        assert str(failure.value) == (
+            f"E2 gap nan at cos(alpha)={calls[call][point]} is not finite"
         )
 
     @pytest.mark.parametrize(

@@ -157,6 +157,14 @@ class TestMeasureKernel:
         for slab in states:
             self._assert_equal_bits(slab)
 
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 3, 4, 8, 8), (0, 8, 8)])
+    def test_equals_the_einsums_on_every_stack_rank(self, shape):
+        # The stack-last and member-first layouts are built from ``ndim``; a
+        # bare matrix, a rank-three stack and an empty one pin every rank.
+        rng = np.random.default_rng(36)
+        n = math.prod(shape[:-2])
+        self._assert_equal_bits(random_density_matrices(rng, n).reshape(shape))
+
 
 class TestInputState:
     def test_alpha_zero_is_first_corner(self):

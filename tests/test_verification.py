@@ -311,3 +311,33 @@ def test_grid_is_freed_before_the_grid_free_checks(monkeypatch):
     monkeypatch.setattr(verification, "check_amplification_window", recording_check_06)
     assert len(verification.run_all(12345)) == 10
     assert alive_at_check_06 == [False]
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``cloners.<name>`` through every module that binds it."""
+    original = getattr(cloners, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cloners, iteration, verification):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_window_check_makes_seven_gap_calls(monkeypatch):
+    # Six from the crossing search, the bracket ends and then five of four
+    # halvings per bracket, and one for the sign probes.
+    gaps = _count_calls(monkeypatch, "e2_gaps")
+    verification.check_amplification_window()
+    assert len(gaps) == 7
+
+
+def test_verify_evaluates_ten_stacks(monkeypatch):
+    # The grid, the seven gap calls of check 06 and the two determinism sweeps.
+    stacks = _count_calls(monkeypatch, "evaluate_states")
+    assert len(verification.run_all(12345)) == 10
+    assert len(stacks) == 10
