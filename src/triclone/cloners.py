@@ -16,8 +16,8 @@ positive, and keeps the residuals.  Because the two sides are proven
 equal there, ``CompiledChannel.map`` gives one state per input: the
 reduced state of the copies, which is also that of the originals.
 
-``evaluate_states`` runs any channels, the measures and the fidelities over
-a stack of pure inputs at once; ``evaluate`` runs both schemes on two-corner
+``evaluate_states`` gives ``(states, e3, e2)`` for any channels over a stack
+of pure inputs; ``evaluate`` adds both schemes' fidelities on two-corner
 inputs, and ``find_e2_crossings`` bisects the non-local E2 gap ``e2_gaps``.
 """
 
@@ -191,13 +191,13 @@ def nonlocal_channel() -> CompiledChannel:
 
 
 def evaluate_states(psis, channels):
-    """Measures and fidelities of pure inputs ``psis`` (n, 8) under ``channels``.
+    """Measures of pure inputs ``psis`` (n, 8) and of their ``channels`` outputs.
 
-    Returns ``(states, e3, e2, f)``: ``states`` (1 + k, n, 8, 8) holds the
-    input projectors, then one output slab per channel; ``e3`` (1 + k, n) and
-    ``e2`` (1 + k, n, 3) are their measures, ``f`` (k, n) the fidelities.
-    Each slab is validated; each point and slab equals its call alone bit for
-    bit.  Raises ValueError if ``psis`` is not (n, 8) or ``channels`` is empty.
+    Returns ``(states, e3, e2)``: ``states`` (1 + k, n, 8, 8) holds the input
+    projectors, then one output slab per channel; ``e3`` (1 + k, n) and
+    ``e2`` (1 + k, n, 3) are their measures.  Each slab is validated; each
+    point and slab equals its call alone bit for bit.  Raises ValueError if
+    ``psis`` is not (n, 8) or ``channels`` is empty.
     """
     psis = np.asarray(psis, dtype=complex)
     if psis.ndim != 2 or psis.shape[1] != 8:
@@ -213,25 +213,25 @@ def evaluate_states(psis, channels):
         out[...] = channel.map(rho_in)
         check_density_matrices(out)
     e3, e2, *_ = measure_stack(states)
-    f = np.stack([fidelities(psis, out) for out in outputs])
-    return states, e3, e2, f
+    return states, e3, e2
 
 
 def evaluate(alphas):
     """``evaluate_states`` at two-corner ``alphas``, local then non-local channel.
 
-    Shapes (3, n, 8, 8), (3, n), (3, n, 3) and (2, n); ValueError if no alpha.
+    Its arrays, then the clones' fidelities ``f`` (2, n); ValueError if no alpha.
     """
     psis = input_states(alphas)
     if len(psis) == 0:
         raise ValueError("evaluate needs at least one alpha")
-    return evaluate_states(psis, (local_channel(), nonlocal_channel()))
+    states, e3, e2 = evaluate_states(psis, (local_channel(), nonlocal_channel()))
+    return states, e3, e2, np.stack([fidelities(psis, out) for out in states[1:]])
 
 
 def e2_gaps(cos_alphas):
     """E2_nonlocal - E2_input at each cos(alpha), one non-local call, shape (n,)."""
     psis = input_states([math.acos(x) for x in cos_alphas])
-    _, _, e2, _ = evaluate_states(psis, (nonlocal_channel(),))
+    _, _, e2 = evaluate_states(psis, (nonlocal_channel(),))
     return e2[1, :, 0] - e2[0, :, 0]
 
 

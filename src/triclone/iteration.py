@@ -16,10 +16,11 @@ eigenprojectors.  Per block, ``_spectral_mix`` makes one ``eig_hermitian``
 call, one ``map`` over the eigenprojectors and one reduction that remixes
 them, weights descending.  The route then validates what the block
 created, each state once: every projector, then every clone, then, once
-the route outputs have been checked against the trajectory, that slice of
-the later steps and those outputs as one stack.  ``iterate`` runs it on
-the two-corner input at one angle, and the verification suite on 100
-random states.  Each state comes out bit for bit as it would alone.
+the outputs have passed the agreement check against the trajectory, that
+slice of the later steps and the outputs as one stack, and drops the
+outputs.  It returns ``(trajectory, agreement)``, the largest residual of
+that check.  ``iterate`` runs it at one angle, and the verification suite
+on 100 random states.  Each state comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -46,34 +47,33 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     ``ROUTE_AGREEMENT_ATOL``, then validates the block's later steps and
     route outputs as one stack.  A fault anywhere raises RuntimeError, a
     ValueError from any of these checks included.  Returns the trajectory
-    (n_steps + 1, m, 8, 8) and the route outputs (n_steps, m, 8, 8) of its
-    steps 0..n-1.
+    (n_steps + 1, m, 8, 8) and the agreement: the largest block residual,
+    0.0 if there is no block.
     """
     trajectory = np.empty((n_steps + 1,) + rhos.shape, dtype=complex)
     trajectory[0] = rhos
     for k in range(n_steps):
         trajectory[k + 1] = nonlocal_channel().map(trajectory[k])
-    route = np.empty_like(trajectory[1:])
-    chain, later, mixed = (
-        a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:], route)
-    )
+    chain, later = (a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:]))
     block = MAP_BLOCK // 8  # each state has 8 eigenprojectors
+    agreement = 0.0
     try:
         for s in range(0, len(chain), block):
             part = slice(s, s + block)
-            mixed[part], projectors, clones = _spectral_mix(chain[part])
+            mixed, projectors, clones = _spectral_mix(chain[part])
             check_density_matrices(projectors)
             check_density_matrices(clones)
-            residual = max_abs(mixed[part] - later[part])
+            residual = max_abs(mixed - later[part])
             if not residual <= ROUTE_AGREEMENT_ATOL:
                 raise RuntimeError(
                     f"spectral-mixture route deviates from direct channel "
                     f"application by {residual:.3e}"
                 )
-            check_density_matrices(np.concatenate([later[part], mixed[part]]))
+            check_density_matrices(np.concatenate([later[part], mixed]))
+            agreement = max(agreement, residual)
     except ValueError as exc:
         raise RuntimeError(f"spectral-mixture route: {exc}") from exc
-    return trajectory, route
+    return trajectory, agreement
 
 
 def _spectral_mix(rhos: np.ndarray):

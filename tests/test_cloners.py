@@ -536,9 +536,8 @@ class TestEvaluate:
         by_name = {"local": local_channel(), "nonlocal": nonlocal_channel()}
         channels = tuple(by_name[name] for name in names)
         psis = input_states(np.linspace(0.0, math.pi / 2, n))
-        states, e3, e2, f = evaluate_states(psis, channels)
+        states, e3, e2 = evaluate_states(psis, channels)
         assert states.shape == (1 + len(names), n, 8, 8)
-        assert f.shape == (len(names), n)
         for i, channel in enumerate(channels):
             one = evaluate_states(psis, (channel,))
             # The input slab does not depend on the channels.
@@ -548,14 +547,20 @@ class TestEvaluate:
             assert np.array_equal(states[1 + i], one[0][1])
             assert np.array_equal(e3[1 + i], one[1][1])
             assert np.array_equal(e2[1 + i], one[2][1])
-            assert np.array_equal(f[i], one[3][0])
+            assert np.array_equal(
+                fidelities(psis, states[1 + i]), fidelities(psis, one[0][1])
+            )
 
     @pytest.mark.parametrize("n", [1, 2, 128, 129, 201])
     def test_evaluate_is_evaluate_states_of_both_schemes(self, n):
         alphas = np.linspace(0.0, math.pi / 2, n)
+        psis = input_states(alphas)
         both = (local_channel(), nonlocal_channel())
-        expected = evaluate_states(input_states(alphas), both)
-        for got, want in zip(evaluate(alphas), expected, strict=True):
+        states, e3, e2 = evaluate_states(psis, both)
+        f = np.stack([fidelities(psis, out) for out in states[1:]])
+        result = evaluate(alphas)
+        assert result[3].shape == (2, n)
+        for got, want in zip(result, (states, e3, e2, f), strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(8,), (3, 4), (2, 2, 8)], ids=str)
@@ -601,12 +606,13 @@ class TestHaarInputs:
                 assert np.array_equal(got[:, i : i + 1], alone)
 
     def test_nonlocal_fidelity_is_universal(self, haar):
-        _, _, (_, _, _, f) = haar
-        assert np.max(np.abs(f[1] - 11.0 / 18.0)) <= 1e-12
+        psis, _, (states, _, _) = haar
+        f = fidelities(psis, states[2])
+        assert np.max(np.abs(f - 11.0 / 18.0)) <= 1e-12
 
     def test_nonlocal_fidelity_beats_local(self, haar):
-        _, _, (_, _, _, f) = haar
-        assert np.all(f[0] < f[1])
+        psis, _, (states, _, _) = haar
+        assert np.all(fidelities(psis, states[1]) < fidelities(psis, states[2]))
 
 
 class TestE2Crossings:

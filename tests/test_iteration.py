@@ -8,7 +8,7 @@ from triclone.cli import main
 from triclone.cloners import MAP_BLOCK, CompiledChannel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
 from triclone.iteration import ROUTE_AGREEMENT_ATOL, iterate, spectral_trajectory
-from triclone.linalg import eig_hermitian
+from triclone.linalg import eig_hermitian, max_abs
 from triclone.reference import closed_form_input_measures
 from triclone.verification import random_density_matrices
 
@@ -25,8 +25,9 @@ def _inputs(alphas):
 
 
 def _clone_mixed(rhos):
-    """Validated spectral-route clones of a stack (n, 8, 8)."""
-    return spectral_trajectory(rhos, 1)[1][0]
+    """Spectral-route clones of a stack (n, 8, 8), once the route validates them."""
+    spectral_trajectory(rhos, 1)
+    return iteration._spectral_mix(rhos)[0]
 
 
 class TestCloneMixed:
@@ -105,44 +106,73 @@ class TestCloneMixedStack:
             assert np.array_equal(mixed[k], _per_state_route(rho))
 
     def test_empty_stack(self):
-        mixed = _clone_mixed(np.empty((0, 8, 8), dtype=complex))
-        assert mixed.shape == (0, 8, 8)
+        empty = np.empty((0, 8, 8), dtype=complex)
+        trajectory, agreement = spectral_trajectory(empty, 2)
+        assert trajectory.shape == (3, 0, 8, 8) and agreement == 0.0
+        assert _clone_mixed(empty).shape == (0, 8, 8)
 
 
-def test_route_splits_any_stack_into_map_blocks(rng, monkeypatch):
-    # 40 states over 3 steps are 120 route states: MAP_BLOCK // 8 per
-    # ``_spectral_mix`` call, so that one channel map takes at most MAP_BLOCK
-    # eigenprojectors.
-    sizes = []
+@pytest.fixture
+def mixtures(monkeypatch):
+    """The mixtures of every ``_spectral_mix`` call, in call order."""
+    mixed = []
     real = iteration._spectral_mix
 
     def recording(rhos):
-        sizes.append(len(rhos))
-        return real(rhos)
+        result = real(rhos)
+        mixed.append(result[0])
+        return result
 
     monkeypatch.setattr(iteration, "_spectral_mix", recording)
+    return mixed
+
+
+def test_route_splits_any_stack_into_map_blocks(rng, mixtures):
+    # 40 states over 3 steps are 120 route states: MAP_BLOCK // 8 per
+    # ``_spectral_mix`` call, so that one channel map takes at most MAP_BLOCK
+    # eigenprojectors.
     stack = random_density_matrices(rng, 40)
-    trajectory, route = spectral_trajectory(stack, 3)
+    trajectory, agreement = spectral_trajectory(stack, 3)
+    route = np.concatenate(mixtures).reshape(3, 40, 8, 8)
     block = MAP_BLOCK // 8
     full, rest = divmod(120, block)
-    assert sizes == [block] * full + [rest] * (rest > 0)
+    assert [len(m) for m in mixtures] == [block] * full + [rest] * (rest > 0)
     for k in range(len(stack)):
-        alone_trajectory, alone_route = spectral_trajectory(stack[k : k + 1], 3)
+        mixtures.clear()
+        alone_trajectory, alone_agreement = spectral_trajectory(stack[k : k + 1], 3)
         assert np.array_equal(trajectory[:, k], alone_trajectory[:, 0])
-        assert np.array_equal(route[:, k], alone_route[:, 0])
+        assert np.array_equal(route[:, k], np.concatenate(mixtures))
+        assert alone_agreement <= agreement
 
 
-def test_stacked_trajectory_equals_single_angle_iterations():
+def test_agreement_is_the_largest_block_residual(rng):
+    # The route's blocks, taken in its order: MAP_BLOCK // 8 of the 120 states
+    # of steps 0..2 each, every one against the step that follows it.
+    stack = random_density_matrices(rng, 40)
+    trajectory, agreement = spectral_trajectory(stack, 3)
+    chain, later = (a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:]))
+    block = MAP_BLOCK // 8
+    residuals = [
+        max_abs(iteration._spectral_mix(chain[s : s + block])[0] - later[s : s + block])
+        for s in range(0, len(chain), block)
+    ]
+    assert type(agreement) is float
+    assert np.float64(agreement).tobytes() == np.float64(max(residuals)).tobytes()
+    assert 0.0 < agreement <= ROUTE_AGREEMENT_ATOL
+
+
+def test_stacked_trajectory_equals_single_angle_iterations(mixtures):
     alphas = [0.3, 0.7, math.pi / 4]
-    trajectory, route = spectral_trajectory(_inputs(alphas), 12)
-    assert trajectory.shape == (13, 3, 8, 8) and route.shape == (12, 3, 8, 8)
+    trajectory, agreement = spectral_trajectory(_inputs(alphas), 12)
+    assert trajectory.shape == (13, 3, 8, 8)
+    route = np.concatenate(mixtures).reshape(12, 3, 8, 8)
     for k, alpha in enumerate(alphas):
         assert np.array_equal(trajectory[:, k], iterate(alpha, 12)[2])
     assert np.array_equal(trajectory[1:], nonlocal_channel().map(trajectory[:-1]))
-    # The one batched route call gives each step's bits of a call per step.
+    # The batched route gives each step's bits of a call per step.
     for k in range(12):
         assert np.array_equal(route[k], iteration._spectral_mix(trajectory[k])[0])
-    assert np.max(np.abs(route - trajectory[1:])) <= ROUTE_AGREEMENT_ATOL
+    assert max_abs(route - trajectory[1:]) == agreement <= ROUTE_AGREEMENT_ATOL
 
 
 class TestIterate:

@@ -170,9 +170,10 @@ def test_spectral_route_has_one_path(name):
 
 
 def test_one_batched_evaluation_path():
-    # Fidelities are scored only in ``evaluate_states``; besides it, only
-    # ``iterate`` and the measure-property check call the measures.
-    assert _call_sites("fidelities") == [("cloners", "evaluate_states")]
+    # Fidelities are scored only in ``evaluate``, for the two callers that
+    # read them; besides ``evaluate_states``, only ``iterate`` and the
+    # measure-property check call the measures.
+    assert _call_sites("fidelities") == [("cloners", "evaluate")]
     assert set(_call_sites("measure_stack")) == {
         ("cloners", "evaluate_states"),
         ("iteration", "iterate"),

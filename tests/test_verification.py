@@ -18,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from triclone import cloners, iteration, linalg, verification
+import triclone
+from triclone import cli, cloners, iteration, linalg, verification
 from triclone.cli import main
 from triclone.cloners import evaluate, nonlocal_channel
 from triclone.iteration import iterate
@@ -202,7 +203,7 @@ def test_residual_norm_equals_the_list_form_on_verify_residuals(grid, monkeypatc
     verification.check_iteration_decay()
     verification.check_channel_properties(12345)
     verification.check_measure_properties(12345)
-    assert len(seen) == 20
+    assert len(seen) == 19
     for arrays in seen:
         listed = float(np.max([np.max(np.abs(a)) for a in arrays]))
         assert np.float64(linalg.max_abs(*arrays)).tobytes() == (
@@ -322,7 +323,7 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return original(*args)
 
-    for module in (cloners, iteration, verification):
+    for module in (triclone, linalg, cloners, iteration, verification, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -341,3 +342,14 @@ def test_verify_evaluates_ten_stacks(monkeypatch):
     stacks = _count_calls(monkeypatch, "evaluate_states")
     assert len(verification.run_all(12345)) == 10
     assert len(stacks) == 10
+
+
+def test_verify_scores_fidelities_only_where_they_are_read(monkeypatch):
+    # Both clones of the grid and of each determinism sweep; the gap calls
+    # of check 06 and the K333 note read no fidelity.
+    scored = _count_calls(monkeypatch, "fidelities")
+    assert len(verification.run_all(12345)) == 10
+    assert len(scored) == 6
+    scored.clear()
+    verification.informational_notes()
+    assert scored == []
