@@ -16,9 +16,10 @@ positive, and keeps the residuals.  Because the two sides are proven
 equal there, ``CompiledChannel.map`` gives one state per input: the
 reduced state of the copies, which is also that of the originals.
 
-``evaluate_states`` gives ``(states, e3, e2)`` for any channels over a stack
-of pure inputs; ``evaluate`` adds both schemes' fidelities on two-corner
-inputs, and ``find_e2_crossings`` bisects the non-local E2 gap ``e2_gaps``.
+``evaluate_states`` alone forms, maps and validates pure-state projectors,
+for any channels over a stack of pure inputs; ``evaluate`` measures them and
+adds both schemes' fidelities on two-corner inputs, and ``find_e2_crossings``
+bisects the non-local E2 gap ``e2_gaps``.
 """
 
 from __future__ import annotations
@@ -191,19 +192,15 @@ def nonlocal_channel() -> CompiledChannel:
 
 
 def evaluate_states(psis, channels):
-    """Measures of pure inputs ``psis`` (n, 8) and of their ``channels`` outputs.
+    """Projectors of pure inputs ``psis`` (n, 8) and of their ``channels`` outputs.
 
-    Returns ``(states, e3, e2)``: ``states`` (1 + k, n, 8, 8) holds the input
-    projectors, then one output slab per channel; ``e3`` (1 + k, n) and
-    ``e2`` (1 + k, n, 3) are their measures.  Each slab is validated; each
-    point and slab equals its call alone bit for bit.  Raises ValueError if
-    ``psis`` is not (n, 8) or ``channels`` is empty.
+    Returns ``states`` (1 + k, n, 8, 8): the input projectors, then one output
+    slab per channel, k >= 0.  Each slab is validated; each point and slab
+    equals its call alone bit for bit.  ValueError if ``psis`` is not (n, 8).
     """
     psis = np.asarray(psis, dtype=complex)
     if psis.ndim != 2 or psis.shape[1] != 8:
         raise ValueError(f"expected amplitudes of shape (n, 8), got {psis.shape}")
-    if len(channels) == 0:
-        raise ValueError("evaluate_states needs at least one channel")
     # Validated per slab: over the whole buffer the cost per member grows.
     states = np.empty((1 + len(channels), len(psis), 8, 8), dtype=complex)
     rho_in, *outputs = states
@@ -212,26 +209,27 @@ def evaluate_states(psis, channels):
     for channel, out in zip(channels, outputs):
         out[...] = channel.map(rho_in)
         check_density_matrices(out)
-    e3, e2, *_ = measure_stack(states)
-    return states, e3, e2
+    return states
 
 
 def evaluate(alphas):
     """``evaluate_states`` at two-corner ``alphas``, local then non-local channel.
 
-    Its arrays, then the clones' fidelities ``f`` (2, n); ValueError if no alpha.
+    The states, their ``measure_stack`` E3 and E2, then the clones' fidelities
+    ``f`` (2, n); ValueError if no alpha.
     """
     psis = input_states(alphas)
     if len(psis) == 0:
         raise ValueError("evaluate needs at least one alpha")
-    states, e3, e2 = evaluate_states(psis, (local_channel(), nonlocal_channel()))
+    states = evaluate_states(psis, (local_channel(), nonlocal_channel()))
+    e3, e2, *_ = measure_stack(states)
     return states, e3, e2, np.stack([fidelities(psis, out) for out in states[1:]])
 
 
 def e2_gaps(cos_alphas):
     """E2_nonlocal - E2_input at each cos(alpha), one non-local call, shape (n,)."""
     psis = input_states([math.acos(x) for x in cos_alphas])
-    _, _, e2 = evaluate_states(psis, (nonlocal_channel(),))
+    _, e2, *_ = measure_stack(evaluate_states(psis, (nonlocal_channel(),)))
     return e2[1, :, 0] - e2[0, :, 0]
 
 

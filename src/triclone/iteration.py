@@ -10,24 +10,24 @@ does not depend on the basis chosen inside degenerate eigenspaces).
 ``spectral_trajectory`` is the one path through the route, for any
 validated stack (m, 8, 8) of states and any number of steps.  It chains
 channel ``map`` calls over the stack, then runs the states of steps 0..n-1
-through the unvalidated ``_spectral_mix`` in blocks of ``MAP_BLOCK // 8``
-states, so that one channel ``map`` takes at most ``MAP_BLOCK``
-eigenprojectors.  Per block, ``_spectral_mix`` makes one ``eig_hermitian``
-call, one ``map`` over the eigenprojectors and one reduction that remixes
-them, weights descending.  The route then validates what the block
-created, each state once: every projector, then every clone, then, once
-the outputs have passed the agreement check against the trajectory, that
-slice of the later steps and the outputs as one stack, and drops the
-outputs.  It returns ``(trajectory, agreement)``, the largest residual of
-that check.  ``iterate`` runs it at one angle, and the verification suite
-on 100 random states.  Each state comes out bit for bit as it would alone.
+through ``_spectral_mix`` in blocks of ``MAP_BLOCK // 8`` states, so that
+one ``evaluate_states`` call clones at most ``MAP_BLOCK`` eigenvectors.  Per
+block, ``_spectral_mix`` makes one ``eig_hermitian`` call, hands the
+eigenvectors to ``evaluate_states``, which validates every projector and
+every clone, and remixes the clones in one reduction, weights descending.
+Once the mixtures have passed the agreement check against the trajectory,
+the route validates that slice of the later steps and the mixtures as one
+stack, and drops the mixtures.  It returns ``(trajectory, agreement)``, the
+largest residual of that check.  ``iterate`` runs it at one angle, and the
+verification suite on 100 random states.  Each state comes out bit for bit
+as it would alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cloners import MAP_BLOCK, nonlocal_channel
+from .cloners import MAP_BLOCK, evaluate_states, nonlocal_channel
 from .entanglement import input_states, measure_stack
 from .linalg import as_index, check_density_matrices, eig_hermitian, max_abs
 
@@ -41,14 +41,14 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     Step 0 is ``rhos``, which the caller validates, as callers of
     ``CompiledChannel.map`` do; each of the ``n_steps`` later steps is the
     channel output of the one before.  The spectral route then clones the
-    states of steps 0..n-1, ``MAP_BLOCK // 8`` per ``_spectral_mix`` call.
-    For each block it validates every projector and its clone, raises
-    RuntimeError if a route output deviates from its step by more than
-    ``ROUTE_AGREEMENT_ATOL``, then validates the block's later steps and
-    route outputs as one stack.  A fault anywhere raises RuntimeError, a
-    ValueError from any of these checks included.  Returns the trajectory
-    (n_steps + 1, m, 8, 8) and the agreement: the largest block residual,
-    0.0 if there is no block.
+    states of steps 0..n-1, ``MAP_BLOCK // 8`` per ``_spectral_mix`` call,
+    whose ``evaluate_states`` call validates every projector and its clone.
+    For each block it raises RuntimeError if a route output deviates from
+    its step by more than ``ROUTE_AGREEMENT_ATOL``, then validates the
+    block's later steps and route outputs as one stack.  A fault anywhere
+    raises RuntimeError, a ValueError from any of these checks included.
+    Returns the trajectory (n_steps + 1, m, 8, 8) and the agreement: the
+    largest block residual, 0.0 if there is no block.
     """
     trajectory = np.empty((n_steps + 1,) + rhos.shape, dtype=complex)
     trajectory[0] = rhos
@@ -60,9 +60,7 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     try:
         for s in range(0, len(chain), block):
             part = slice(s, s + block)
-            mixed, projectors, clones = _spectral_mix(chain[part])
-            check_density_matrices(projectors)
-            check_density_matrices(clones)
+            mixed = _spectral_mix(chain[part])
             residual = max_abs(mixed - later[part])
             if not residual <= ROUTE_AGREEMENT_ATOL:
                 raise RuntimeError(
@@ -76,20 +74,14 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     return trajectory, agreement
 
 
-def _spectral_mix(rhos: np.ndarray):
-    """Unvalidated spectral route of a stack (n, 8, 8).
-
-    Returns the mixtures (n, 8, 8) and all eigenprojectors and their clones,
-    each (n, 8, 8, 8), weights descending along axis 1.
-    """
+def _spectral_mix(rhos: np.ndarray) -> np.ndarray:
+    """Unvalidated mixtures (n, 8, 8) of the validated clones of each eigenvector."""
     weights, vectors = eig_hermitian(rhos)
-    columns = vectors.swapaxes(-1, -2)
-    projectors = columns[..., :, None] * columns[..., None, :].conj()
-    outputs = nonlocal_channel().map(projectors)
+    columns = vectors.swapaxes(-1, -2).reshape(-1, 8)
+    clones = evaluate_states(columns, (nonlocal_channel(),))[1].reshape(-1, 8, 8, 8)
     # Reducing a non-inner axis adds the terms one by one, in descending-weight
     # order; a tensordot over the weights sums in another order.
-    mixed = np.add.reduce(weights[..., None, None] * outputs, axis=1, initial=0.0)
-    return mixed, projectors, outputs
+    return np.add.reduce(weights[..., None, None] * clones, axis=1, initial=0.0)
 
 
 def iterate(alpha: float, n_steps: int):
@@ -107,9 +99,7 @@ def iterate(alpha: float, n_steps: int):
     n_steps = as_index(n_steps, "n_steps")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be between 1 and {MAX_STEPS}, got {n_steps}")
-    psi = input_states([alpha])
-    rho = psi[:, :, None] * psi[:, None, :].conj()
-    check_density_matrices(rho)
+    rho = evaluate_states(input_states([alpha]), ())[0]
     states = spectral_trajectory(rho, n_steps)[0][:, 0]
     e3, e2, _, _ = measure_stack(states)
     for array in (e3, e2, states):

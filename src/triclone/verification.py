@@ -249,8 +249,7 @@ def check_measure_properties(seed: int) -> CheckResult:
     """Measures are locally invariant, zero on products, and bounded."""
     rng = np.random.default_rng(seed)
     psis = input_states([math.pi / 4, math.pi / 8])
-    base = psis[:, :, None] * psis[:, None, :].conj()
-    check_density_matrices(base)
+    base = evaluate_states(psis, ())[0]
     rhos = np.concatenate([base, random_density_matrices(rng, 1)])[np.arange(50) % 3]
     u = kron_all(random_unitaries(rng, 150).reshape(50, 3, 2, 2).swapaxes(0, 1))
     rotated = np.stack([rhos, u @ rhos @ u.conj().swapaxes(1, 2)], axis=1)
@@ -289,7 +288,7 @@ def check_sweep_determinism() -> CheckResult:
 def informational_notes() -> list[str]:
     """Measured values for the two known reference-table discrepancies."""
     alpha = 0.3
-    states, *_ = evaluate_states(input_states([alpha]), (local_channel(),))
+    states = evaluate_states(input_states([alpha]), (local_channel(),))
     k333 = correlations(states[1])[2][0, 2, 2, 2]
     expected = -(8.0 / 27.0) * math.cos(2.0 * alpha)
     note1 = (
@@ -298,8 +297,8 @@ def informational_notes() -> list[str]:
         f"({expected:.9f}); the negative sign is forced by consistency with "
         f"the coherence vector and the M333 tensor component"
     )
-    _, _, states = iterate(math.pi / 4.0, 2)
-    corner = states[2, 0, 0].real
+    balanced = evaluate_states(input_states([math.pi / 4.0]), ())[0]
+    corner = spectral_trajectory(balanced, 2)[0][2, 0, 0, 0].real
     note2 = (
         f"info: after two non-local cloning steps of the balanced state, the "
         f"corner diagonal entry computes to {corner:.9f} = 13/54, the value "

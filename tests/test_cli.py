@@ -29,6 +29,7 @@ from triclone.cli import (
 from triclone.cloners import MAP_BLOCK, evaluate, local_channel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
 from triclone.linalg import check_density_matrices, fidelities
+from triclone.verification import check_channel_properties
 
 # SHA-256 of the default 201-point sweep CSV, pinned with numpy 2.4.6.
 SWEEP_201_SHA256 = "55e5bc56e5c6e9f6bbde71a567ed875f213d2d62aec71deee4b30c3bab1271fe"
@@ -327,6 +328,18 @@ class TestIterate:
         assert main(argv) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_07_CSV_SHA256
+
+    def test_unwritable_output_still_prints_the_table(self, tmp_path, capsys):
+        # The CSV cannot be opened, yet the decay table goes to stdout; the
+        # command then exits 2 with one error line.
+        target = tmp_path / "missing" / "decay.csv"
+        assert main(["iterate", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        stdout_sha = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert stdout_sha == ITERATE_SHA256[()][0]
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize(
         "extra", sorted(ITERATE_SHA256), ids=lambda extra: " ".join(extra) or "default"
@@ -702,6 +715,18 @@ class TestMallocThresholds:
         finally:
             tracemalloc.stop()
         assert states.nbytes < cli._MMAP_THRESHOLD
+        assert peak <= cli._TRIM_THRESHOLD // 2
+
+    def test_check_08_stays_in_the_heap(self):
+        # Check 08's route blocks, as a sweep block, leave half the trim
+        # threshold free; a warm call traced about 1.5 MiB.
+        check_channel_properties(12345)
+        tracemalloc.start()
+        try:
+            assert check_channel_properties(12345).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= cli._TRIM_THRESHOLD // 2
 
     @pytest.mark.parametrize(

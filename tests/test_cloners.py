@@ -536,19 +536,21 @@ class TestEvaluate:
         by_name = {"local": local_channel(), "nonlocal": nonlocal_channel()}
         channels = tuple(by_name[name] for name in names)
         psis = input_states(np.linspace(0.0, math.pi / 2, n))
-        states, e3, e2 = evaluate_states(psis, channels)
+        states = evaluate_states(psis, channels)
+        e3, e2, *_ = measure_stack(states)
         assert states.shape == (1 + len(names), n, 8, 8)
         for i, channel in enumerate(channels):
             one = evaluate_states(psis, (channel,))
+            one_e3, one_e2, *_ = measure_stack(one)
             # The input slab does not depend on the channels.
-            assert np.array_equal(states[0], one[0][0])
-            assert np.array_equal(e3[0], one[1][0])
-            assert np.array_equal(e2[0], one[2][0])
-            assert np.array_equal(states[1 + i], one[0][1])
-            assert np.array_equal(e3[1 + i], one[1][1])
-            assert np.array_equal(e2[1 + i], one[2][1])
+            assert np.array_equal(states[0], one[0])
+            assert np.array_equal(e3[0], one_e3[0])
+            assert np.array_equal(e2[0], one_e2[0])
+            assert np.array_equal(states[1 + i], one[1])
+            assert np.array_equal(e3[1 + i], one_e3[1])
+            assert np.array_equal(e2[1 + i], one_e2[1])
             assert np.array_equal(
-                fidelities(psis, states[1 + i]), fidelities(psis, one[0][1])
+                fidelities(psis, states[1 + i]), fidelities(psis, one[1])
             )
 
     @pytest.mark.parametrize("n", [1, 2, 128, 129, 201])
@@ -556,7 +558,8 @@ class TestEvaluate:
         alphas = np.linspace(0.0, math.pi / 2, n)
         psis = input_states(alphas)
         both = (local_channel(), nonlocal_channel())
-        states, e3, e2 = evaluate_states(psis, both)
+        states = evaluate_states(psis, both)
+        e3, e2, *_ = measure_stack(states)
         f = np.stack([fidelities(psis, out) for out in states[1:]])
         result = evaluate(alphas)
         assert result[3].shape == (2, n)
@@ -569,9 +572,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             evaluate_states(psis, (nonlocal_channel(),))
 
-    def test_evaluate_states_rejects_no_channels(self):
-        with pytest.raises(ValueError, match="at least one channel"):
-            evaluate_states(input_states([0.3]), ())
+    @pytest.mark.parametrize("n", [0, 1, 201])
+    def test_no_channels_give_the_validated_projector_slab(self, n, monkeypatch):
+        psis = input_states(np.linspace(0.0, math.pi / 2, n))
+        validated = []
+
+        def recording(matrices):
+            validated.append(matrices.copy())
+            check_density_matrices(matrices)
+
+        monkeypatch.setattr(cloners, "check_density_matrices", recording)
+        states = evaluate_states(psis, ())
+        assert states.shape == (1, n, 8, 8)
+        assert np.array_equal(states[0], psis[:, :, None] * psis[:, None, :].conj())
+        assert len(validated) == 1 and np.array_equal(validated[0], states[0])
+        assert np.array_equal(states, evaluate_states(psis, (local_channel(),))[:1])
 
     @pytest.mark.parametrize(
         "psi, message",
@@ -596,12 +611,14 @@ class TestHaarInputs:
         psis = g[:, 0] + 1j * g[:, 1]
         psis /= np.linalg.norm(psis, axis=1)[:, None]
         channels = (local_channel(), nonlocal_channel())
-        return psis, channels, evaluate_states(psis, channels)
+        states = evaluate_states(psis, channels)
+        return psis, channels, (states, *measure_stack(states)[:2])
 
     def test_each_member_equals_its_call_alone(self, haar):
         psis, channels, batch = haar
         for i in range(len(psis)):
-            one = evaluate_states(psis[i : i + 1], channels)
+            states = evaluate_states(psis[i : i + 1], channels)
+            one = (states, *measure_stack(states)[:2])
             for got, alone in zip(batch, one, strict=True):
                 assert np.array_equal(got[:, i : i + 1], alone)
 

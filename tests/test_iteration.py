@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from triclone import iteration
+from triclone import cloners, iteration
 from triclone.cli import main
 from triclone.cloners import MAP_BLOCK, CompiledChannel, nonlocal_channel
 from triclone.entanglement import input_states, measure_stack
@@ -27,7 +27,7 @@ def _inputs(alphas):
 def _clone_mixed(rhos):
     """Spectral-route clones of a stack (n, 8, 8), once the route validates them."""
     spectral_trajectory(rhos, 1)
-    return iteration._spectral_mix(rhos)[0]
+    return iteration._spectral_mix(rhos)
 
 
 class TestCloneMixed:
@@ -119,9 +119,8 @@ def mixtures(monkeypatch):
     real = iteration._spectral_mix
 
     def recording(rhos):
-        result = real(rhos)
-        mixed.append(result[0])
-        return result
+        mixed.append(real(rhos))
+        return mixed[-1]
 
     monkeypatch.setattr(iteration, "_spectral_mix", recording)
     return mixed
@@ -129,8 +128,8 @@ def mixtures(monkeypatch):
 
 def test_route_splits_any_stack_into_map_blocks(rng, mixtures):
     # 40 states over 3 steps are 120 route states: MAP_BLOCK // 8 per
-    # ``_spectral_mix`` call, so that one channel map takes at most MAP_BLOCK
-    # eigenprojectors.
+    # ``_spectral_mix`` call, so that one ``evaluate_states`` call clones at
+    # most MAP_BLOCK eigenvectors.
     stack = random_density_matrices(rng, 40)
     trajectory, agreement = spectral_trajectory(stack, 3)
     route = np.concatenate(mixtures).reshape(3, 40, 8, 8)
@@ -153,7 +152,7 @@ def test_agreement_is_the_largest_block_residual(rng):
     chain, later = (a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:]))
     block = MAP_BLOCK // 8
     residuals = [
-        max_abs(iteration._spectral_mix(chain[s : s + block])[0] - later[s : s + block])
+        max_abs(iteration._spectral_mix(chain[s : s + block]) - later[s : s + block])
         for s in range(0, len(chain), block)
     ]
     assert type(agreement) is float
@@ -171,7 +170,7 @@ def test_stacked_trajectory_equals_single_angle_iterations(mixtures):
     assert np.array_equal(trajectory[1:], nonlocal_channel().map(trajectory[:-1]))
     # The batched route gives each step's bits of a call per step.
     for k in range(12):
-        assert np.array_equal(route[k], iteration._spectral_mix(trajectory[k])[0])
+        assert np.array_equal(route[k], iteration._spectral_mix(trajectory[k]))
     assert max_abs(route - trajectory[1:]) == agreement <= ROUTE_AGREEMENT_ATOL
 
 
@@ -270,7 +269,7 @@ class TestTrajectoryCertificate:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Copies of the stacks ``iteration`` validates, in call order."""
+        """Copies of the stacks ``iteration`` and ``evaluate_states`` validate."""
         seen = []
         check = iteration.check_density_matrices
 
@@ -278,21 +277,36 @@ class TestTrajectoryCertificate:
             seen.append(np.array(matrices))
             check(matrices)
 
-        monkeypatch.setattr(iteration, "check_density_matrices", recording)
+        for module in (iteration, cloners):
+            monkeypatch.setattr(module, "check_density_matrices", recording)
         return seen
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The states of every ``evaluate_states`` call ``iteration`` makes."""
+        evaluated = []
+        real = cloners.evaluate_states
+
+        def recording(psis, channels):
+            evaluated.append(real(psis, channels))
+            return evaluated[-1]
+
+        monkeypatch.setattr(iteration, "evaluate_states", recording)
+        return evaluated
 
     def test_checks_run_per_trace_not_per_step(self, seen):
         for n in range(1, 13):
             seen.clear()
             _, _, trajectory = iterate(0.7, n)
             assert len(seen) == 4
-        # In the last run (12 steps) the first check is the step-0 projector;
-        # the last is the later steps followed by the route outputs, one stack.
+        # In the last run (12 steps) the first check is the step-0 projector,
+        # then the route's projectors and clones; the last is the later steps
+        # followed by the route outputs, one stack.
         step0, later = seen[0], seen[-1]
         assert np.array_equal(step0, trajectory[:1])
         assert later.shape == (24, 8, 8)
         assert np.array_equal(later[:12], trajectory[1:])
-        route = iteration._spectral_mix(trajectory[:-1])[0]
+        route = iteration._spectral_mix(trajectory[:-1])
         assert np.array_equal(later[12:], route)
 
     @pytest.mark.parametrize("n_steps", [1, 3, 12])
@@ -316,12 +330,17 @@ class TestTrajectoryCertificate:
         assert mixed == [(n_steps, 8, 8)]
         assert len(maps) == n_steps + 1
 
-    def test_certificate_covers_every_eigenprojector(self, seen):
+    def test_certificate_covers_every_eigenprojector(self, seen, evaluated):
         # Step 0 is pure, so a certificate of the kept projectors alone would
         # hold 1 + 11 * 8 = 89 of them.
         iterate(0.7, 12)
-        projectors, clones = (m.reshape(-1, 8, 8) for m in seen[1:3])
+        step0, (projectors, clones) = evaluated
+        assert step0.shape == (1, 1, 8, 8)
+        assert np.array_equal(seen[0], step0[0])
         assert len(projectors) == len(clones) == 96
+        # ``evaluate_states`` validated each, projectors then clones.
+        assert np.array_equal(seen[1], projectors)
+        assert np.array_equal(seen[2], clones)
         # The eight projectors of each step resolve the identity.
         completeness = projectors.reshape(12, 8, 8, 8).sum(axis=1) - np.eye(8)
         assert np.max(np.abs(completeness)) <= 1e-12
@@ -353,8 +372,7 @@ class TestTrajectoryCertificate:
         real = iteration._spectral_mix
 
         def nan_mix(rhos):
-            mixed, projectors, clones = real(rhos)
-            return np.full_like(mixed, np.nan), projectors, clones
+            return np.full_like(real(rhos), np.nan)
 
         monkeypatch.setattr(iteration, "_spectral_mix", nan_mix)
 
@@ -374,12 +392,12 @@ class TestTrajectoryCertificate:
         real = iteration._spectral_mix
 
         def faulty_mix(rhos):
-            mixed, projectors, clones = real(rhos)
+            mixed = real(rhos)
             if request.param == "nan":
                 mixed = np.full_like(mixed, np.nan)
             else:
                 mixed[..., 0, 1] += 1e-6
-            return mixed, projectors, clones
+            return mixed
 
         monkeypatch.setattr(iteration, "_spectral_mix", faulty_mix)
 
@@ -395,21 +413,32 @@ class TestTrajectoryCertificate:
         err = capsys.readouterr().err
         assert err.startswith("error: internal check failed: spectral-mixture route")
 
-    @pytest.fixture(params=["nan-clone", "skew-projector"])
+    @pytest.fixture(params=["nan-eigenvector", "nan-clone"])
     def faulty_certificate(self, request, monkeypatch):
-        # A NaN clone, or a projector 1e-6 off Hermitian: the checks on what
-        # the route made refuse them before the agreement check runs.
-        real = iteration._spectral_mix
+        # A NaN in one eigenvector, so in its projector, or in one clone: the
+        # checks on what the route made refuse it before the agreement check.
+        if request.param == "nan-eigenvector":
+            real_eig = iteration.eig_hermitian
 
-        def faulty_mix(rhos):
-            mixed, projectors, clones = real(rhos)
-            if request.param == "nan-clone":
-                clones[-1, -1, 0, 0] = np.nan
-            else:
-                projectors[..., 0, 1] += 1e-6
-            return mixed, projectors, clones
+            def faulty_eig(rhos):
+                weights, vectors = real_eig(rhos)
+                vectors = vectors.copy()
+                vectors[-1, 0, -1] = np.nan
+                return weights, vectors
 
-        monkeypatch.setattr(iteration, "_spectral_mix", faulty_mix)
+            monkeypatch.setattr(iteration, "eig_hermitian", faulty_eig)
+        else:
+            real_map = CompiledChannel.map
+
+            def faulty_map(channel, rhos):
+                outputs = real_map(channel, rhos)
+                # The route clones eight projectors per state; the chain of
+                # one-state steps is left intact.
+                if len(rhos) > 1:
+                    outputs[-1, 0, 0] = np.nan
+                return outputs
+
+            monkeypatch.setattr(CompiledChannel, "map", faulty_map)
 
     @pytest.mark.parametrize("steps", ["1", "3", "12"])
     def test_faulty_certificate_is_a_failed_internal_check(

@@ -171,14 +171,64 @@ def test_spectral_route_has_one_path(name):
 
 def test_one_batched_evaluation_path():
     # Fidelities are scored only in ``evaluate``, for the two callers that
-    # read them; besides ``evaluate_states``, only ``iterate`` and the
-    # measure-property check call the measures.
+    # read them; measures are taken only where they are read.  Every pure
+    # state is formed, cloned and validated by ``evaluate_states``.
     assert _call_sites("fidelities") == [("cloners", "evaluate")]
     assert set(_call_sites("measure_stack")) == {
-        ("cloners", "evaluate_states"),
+        ("cloners", "evaluate"),
+        ("cloners", "e2_gaps"),
         ("iteration", "iterate"),
         ("verification", "check_measure_properties"),
     }
+    assert set(_call_sites("evaluate_states")) == {
+        ("cloners", "evaluate"),
+        ("cloners", "e2_gaps"),
+        ("iteration", "_spectral_mix"),
+        ("iteration", "iterate"),
+        ("verification", "check_measure_properties"),
+        ("verification", "informational_notes"),
+    }
+
+
+def test_channels_map_only_on_the_three_paths():
+    # Pure inputs are cloned in ``evaluate_states``, the iterated chain in
+    # ``spectral_trajectory``, and the mixed states of check 08 in the check.
+    sites = set()
+    for path in Path(triclone.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                sites.update(
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map"
+                )
+    assert sites == {
+        ("cloners", "evaluate_states"),
+        ("iteration", "spectral_trajectory"),
+        ("verification", "check_channel_properties"),
+    }
+
+
+def test_informational_notes_measure_nothing(monkeypatch):
+    # The K333 note reads a correlation tensor and the corner note a state
+    # entry; neither reads E3 or E2.
+    from triclone import cloners, entanglement, iteration, verification
+
+    calls = []
+    real = entanglement.measure_stack
+
+    def counted(rhos):
+        calls.append(rhos.shape)
+        return real(rhos)
+
+    for module in (triclone, entanglement, cloners, iteration, verification):
+        if getattr(module, "measure_stack", None) is real:
+            monkeypatch.setattr(module, "measure_stack", counted)
+    assert len(verification.informational_notes()) == 2
+    assert calls == []
 
 
 def test_verify_derives_each_quantity_once():

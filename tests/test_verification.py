@@ -10,7 +10,9 @@ channel check validates each state it handles once, and ``iterate`` its
 step-0 projector.  The grid is freed once the checks that read it are done.
 """
 
+import collections
 import math
+import sys
 import tempfile
 import weakref
 from types import SimpleNamespace
@@ -337,11 +339,33 @@ def test_window_check_makes_seven_gap_calls(monkeypatch):
     assert len(gaps) == 7
 
 
-def test_verify_evaluates_ten_stacks(monkeypatch):
-    # The grid, the seven gap calls of check 06 and the two determinism sweeps.
-    stacks = _count_calls(monkeypatch, "evaluate_states")
+def test_verify_evaluates_seventeen_stacks(monkeypatch):
+    # The grid and the two determinism sweeps; check 06's seven gap calls, the
+    # bracket ends, five calls of 15 midpoints per bracket and the probes;
+    # check 07's step 0 and its one route block of six states; check 08's
+    # route blocks over 100 states, MAP_BLOCK // 8 = 32 at a time; and
+    # check 09's two base states.  Keyed (caller, inputs, channels).
+    real = cloners.evaluate_states
+    calls = []
+
+    def recorded(psis, channels):
+        calls.append((sys._getframe(1).f_code.co_name, len(psis), len(channels)))
+        return real(psis, channels)
+
+    for module in (cloners, iteration, verification):
+        monkeypatch.setattr(module, "evaluate_states", recorded)
     assert len(verification.run_all(12345)) == 10
-    assert len(stacks) == 10
+    assert len(calls) == 17
+    assert collections.Counter(calls) == {
+        ("evaluate", 201, 2): 3,
+        ("e2_gaps", 3, 1): 2,
+        ("e2_gaps", 30, 1): 5,
+        ("iterate", 1, 0): 1,
+        ("_spectral_mix", 6 * 8, 1): 1,
+        ("_spectral_mix", cloners.MAP_BLOCK, 1): 3,
+        ("_spectral_mix", 4 * 8, 1): 1,
+        ("check_measure_properties", 2, 0): 1,
+    }
 
 
 def test_verify_scores_fidelities_only_where_they_are_read(monkeypatch):
