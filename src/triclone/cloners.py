@@ -34,12 +34,15 @@ from .entanglement import _check_stack_shape, input_states, measure_stack
 from .linalg import (
     EIGENVALUE_FLOOR,
     HERMITIAN_ATOL,
+    NOT_HERMITIAN,
+    NOT_PSD,
     TRACE_ATOL,
     as_index,
     check_density_matrices,
     fidelities,
     kron_all,
     max_abs,
+    require,
 )
 
 ISOMETRY_ATOL = 1e-12
@@ -97,26 +100,17 @@ def compile_channel(tensor: np.ndarray) -> CompiledChannel:
     copies = np.einsum("ocmi,odmj->cdij", v, v.conj())
     originals = np.einsum("acmi,bcmj->abij", v, v.conj())
     gap = max_abs(originals - copies)
-    if not gap <= OUTPUT_SYMMETRY_ATOL:
-        raise RuntimeError(
-            f"original and copy maps differ by {gap:.3e}; "
-            "the cloner output should be symmetric"
-        )
-    trace_map = np.einsum("ccij->ij", copies)
-    trace_residual = max_abs(trace_map - np.eye(n_in))
-    if not trace_residual <= TRACE_ATOL:
-        raise RuntimeError(
-            f"map does not preserve trace (residual {trace_residual:.3e})"
-        )
+    message = "original and copy maps differ by {:.3e}; "
+    message += "the cloner output should be symmetric"
+    require(gap, OUTPUT_SYMMETRY_ATOL, RuntimeError, message)
+    trace_residual = max_abs(np.einsum("ccij->ij", copies) - np.eye(n_in))
+    message = "map does not preserve trace (residual {:.3e})"
+    require(trace_residual, TRACE_ATOL, RuntimeError, message)
     choi = copies.transpose(0, 2, 1, 3).reshape(n_copy * n_in, n_copy * n_in)
     herm = max_abs(choi - choi.conj().T)
-    if not herm <= HERMITIAN_ATOL:
-        raise RuntimeError(f"Choi matrix is not Hermitian (residual {herm:.3e})")
+    require(herm, HERMITIAN_ATOL, RuntimeError, "Choi " + NOT_HERMITIAN)
     smallest = float(np.linalg.eigvalsh(choi)[0])
-    if not smallest >= EIGENVALUE_FLOOR:
-        raise RuntimeError(
-            f"Choi matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
-        )
+    require(-smallest, -EIGENVALUE_FLOOR, RuntimeError, "Choi " + NOT_PSD, smallest)
     superoperator = np.ascontiguousarray(copies.reshape(n_copy * n_copy, n_in * n_in))
     superoperator.setflags(write=False)
     return CompiledChannel(
@@ -157,8 +151,8 @@ def _isometry(n: int) -> np.ndarray:
     v[i, j, j, i] = v[j, i, j, i] = d
     v = v.reshape(n**3, n)
     residual = max_abs(v.conj().T @ v - np.eye(n))
-    if not residual <= ISOMETRY_ATOL:
-        raise ValueError(f"map is not an isometry (V+V residual {residual:.3e})")
+    message = "map is not an isometry (V+V residual {:.3e})"
+    require(residual, ISOMETRY_ATOL, ValueError, message)
     # Isometries are shared through the cache; freeze them.
     v.setflags(write=False)
     return v

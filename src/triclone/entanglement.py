@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import check_pure_states, kron_all, max_abs
+from .linalg import check_pure_states, kron_all, max_abs, require
 
 QUBITS = (1, 2, 3)
 PAIRS = ((1, 2), (2, 3), (1, 3))
@@ -84,8 +84,7 @@ def _correlation_stack(rhos: np.ndarray):
 def _check_norms(lams: np.ndarray) -> None:
     """Norm check of coherence vectors (..., 3)."""
     norm = float(np.sqrt((lams * lams).sum(axis=-1)).max(initial=0.0))
-    if not norm <= COMPONENT_CEILING:
-        raise ValueError(f"coherence vector norm {norm} exceeds 1")
+    require(norm, COMPONENT_CEILING, ValueError, "coherence vector norm {} exceeds 1")
 
 
 def _check_measures(e3: np.ndarray, e2: np.ndarray) -> None:
@@ -110,8 +109,7 @@ def correlations(rhos: np.ndarray):
     lam, k2, k3 = _correlation_stack(rhos)
     _check_norms(lam)
     top = max_abs(k2, k3)
-    if not top <= COMPONENT_CEILING:
-        raise ValueError(f"correlation entry {top} exceeds 1")
+    require(top, COMPONENT_CEILING, ValueError, "correlation entry {} exceeds 1")
     return lam, k2, k3
 
 

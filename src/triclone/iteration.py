@@ -29,7 +29,7 @@ import numpy as np
 
 from .cloners import MAP_BLOCK, evaluate_states, nonlocal_channel
 from .entanglement import input_states, measure_stack
-from .linalg import as_index, check_density_matrices, eig_hermitian, max_abs
+from .linalg import as_index, check_density_matrices, eig_hermitian, max_abs, require
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 MAX_STEPS = 12
@@ -57,16 +57,14 @@ def spectral_trajectory(rhos: np.ndarray, n_steps: int):
     chain, later = (a.reshape(-1, 8, 8) for a in (trajectory[:-1], trajectory[1:]))
     block = MAP_BLOCK // 8  # each state has 8 eigenprojectors
     agreement = 0.0
+    message = "spectral-mixture route deviates from direct channel "
+    message += "application by {:.3e}"
     try:
         for s in range(0, len(chain), block):
             part = slice(s, s + block)
             mixed = _spectral_mix(chain[part])
             residual = max_abs(mixed - later[part])
-            if not residual <= ROUTE_AGREEMENT_ATOL:
-                raise RuntimeError(
-                    f"spectral-mixture route deviates from direct channel "
-                    f"application by {residual:.3e}"
-                )
+            require(residual, ROUTE_AGREEMENT_ATOL, RuntimeError, message)
             check_density_matrices(np.concatenate([later[part], mixed]))
             agreement = max(agreement, residual)
     except ValueError as exc:

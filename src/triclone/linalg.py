@@ -27,6 +27,21 @@ EIGENVALUE_FLOOR = -1e-10
 # exceed the factorization's backward error (about 1e-14 here) so that a
 # certified matrix also passes the eigenvalue test.
 PSD_CERTIFICATE_MARGIN = 1e-13
+# Failure messages shared with the channel checks in ``cloners``.
+NOT_HERMITIAN = "matrix is not Hermitian (residual {:.3e})"
+NOT_PSD = "matrix is not positive semidefinite (min eigenvalue {1:.3e})"
+
+
+def require(value, bound, error, message, *shown):
+    """Raise ``error(message.format(value, *shown))`` unless ``value <= bound``.
+
+    The failure rule of every hard check: a NaN value fails, and the message
+    is formatted only on failure.  A floor is required of the negated value.
+    The error is raised from None: an exception being handled only led to
+    the check, so it is not shown as the failure's context.
+    """
+    if not value <= bound:
+        raise error(message.format(value, *shown)) from None
 
 
 def as_index(value, name: str) -> int:
@@ -85,10 +100,9 @@ def check_pure_states(amplitudes: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
     norms = np.linalg.norm(amplitudes, axis=-1).ravel()
     off = np.abs(norms - 1.0)
-    if not off.max() <= NORM_ATOL:
-        raise ValueError(
-            f"state norm {norms[off.argmax()]} is not 1 within {NORM_ATOL}"
-        )
+    k = off.argmax()
+    message = "state norm {1} is not 1 within {2}"
+    require(off[k], NORM_ATOL, ValueError, message, norms[k], NORM_ATOL)
 
 
 def check_density_matrices(matrices: np.ndarray) -> None:
@@ -118,13 +132,12 @@ def check_density_matrices(matrices: np.ndarray) -> None:
     work = np.empty(matrices.shape, np.result_type(matrices, np.float64))
     np.conjugate(matrices.swapaxes(-1, -2), out=work)
     np.subtract(matrices, work, out=work)
-    herm = max_abs(work)
-    if not herm <= HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+    require(max_abs(work), HERMITIAN_ATOL, ValueError, NOT_HERMITIAN)
     tr = np.trace(matrices, axis1=-2, axis2=-1).ravel()
     off = np.abs(tr - 1.0)
-    if not off.max() <= TRACE_ATOL:
-        raise ValueError(f"trace {tr[off.argmax()]} is not 1 within {TRACE_ATOL}")
+    k = off.argmax()
+    message = "trace {1} is not 1 within {2}"
+    require(off[k], TRACE_ATOL, ValueError, message, tr[k], TRACE_ATOL)
     d = matrices.shape[-1]
     np.copyto(work, matrices)
     diagonal = work.reshape(-1, d * d)[:, :: d + 1]
@@ -133,10 +146,7 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(matrices)[..., 0].min()
-        if not smallest >= EIGENVALUE_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
-            ) from None
+        require(-smallest, -EIGENVALUE_FLOOR, ValueError, NOT_PSD, smallest)
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +161,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     residual = max_abs(h - h.conj().swapaxes(-1, -2))
-    if not residual <= HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
+    require(residual, HERMITIAN_ATOL, ValueError, NOT_HERMITIAN)
     values, vectors = np.linalg.eigh(h)
     return values[..., ::-1], vectors[..., ::-1]
 

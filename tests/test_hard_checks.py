@@ -1,5 +1,6 @@
 """The exact failure message of every internal hard check."""
 
+import math
 import traceback
 
 import numpy as np
@@ -171,3 +172,45 @@ def test_positivity_failure_hides_the_factorization_error():
     assert info.value.__cause__ is None
     assert info.value.__suppress_context__
     assert "LinAlgError" not in "".join(traceback.format_exception(info.value))
+
+
+NEGATED_FLOOR = -linalg.EIGENVALUE_FLOOR
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("formatted on success")
+
+
+class _CheckError(Exception):
+    pass
+
+
+class TestRequire:
+    """``linalg.require``, the failure rule behind every check above."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_infinite_values_fail(self, value):
+        with pytest.raises(ValueError, match=f"^{value}$"):
+            linalg.require(value, 1e-12, ValueError, "{}")
+
+    @pytest.mark.parametrize("smallest", [math.nan, -math.inf])
+    def test_nan_and_infinite_values_fail_a_negated_floor(self, smallest):
+        with pytest.raises(ValueError, match=f"^{smallest}$"):
+            linalg.require(-smallest, NEGATED_FLOOR, ValueError, "{1}", smallest)
+
+    def test_value_at_the_bound_passes(self):
+        linalg.require(1e-12, 1e-12, ValueError, "{}")
+        linalg.require(NEGATED_FLOOR, NEGATED_FLOOR, ValueError, "{}")
+
+    def test_error_class_passes_through(self):
+        with pytest.raises(_CheckError) as info:
+            linalg.require(2.0, 1.0, _CheckError, "{0} over {1}: {2}", "bound", "why")
+        assert type(info.value) is _CheckError
+        assert str(info.value) == "2.0 over bound: why"
+
+    def test_success_formats_no_shown_argument(self):
+        shown = _Unformattable()
+        linalg.require(0.0, 1.0, ValueError, "{1}", shown)
+        with pytest.raises(AssertionError, match="formatted on success"):
+            linalg.require(2.0, 1.0, ValueError, "{1}", shown)

@@ -398,15 +398,21 @@ def _bound_name(node):
 # The comparison of a value against a bound that a NaN value passes, by the
 # suffix of the bound's name: ``x > TOL`` and ``x < FLOOR`` are False for NaN.
 NAN_PASSING = {"_ATOL": ast.Gt, "_CEILING": ast.Gt, "_FLOOR": ast.Lt}
+# Modules whose hard checks fail through ``linalg.require`` alone.
+REQUIRE_MODULES = ("linalg", "cloners", "entanglement", "iteration")
+# The one check there that compares against its bound itself: it names the
+# first out-of-range entry of a stack, which ``require``'s eagerly evaluated
+# arguments could only do by searching for that entry on every call.
+UNROUTED_CHECK = ("entanglement", "_check_measures")
 
 
-def _bound_comparisons():
+def _bound_comparisons(trees):
     """(module, comparison, bound name) of each comparison with a named bound.
 
     ``BOUND < x`` is recorded as ``x > BOUND``, the bound always on the right.
     """
     mirrored = {ast.Gt: ast.Lt, ast.Lt: ast.Gt}
-    for module, tree in _package_trees().items():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -418,10 +424,59 @@ def _bound_comparisons():
                     yield module, mirrored.get(type(op)), _bound_name(left)
 
 
+def _compares_by_function(tree, function=None):
+    """(innermost enclosing function name, node) of each comparison in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Compare):
+            yield function, node
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        yield from _compares_by_function(node, inner)
+
+
+def _negated(node):
+    """(operand, whether ``node`` is ``-operand``)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return node.operand, True
+    return node, False
+
+
 def test_no_check_lets_a_nan_residual_pass():
-    # Every failure test is ``not residual <= TOL``, and ``not value >= FLOOR``
-    # for the eigenvalue floors, so a NaN fails each check.
-    found = list(_bound_comparisons())
+    trees = _package_trees()
+    # In the implementation modules every named bound is compared in
+    # ``require`` alone, whose test ``not value <= bound`` fails a NaN.
+    suffixes = tuple(NAN_PASSING)
+    compared = {
+        (module, function)
+        for module in REQUIRE_MODULES
+        for function, node in _compares_by_function(trees[module])
+        for operand in [node.left, *node.comparators]
+        if _bound_name(operand).endswith(suffixes)
+    }
+    assert compared == {UNROUTED_CHECK}
+    require = next(
+        node
+        for node in trees["linalg"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "require"
+    )
+    tests = [ast.unparse(n.test) for n in ast.walk(require) if isinstance(n, ast.If)]
+    assert tests == ["not value <= bound"]
+    # Every ``require`` call names its bound; a floor is required of the
+    # negated value, so that a NaN fails it too.
+    bounds = set()
+    for module in REQUIRE_MODULES:
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "require":
+                (_, value_negated), (bound, negated) = map(_negated, node.args[:2])
+                name = _bound_name(bound)
+                assert name.endswith(suffixes), ast.unparse(node)
+                assert negated == value_negated == name.endswith("_FLOOR"), name
+                bounds.add(name)
+    # Keeps the scan from passing because it finds no ``require`` call at all.
+    assert {"HERMITIAN_ATOL", "ROUTE_AGREEMENT_ATOL", "EIGENVALUE_FLOOR"} <= bounds
+    # Elsewhere a check compares against its bound itself, in the direction
+    # that fails a NaN: ``not residual <= TOL``, ``not value >= FLOOR``.
+    others = {m: tree for m, tree in trees.items() if m not in REQUIRE_MODULES}
+    found = list(_bound_comparisons(others))
     nan_passing = [
         (module, name)
         for module, op, name in found
@@ -429,9 +484,7 @@ def test_no_check_lets_a_nan_residual_pass():
         if name.endswith(suffix) and op is bad
     ]
     assert nan_passing == []
-    # Keeps the scan from passing because it finds no bound at all.
-    names = {name for _, _, name in found}
-    assert {"HERMITIAN_ATOL", "ROUTE_AGREEMENT_ATOL", "EIGENVALUE_FLOOR"} <= names
+    assert {"WINDOW_ATOL", "STEP6_CEILING"} <= {name for _, _, name in found}
 
 
 def _benchmark_tracing():
