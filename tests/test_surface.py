@@ -473,10 +473,10 @@ def test_no_check_lets_a_nan_residual_pass():
                 bounds.add(name)
     # Keeps the scan from passing because it finds no ``require`` call at all.
     assert {"HERMITIAN_ATOL", "ROUTE_AGREEMENT_ATOL", "EIGENVALUE_FLOOR"} <= bounds
-    # Elsewhere a check compares against its bound itself, in the direction
-    # that fails a NaN: ``not residual <= TOL``, ``not value >= FLOOR``.
-    others = {m: tree for m, tree in trees.items() if m not in REQUIRE_MODULES}
-    found = list(_bound_comparisons(others))
+    # Elsewhere, and in the one unrouted check, a check compares against its
+    # bound itself, in the direction that fails a NaN: ``not residual <= TOL``,
+    # ``not value >= FLOOR``.
+    found = list(_bound_comparisons(trees))
     nan_passing = [
         (module, name)
         for module, op, name in found
@@ -484,7 +484,8 @@ def test_no_check_lets_a_nan_residual_pass():
         if name.endswith(suffix) and op is bad
     ]
     assert nan_passing == []
-    assert {"WINDOW_ATOL", "STEP6_CEILING"} <= {name for _, _, name in found}
+    names = {name for _, _, name in found}
+    assert {"WINDOW_ATOL", "STEP6_CEILING", "MEASURE_CEILING"} <= names
 
 
 def _benchmark_tracing():
